@@ -1,6 +1,7 @@
 """Per-token lexical tags, entity flags, and the discrete splicing baseline."""
 from __future__ import annotations
 
+import re
 from enum import IntEnum
 from typing import Callable, Iterable, Sequence
 
@@ -51,20 +52,17 @@ def dictionary_tagger(nouns: Sequence[str], adjectives: Sequence[str],
                 raise ConfigError(
                     f"term {term!r} appears in two tagger lexicons")
             table[term] = tag
-    # longest first; alphabetical tiebreak keeps scans deterministic
-    ordered = sorted(table, key=lambda t: (-len(t), t))
+    # one alternation, longest first with an alphabetical tiebreak: at each
+    # position the regex engine takes the first listed term that matches;
+    # with no terms, "(?!)" never matches
+    pattern = re.compile("|".join(
+        re.escape(t) for t in sorted(table, key=lambda t: (-len(t), t)))
+        or "(?!)")
 
     def tag_text(text: str) -> list[int]:
         tags = [int(LexTag.OTHER)] * len(text)
-        i = 0
-        while i < len(text):
-            for term in ordered:
-                if text.startswith(term, i):
-                    tags[i:i + len(term)] = [int(table[term])] * len(term)
-                    i += len(term)
-                    break
-            else:
-                i += 1
+        for m in pattern.finditer(text):
+            tags[m.start():m.end()] = [int(table[m.group()])] * len(m.group())
         return tags
 
     return tag_text

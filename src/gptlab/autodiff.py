@@ -6,11 +6,19 @@ replays the tape once in reverse, accumulating gradients additively into
 every tensor that ``requires_grad``.
 
 Verification suites run in float64, training runs in float32; the dtype
-of a result follows numpy promotion of its inputs, so a graph stays in
-whatever precision its leaves were created with.
+of a result follows numpy promotion of its tensor inputs, so a graph stays
+in whatever precision its leaves were created with. Plain numbers passed to
+``add`` and ``mul`` are weak: they take the dtype of the tensor they meet,
+as Python floats do under NumPy 2 (NEP 50), never promoting the graph.
+
+A vjp returns None for every input that does not require grad, so frozen
+weights cost no gradient work. Weight gradients that reduce over the row
+axis are summed over fixed 128-row blocks (see ``_rows_t_matmul``), which
+keeps them bit-identical whatever the BLAS thread count.
 """
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -83,7 +91,8 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
+        return add(self, neg(other) if isinstance(other, Tensor)
+                   else -np.asarray(other))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -160,6 +169,15 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64), requires_grad=False)
 
 
+def _weak_pair(a, b) -> tuple[Tensor, Tensor]:
+    """Tensors for a binary op; a plain number takes the other side's dtype."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor) and np.ndim(b) == 0:
+        b = Tensor(np.asarray(b, dtype=a.dtype))
+    elif isinstance(b, Tensor) and not isinstance(a, Tensor) and np.ndim(a) == 0:
+        a = Tensor(np.asarray(a, dtype=b.dtype))
+    return _as_tensor(a), _as_tensor(b)
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
     if out.requires_grad and grad_enabled():
         active_tape().record(out, inputs, vjp)
@@ -215,11 +233,14 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # --- operations ---
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    """Elementwise (broadcasting) sum; plain numbers are weak constants."""
+    a, b = _weak_pair(a, b)
     out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if need_a else None,
+                _unbroadcast(g, b.shape) if need_b else None)
 
     _record(out, (a, b), vjp)
     return out
@@ -233,17 +254,40 @@ def neg(a) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise (broadcasting) product; python scalars act as constants."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    """Elementwise (broadcasting) product; plain numbers are weak constants."""
+    a, b = _weak_pair(a, b)
     out = Tensor(a.data * b.data, requires_grad=_wants_grad(a, b))
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (_unbroadcast(g * b_data, a.shape),
-                _unbroadcast(g * a_data, b.shape))
+        return (_unbroadcast(g * b_data, a.shape) if need_a else None,
+                _unbroadcast(g * a_data, b.shape) if need_b else None)
 
     _record(out, (a, b), vjp)
     return out
+
+
+ROW_BLOCK = 128
+
+
+def _rows_t_matmul(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """aᵀ·g, reduced over the shared row axis in blocks of ROW_BLOCK rows.
+
+    OpenBLAS splits a long reduction differently at different thread
+    counts, so one gemm over thousands of packed rows changes in the last
+    bits with OPENBLAS_NUM_THREADS. Each block gemm is short enough to be
+    thread-invariant, and the partials are summed in a fixed order.
+    """
+    full = a.shape[0] - a.shape[0] % ROW_BLOCK
+    if not full:
+        return a.T @ g
+    a_blocks = a[:full].reshape(-1, ROW_BLOCK, a.shape[1]).transpose(0, 2, 1)
+    acc = np.matmul(a_blocks, g[:full].reshape(-1, ROW_BLOCK, g.shape[1]))
+    acc = acc.sum(axis=0)
+    if full < a.shape[0]:
+        acc += a[full:].T @ g[full:]
+    return acc
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -257,9 +301,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     out = Tensor(a.data @ b.data, requires_grad=_wants_grad(a, b))
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return g @ b_data.T, a_data.T @ g
+        return (g @ b_data.T if need_a else None,
+                _rows_t_matmul(a_data, g) if need_b else None)
 
     _record(out, (a, b), vjp)
     return out
@@ -274,12 +320,31 @@ def transpose(a: Tensor) -> Tensor:
     return out
 
 
+def _masked_softmax(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place in ``x``.
+
+    Entries where ``keep`` is False get weight exactly 0; they are set to
+    -inf before the row max, so masked garbage can never leak into the
+    finite part of the computation.
+    """
+    np.copyto(x, -np.inf, where=~keep)
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """s * (g - <g, s>) over the last axis."""
+    out = g - np.einsum("...j,...j->...", g, s)[..., None]
+    out *= s
+    return out
+
+
 def softmax_rows(m: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     """Row-wise softmax with optional boolean mask.
 
-    Masked entries get weight exactly 0 and every row sums to 1; the max
-    is taken over unmasked entries only, so masked garbage can never leak
-    into the finite part of the computation.
+    Masked entries get weight exactly 0 and every row sums to 1.
     """
     m = _as_tensor(m)
     if m.data.ndim != 2:
@@ -294,17 +359,87 @@ def softmax_rows(m: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
                 f"mask shape {keep.shape} does not match tensor {x.shape}")
         if not keep.any(axis=1).all():
             raise InvalidMaskError("softmax row with every entry masked")
-    neg_inf = np.finfo(x.dtype).min
-    row_max = np.max(np.where(keep, x, neg_inf), axis=1, keepdims=True)
-    e = np.exp(np.where(keep, x - row_max, -np.inf))  # masked -> exactly 0
-    s = e / e.sum(axis=1, keepdims=True)
+    s = _masked_softmax(x.copy(), keep)
     out = Tensor(s, requires_grad=_wants_grad(m))
+    _record(out, (m,), lambda g: (_softmax_vjp(s, g),))
+    return out
+
+
+def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int]) -> Tensor:
+    """Causal multi-head self-attention over packed rows.
+
+    Sequence b owns the next ``lengths[b]`` rows of ``qkv`` [N, 3H]; each
+    row holds its query, key and value side by side, with head j at
+    columns j*d_k:(j+1)*d_k of each third. Rows are scattered into a
+    zero-padded [B, heads, T, d_k] layout, every query attends to its own
+    sequence's rows up to itself (causal and key-padding mask), and the
+    result [N, H] comes back in packed order. Padded rows never reach the
+    output, and the vjp is hand-written over the same layout.
+    """
+    qkv = _as_tensor(qkv)
+    if qkv.data.ndim != 2 or qkv.shape[1] % (3 * n_heads):
+        raise ShapeError(
+            f"attention needs [N, 3H] rows with H divisible by {n_heads} "
+            f"heads, got {qkv.shape}")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1 \
+            or lengths.sum() != qkv.shape[0]:
+        raise ShapeError(
+            f"sequence lengths {lengths.tolist()} do not cover "
+            f"{qkv.shape[0]} rows")
+    n_rows, h3 = qkv.shape
+    h = h3 // 3
+    dk = h // n_heads
+    n_seq, t_max = lengths.size, int(lengths.max())
+    scale = 1.0 / math.sqrt(dk)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    seq_idx = np.repeat(np.arange(n_seq), lengths)
+    pos_idx = np.arange(n_rows) - starts
+    ragged = bool((lengths != t_max).any())
+
+    def pad(rows):  # [N, C] -> [B, T, C]
+        if not ragged:
+            return rows.reshape(n_seq, t_max, rows.shape[1])
+        out = np.zeros((n_seq, t_max, rows.shape[1]), dtype=rows.dtype)
+        out[seq_idx, pos_idx] = rows
+        return out
+
+    def unpad(padded):  # [B, T, C] -> [N, C]
+        if not ragged:
+            return padded.reshape(n_rows, padded.shape[2])
+        return padded[seq_idx, pos_idx]
+
+    def split_heads(x):  # [B, T, H] -> [B, heads, T, d_k]
+        return x.reshape(n_seq, t_max, n_heads, dk).transpose(0, 2, 1, 3)
+
+    def merge_heads(x):  # [B, heads, T, d_k] -> [B, T, H]
+        return x.transpose(0, 2, 1, 3).reshape(n_seq, t_max, h)
+
+    padded = pad(qkv.data)
+    q = split_heads(padded[..., :h]) * scale
+    k = split_heads(padded[..., h:2 * h])
+    v = split_heads(padded[..., 2 * h:])
+    keep = np.tril(np.ones((t_max, t_max), dtype=bool))
+    if ragged:
+        valid = np.arange(t_max) < lengths[:, None]
+        keep = (keep & valid[:, None, :])[:, None]
+    probs = _masked_softmax(np.matmul(q, k.transpose(0, 1, 3, 2)), keep)
+    out = Tensor(unpad(merge_heads(np.matmul(probs, v))),
+                 requires_grad=_wants_grad(qkv))
 
     def vjp(g):
-        gs = g * s
-        return (gs - s * gs.sum(axis=1, keepdims=True),)
+        d_out = split_heads(pad(g))
+        d_scores = _softmax_vjp(probs, np.matmul(d_out, v.transpose(0, 1, 3, 2)))
+        d_qkv = np.empty((n_seq, t_max, 3, n_heads, dk), dtype=g.dtype)
+        d_qkv[:, :, 0] = np.matmul(d_scores, k).transpose(0, 2, 1, 3)
+        d_qkv[:, :, 0] *= scale
+        d_qkv[:, :, 1] = np.matmul(d_scores.transpose(0, 1, 3, 2),
+                                   q).transpose(0, 2, 1, 3)
+        d_qkv[:, :, 2] = np.matmul(probs.transpose(0, 1, 3, 2),
+                                   d_out).transpose(0, 2, 1, 3)
+        return (unpad(d_qkv.reshape(n_seq, t_max, h3)),)
 
-    _record(out, (m,), vjp)
+    _record(out, (qkv,), vjp)
     return out
 
 
@@ -326,16 +461,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     out = Tensor(xhat * gamma.data + beta.data,
                  requires_grad=_wants_grad(x, gamma, beta))
     gamma_data = gamma.data
+    need_x, need_gamma, need_beta = (
+        x.requires_grad, gamma.requires_grad, beta.requires_grad)
 
     def vjp(g):
-        dxhat = g * gamma_data
-        # standard layer-norm backward over the row axis
-        dx = inv_std * (dxhat
-                        - dxhat.mean(axis=1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-        dgamma = (g * xhat).sum(axis=0)
-        dbeta = g.sum(axis=0)
-        return dx, dgamma, dbeta
+        dx = None
+        if need_x:
+            dxhat = g * gamma_data
+            # standard layer-norm backward over the row axis
+            dx = inv_std * (dxhat
+                            - dxhat.mean(axis=1, keepdims=True)
+                            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+        return (dx, (g * xhat).sum(axis=0) if need_gamma else None,
+                g.sum(axis=0) if need_beta else None)
 
     _record(out, (x, gamma, beta), vjp)
     return out
@@ -346,21 +484,44 @@ def gelu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     d = x.data
     d2 = d * d
-    inner = _SQRT_2_OVER_PI * (d + GELU_COEF * d2 * d)
-    t = np.tanh(inner)
-    out = Tensor(0.5 * d * (1.0 + t), requires_grad=_wants_grad(x))
+    t = d2 * GELU_COEF  # becomes tanh(c * (d + a * d^3)) in place
+    t += 1.0
+    t *= d
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= d
+    y *= 0.5
+    out = Tensor(y, requires_grad=_wants_grad(x))
 
     def vjp(g):
-        dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * d2)
-        dy = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * dinner
-        return (g * dy,)
+        # dy/dd = 0.5 (1 + t) (1 + (1 - t) d c (1 + 3 a d^2)), computed in
+        # the buffers of d2 and t: a tape runs backward only once
+        dy = d2
+        dy *= 3.0 * GELU_COEF
+        dy += 1.0
+        dy *= _SQRT_2_OVER_PI
+        dy *= d
+        np.subtract(1.0, t, out=t)
+        dy *= t
+        dy += 1.0
+        np.subtract(2.0, t, out=t)
+        dy *= t
+        dy *= 0.5
+        dy *= g
+        return (dy,)
 
     _record(out, (x,), vjp)
     return out
 
 
-def cross_entropy(logits: Tensor, targets, loss_mask) -> Tensor:
-    """Mean of -log softmax(logits)[target] over unmasked positions."""
+def cross_entropy(logits: Tensor, targets, loss_mask,
+                  weights=None) -> Tensor:
+    """Weighted sum of -log softmax(logits)[target] over unmasked rows.
+
+    By default each unmasked row weighs 1/n, which is the mean over them;
+    ``weights`` gives one weight per row instead (masked rows never count).
+    """
     logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy needs 2-D logits, got {logits.shape}")
@@ -378,19 +539,30 @@ def cross_entropy(logits: Tensor, targets, loss_mask) -> Tensor:
         raise VocabError(
             f"target id out of range for vocab size {vocab}")
     x = logits.data
-    row_max = x.max(axis=1, keepdims=True)
-    shifted = x - row_max
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + row_max
-    nll = lse[:, 0] - x[np.arange(n_rows), targets]
-    n_live = int(mask.sum())
-    out = Tensor(np.asarray(nll[mask].mean(), dtype=x.dtype),
+    if weights is None:
+        w = np.full(live.size, 1.0 / live.size)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (n_rows,):
+            raise ShapeError(
+                f"weights must have length {n_rows}, got {w.shape}")
+        w = w[mask]
+    w = w.astype(x.dtype)
+    rows = np.flatnonzero(mask)
+    live_x = x[rows]
+    row_max = live_x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(live_x - row_max).sum(axis=1, keepdims=True)) + row_max
+    nll = lse[:, 0] - live_x[np.arange(rows.size), live]
+    out = Tensor(np.asarray((nll * w).sum(), dtype=x.dtype),
                  requires_grad=_wants_grad(logits))
 
     def vjp(g):
-        probs = np.exp(x - lse)
-        probs[np.arange(n_rows), targets] -= 1.0
-        probs[~mask] = 0.0
-        return (probs * (g / n_live),)
+        probs = np.exp(live_x - lse)
+        probs[np.arange(rows.size), live] -= 1.0
+        probs *= (g * w)[:, None]
+        grad = np.zeros_like(x)
+        grad[rows] = probs
+        return (grad,)
 
     _record(out, (logits,), vjp)
     return out
@@ -418,8 +590,13 @@ def take_rows(table: Tensor, ids) -> Tensor:
     out = Tensor(table.data[idx], requires_grad=_wants_grad(table))
 
     def vjp(g):
+        # scatter-add as one segmented sum over the rows sorted by id
         gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
+        if idx.size:
+            order = np.argsort(idx, kind="stable")
+            ids = idx[order]
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+            gt[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
         return (gt,)
 
     _record(out, (table,), vjp)
@@ -437,9 +614,11 @@ def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                  requires_grad=_wants_grad(*parts))
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
+    needs = [p.requires_grad for p in parts]
 
     def vjp(g):
-        return tuple(np.array_split(g, splits, axis=axis))
+        return tuple(part if need else None for part, need in
+                     zip(np.array_split(g, splits, axis=axis), needs))
 
     _record(out, tuple(parts), vjp)
     return out

@@ -4,10 +4,15 @@ The input embedding is the elementwise sum of word, position, lexical-tag
 and entity-flag lookups; a disabled channel contributes exactly zero.
 Blocks are pre-norm with residual connections; the LM head is tied to the
 word embedding table.
+
+One engine serves every caller: a batch of sequences runs as packed rows
+(sequence after sequence, no padding) through the row-wise ops, and only
+the fused attention op pads. A single sequence is a batch of one.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -18,13 +23,14 @@ from . import autodiff as ad
 from .annotation import ENTITY_TABLE_SIZE, LEX_TABLE_SIZE
 from .autodiff import Tensor
 from .corpus import TokenSequence
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, EmptyLossError, ShapeError
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
 
 CHECKPOINT_MAGIC = b"GLCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+PROMPT_PARAM_NAME = "prompt.emb"
 
 
 @dataclass
@@ -74,7 +80,7 @@ class ModelConfig:
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every named backbone tensor and its shape, in canonical order."""
-    h, dk = config.hidden, config.head_dim
+    h = config.hidden
     shapes: dict[str, tuple[int, ...]] = {
         "tok_emb": (config.vocab_size, h),
         "pos_emb": (config.max_len, h),
@@ -85,10 +91,8 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         p = f"layer{i}"
         shapes[f"{p}.ln1.gamma"] = (h,)
         shapes[f"{p}.ln1.beta"] = (h,)
-        for j in range(config.n_heads):
-            shapes[f"{p}.head{j}.wq"] = (h, dk)
-            shapes[f"{p}.head{j}.wk"] = (h, dk)
-            shapes[f"{p}.head{j}.wv"] = (h, dk)
+        # query | key | value maps side by side, heads in each third
+        shapes[f"{p}.wqkv"] = (h, 3 * h)
         shapes[f"{p}.attn_out"] = (h, h)
         shapes[f"{p}.ln2.gamma"] = (h,)
         shapes[f"{p}.ln2.beta"] = (h,)
@@ -121,65 +125,78 @@ def parameter_count(params: dict[str, Tensor]) -> int:
     return sum(t.size for t in params.values())
 
 
-def causal_mask(n: int) -> np.ndarray:
-    return np.tril(np.ones((n, n), dtype=bool))
+def _dropout(x: Tensor, keep: Optional[np.ndarray]) -> Tensor:
+    return x if keep is None else ad.mul(x, Tensor(keep))
 
 
-def _dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
+def _dropout_masks(seqs: list[TokenSequence], n_prompt: int,
+                   config: ModelConfig, rng: Optional[np.random.Generator],
+                   dtype) -> list[Optional[np.ndarray]]:
+    """Packed keep/(1-rate) masks for the embedding, then attention and FFW
+    of each layer; None everywhere when dropout is off.
+
+    Draws run sequence by sequence in that site order, so a batch consumes
+    the generator exactly as the sequences one at a time would.
+    """
+    sites = 1 + 2 * config.n_layers
+    rate = config.dropout
     if rate <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-    return ad.mul(x, Tensor(keep))
+        return [None] * sites
+    rows = [[len(s)] + [n_prompt + len(s)] * (sites - 1) for s in seqs]
+    draws = [np.empty((sum(col), config.hidden)) for col in zip(*rows)]
+    ends = [0] * sites
+    for seq_rows in rows:
+        for site, n in enumerate(seq_rows):
+            rng.random(out=draws[site][ends[site]:ends[site] + n])
+            ends[site] += n
+    masks = []
+    for u in draws:
+        keep = (u >= rate).astype(dtype)
+        keep /= 1.0 - rate
+        masks.append(keep)
+    return masks
+
+
+def _pack(seqs: list[TokenSequence], field: str) -> np.ndarray:
+    return np.concatenate([np.asarray(getattr(s, field), dtype=np.int64)
+                           for s in seqs])
+
+
+def _embed_rows(seqs: list[TokenSequence], params: dict[str, Tensor],
+                config: ModelConfig) -> Tensor:
+    """Four-channel embeddings of every token of ``seqs``, packed."""
+    for seq in seqs:
+        seq.check()
+        if len(seq) > config.max_len:
+            raise ShapeError(
+                f"sequence length {len(seq)} exceeds max_len {config.max_len}")
+    x = ad.add(ad.take_rows(params["tok_emb"], _pack(seqs, "ids")),
+               ad.take_rows(params["pos_emb"], _pack(seqs, "position_ids")))
+    if config.use_lexical:
+        x = ad.add(x, ad.take_rows(params["lex_emb"],
+                                   _pack(seqs, "lexical_tags")))
+    if config.use_entity:
+        x = ad.add(x, ad.take_rows(params["ent_emb"],
+                                   _pack(seqs, "entity_flags")))
+    return x
 
 
 def embed(seq: TokenSequence, params: dict[str, Tensor],
           config: ModelConfig) -> Tensor:
     """Sum of the four channel lookups; disabled channels add nothing."""
-    seq.check()
-    if len(seq) > config.max_len:
-        raise ShapeError(
-            f"sequence length {len(seq)} exceeds max_len {config.max_len}")
-    x = ad.add(ad.take_rows(params["tok_emb"], seq.ids),
-               ad.take_rows(params["pos_emb"], seq.position_ids))
-    if config.use_lexical:
-        x = ad.add(x, ad.take_rows(params["lex_emb"], seq.lexical_tags))
-    if config.use_entity:
-        x = ad.add(x, ad.take_rows(params["ent_emb"], seq.entity_flags))
-    return x
-
-
-def attention_head(h_in: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                   mask: np.ndarray) -> Tensor:
-    """softmax(Q Kᵀ / sqrt(d_k)) V for one head under a causal mask."""
-    q = ad.matmul(h_in, wq)
-    k = ad.matmul(h_in, wk)
-    v = ad.matmul(h_in, wv)
-    dk = wq.shape[1]
-    scores = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dk))
-    attn = ad.softmax_rows(scores, mask=mask)
-    return ad.matmul(attn, v)
-
-
-def multi_head(h_in: Tensor, head_weights, w_out: Tensor,
-               mask: np.ndarray) -> Tensor:
-    """Concat(head_1 .. head_h) followed by the output map."""
-    heads = [attention_head(h_in, wq, wk, wv, mask)
-             for (wq, wk, wv) in head_weights]
-    return ad.matmul(ad.concat_cols(heads), w_out)
+    return _embed_rows([seq], params, config)
 
 
 def _block(x: Tensor, params: dict[str, Tensor], layer: int,
-           config: ModelConfig, mask: np.ndarray, train: bool,
-           rng: Optional[np.random.Generator]) -> Tensor:
+           config: ModelConfig, lengths: list[int],
+           attn_keep: Optional[np.ndarray],
+           ffw_keep: Optional[np.ndarray]) -> Tensor:
     p = f"layer{layer}"
     normed = ad.layer_norm(x, params[f"{p}.ln1.gamma"],
                            params[f"{p}.ln1.beta"], LN_EPS)
-    head_weights = [(params[f"{p}.head{j}.wq"], params[f"{p}.head{j}.wk"],
-                     params[f"{p}.head{j}.wv"])
-                    for j in range(config.n_heads)]
-    attn = multi_head(normed, head_weights, params[f"{p}.attn_out"], mask)
-    if train:
-        attn = _dropout(attn, config.dropout, rng)
+    heads = ad.attention(ad.matmul(normed, params[f"{p}.wqkv"]),
+                         config.n_heads, lengths)
+    attn = _dropout(ad.matmul(heads, params[f"{p}.attn_out"]), attn_keep)
     x = ad.add(x, attn)
     normed = ad.layer_norm(x, params[f"{p}.ln2.gamma"],
                            params[f"{p}.ln2.beta"], LN_EPS)
@@ -187,9 +204,37 @@ def _block(x: Tensor, params: dict[str, Tensor], layer: int,
                             params[f"{p}.ffw_in.b"]))
     out = ad.add(ad.matmul(hidden, params[f"{p}.ffw_out.w"]),
                  params[f"{p}.ffw_out.b"])
-    if train:
-        out = _dropout(out, config.dropout, rng)
-    return ad.add(x, out)
+    return ad.add(x, _dropout(out, ffw_keep))
+
+
+def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
+                  config: ModelConfig, prompts: Optional[Tensor] = None,
+                  train: bool = False,
+                  rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Logits over the vocabulary for a batch, on packed rows: sequence b
+    owns P + len(seqs[b]) consecutive rows, its P prompt rows first.
+
+    Prompt rows get no positional/lexical/entity additions, every real
+    token can attend to every prompt row of its own sequence, and no
+    sequence sees another.
+    """
+    n_prompt = prompts.shape[0] if prompts is not None else 0
+    masks = _dropout_masks(seqs, n_prompt, config, rng if train else None,
+                           params["tok_emb"].dtype)
+    x = _dropout(_embed_rows(seqs, params, config), masks[0])
+    lengths = [n_prompt + len(s) for s in seqs]
+    if prompts is not None:
+        # rows of [prompts; tokens] in batch order: P prompt rows, then
+        # the sequence's own token rows, for each sequence
+        starts = np.cumsum([n_prompt] + [len(s) for s in seqs[:-1]])
+        layout = np.concatenate([np.r_[0:n_prompt, lo:lo + len(s)]
+                                 for lo, s in zip(starts, seqs)])
+        x = ad.take_rows(ad.concat_rows([prompts, x]), layout)
+    for layer in range(config.n_layers):
+        x = _block(x, params, layer, config, lengths,
+                   masks[1 + 2 * layer], masks[2 + 2 * layer])
+    x = ad.layer_norm(x, params["ln_f.gamma"], params["ln_f.beta"], LN_EPS)
+    return ad.matmul(x, ad.transpose(params["tok_emb"]))  # tied LM head
 
 
 def forward(seq: TokenSequence, params: dict[str, Tensor],
@@ -202,18 +247,8 @@ def forward(seq: TokenSequence, params: dict[str, Tensor],
     sequence: prompts get no positional/lexical/entity additions, and
     every real token can attend to every prompt row.
     """
-    x = embed(seq, params, config)
-    if train:
-        x = _dropout(x, config.dropout, rng)
-    n_prompt = 0
-    if prompts is not None:
-        n_prompt = prompts.shape[0]
-        x = ad.concat_rows([prompts, x])
-    mask = causal_mask(n_prompt + len(seq))
-    for layer in range(config.n_layers):
-        x = _block(x, params, layer, config, mask, train, rng)
-    x = ad.layer_norm(x, params["ln_f.gamma"], params["ln_f.beta"], LN_EPS)
-    return ad.matmul(x, ad.transpose(params["tok_emb"]))  # tied LM head
+    return forward_batch([seq], params, config, prompts=prompts, train=train,
+                         rng=rng)
 
 
 def shifted_targets(seq: TokenSequence, n_prompt: int = 0
@@ -226,10 +261,38 @@ def shifted_targets(seq: TokenSequence, n_prompt: int = 0
     total = n_prompt + len(seq)
     targets = np.zeros(total, dtype=np.int64)
     mask = np.zeros(total, dtype=bool)
-    for j in range(1, len(seq)):
-        targets[n_prompt + j - 1] = seq.ids[j]
-        mask[n_prompt + j - 1] = seq.loss_mask[j]
+    targets[n_prompt:total - 1] = seq.ids[1:]
+    mask[n_prompt:total - 1] = seq.loss_mask[1:]
     return targets, mask
+
+
+def _row_loss(logits: Tensor, seqs: list[TokenSequence],
+              n_prompt: int) -> Tensor:
+    """Mean over sequences of each sequence's mean next-token NLL over its
+    unmasked positions: one cross-entropy over the packed logit rows, where
+    a loss row of sequence b weighs 1/(B * n_b)."""
+    targets, masks, weights = [], [], []
+    for seq in seqs:
+        t, m = shifted_targets(seq, n_prompt)
+        n_live = int(m.sum())
+        if n_live == 0:
+            raise EmptyLossError("all positions masked out of the loss")
+        targets.append(t)
+        masks.append(m)
+        weights.append(m / (len(seqs) * n_live))
+    return ad.cross_entropy(logits, np.concatenate(targets),
+                            np.concatenate(masks), np.concatenate(weights))
+
+
+def batch_loss(seqs: list[TokenSequence], params: dict[str, Tensor],
+               config: ModelConfig, prompts: Optional[Tensor] = None,
+               train: bool = False,
+               rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Mean over the batch of each sequence's lm_loss, in one graph."""
+    logits = forward_batch(seqs, params, config, prompts=prompts,
+                           train=train, rng=rng)
+    n_prompt = prompts.shape[0] if prompts is not None else 0
+    return _row_loss(logits, seqs, n_prompt)
 
 
 def lm_loss(seq: TokenSequence, params: dict[str, Tensor],
@@ -239,8 +302,7 @@ def lm_loss(seq: TokenSequence, params: dict[str, Tensor],
     """Mean next-token NLL over the sequence's unmasked positions."""
     logits = forward(seq, params, config, prompts=prompts, train=train, rng=rng)
     n_prompt = prompts.shape[0] if prompts is not None else 0
-    targets, mask = shifted_targets(seq, n_prompt)
-    return ad.cross_entropy(logits, targets, mask)
+    return _row_loss(logits, [seq], n_prompt)
 
 
 def generate(history: TokenSequence, params: dict[str, Tensor],
@@ -313,36 +375,74 @@ def save_checkpoint(path, config: ModelConfig,
             fh.write(raw)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
-    """Load a container, verifying magic, version and every backbone shape."""
+    """Load a container, verifying its framing, header, tensor table and
+    every shape against the config; a malformed file raises CheckpointError.
+
+    Besides the backbone, the only tensor a container may hold is a prompt
+    matrix under PROMPT_PARAM_NAME, one row of width ``hidden`` per prompt.
+    """
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot open checkpoint {path}: {exc}") from exc
-    with fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint container")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported container version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        data = fh.read()
-    config = ModelConfig.from_dict(header["config"])
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint container")
+    preamble = len(CHECKPOINT_MAGIC) + struct.calcsize("<IQ")
+    if len(blob) < preamble:
+        raise CheckpointError(f"{path}: truncated container preamble")
+    version, hlen = struct.unpack_from("<IQ", blob, len(CHECKPOINT_MAGIC))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported container version {version}")
+    if len(blob) < preamble + hlen:
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        header = json.loads(blob[preamble:preamble + hlen].decode("utf-8"))
+        config = ModelConfig.from_dict(header["config"])
+        entries = [(e["name"], e["shape"], e["dtype"], e["offset"],
+                    e["nbytes"]) for e in header["tensors"]]
+    except (ValueError, KeyError, TypeError, ArithmeticError,
+            ConfigError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+    body = memoryview(blob)[preamble + hlen:]
     expected = parameter_shapes(config)
     tensors: dict[str, Tensor] = {}
-    for entry in header["tensors"]:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        raw = data[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-        if name in expected and expected[name] != shape:
+    for name, shape, dtype, offset, nbytes in entries:
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(map(_is_count, shape))
+                and _is_count(offset) and _is_count(nbytes)):
+            raise CheckpointError(f"{path}: malformed entry for {name!r}")
+        shape = tuple(shape)
+        if name in tensors:
+            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+        if name == PROMPT_PARAM_NAME:
+            if len(shape) != 2 or shape[0] < 1 or shape[1] != config.hidden:
+                raise CheckpointError(
+                    f"{path}: {name} has shape {shape}, config implies "
+                    f"rows of width {config.hidden}")
+        elif name not in expected:
+            raise CheckpointError(f"{path}: unknown tensor {name!r}")
+        elif expected[name] != shape:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape {shape}, "
                 f"config implies {expected[name]}")
-        tensors[name] = Tensor(arr.copy(), requires_grad=True, name=name)
+        count = math.prod(shape)
+        if dtype != "<f4" or nbytes != 4 * count:
+            raise CheckpointError(
+                f"{path}: tensor {name} stores {nbytes} bytes of {dtype!r}, "
+                f"shape {shape} needs {4 * count} of '<f4'")
+        if offset + nbytes > len(body):
+            raise CheckpointError(
+                f"{path}: tensor {name} runs past the end of the data")
+        arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
+        tensors[name] = Tensor(arr.reshape(shape).astype(np.float32),
+                               requires_grad=True, name=name)
     missing = [n for n in expected if n not in tensors]
     if missing:
         raise CheckpointError(f"{path}: missing tensors {missing[:3]}")

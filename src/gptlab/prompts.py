@@ -14,9 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .model import INIT_STD
-
-PROMPT_PARAM_NAME = "prompt.emb"
+from .model import INIT_STD, PROMPT_PARAM_NAME
 
 
 @dataclass

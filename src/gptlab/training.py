@@ -20,8 +20,8 @@ from .annotation import dictionary_tagger, splice_entities
 from .autodiff import Tensor
 from .corpus import Dialogue, TokenSequence, linearize, load_corpus, split
 from .errors import ConfigError, DataError, EmptyLossError, NumericError
-from .model import (ModelConfig, init_parameters, lm_loss, load_checkpoint,
-                    save_checkpoint)
+from .model import (ModelConfig, batch_loss, init_parameters, lm_loss,
+                    load_checkpoint, save_checkpoint)
 from .prompts import (PROMPT_PARAM_NAME, FreezeSpec, PromptEmbeddings,
                       apply_freeze, init_prompts)
 from .vocab import load_vocab
@@ -379,13 +379,6 @@ def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
     return math.exp(total_nll / total_weight)
 
 
-def _mean_loss(losses):
-    total = losses[0]
-    for l in losses[1:]:
-        total = ad.add(total, l)
-    return ad.mul(total, 1.0 / len(losses))
-
-
 def train(run: RunConfig) -> TrainResult:
     """Run one complete experiment; deterministic under run.seed."""
     run.validate()
@@ -437,13 +430,10 @@ def train(run: RunConfig) -> TrainResult:
         for _epoch in range(run.epochs):
             order = shuffle_rng.permutation(len(train_seqs))
             for lo in range(0, len(order), run.batch_size):
-                batch = order[lo:lo + run.batch_size]
+                batch = [train_seqs[i] for i in order[lo:lo + run.batch_size]]
                 ad.reset_tape()
-                losses = [lm_loss(train_seqs[i], params, config,
-                                  prompts=prompt_matrix, train=True,
-                                  rng=drop_rng)
-                          for i in batch]
-                loss = _mean_loss(losses)
+                loss = batch_loss(batch, params, config, prompts=prompt_matrix,
+                                  train=True, rng=drop_rng)
                 loss_val = float(loss.data)
                 if not math.isfinite(loss_val):
                     raise NumericError(f"loss diverged at step {step + 1}")

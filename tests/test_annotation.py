@@ -96,3 +96,43 @@ def test_splice_overflow_truncates_to_max_len():
     assert len(out) == len(seq) + 4
     # keep-most-recent truncation: appended ids survive at the tail
     assert out.ids[-1] == vocab.symbol_to_id["y"]
+
+
+def reference_tagger(nouns, adjectives, verbs):
+    """The original startswith scan: at each position the first term in
+    (-len, term) order that matches is taken, else the character is OTHER."""
+    table = {}
+    for terms, tag in ((nouns, LexTag.NOUN), (adjectives, LexTag.ADJ),
+                       (verbs, LexTag.VERB)):
+        for term in terms:
+            table[term] = tag
+    ordered = sorted(table, key=lambda t: (-len(t), t))
+
+    def tag_text(text):
+        tags = [int(LexTag.OTHER)] * len(text)
+        i = 0
+        while i < len(text):
+            for term in ordered:
+                if text.startswith(term, i):
+                    tags[i:i + len(term)] = [int(table[term])] * len(term)
+                    i += len(term)
+                    break
+            else:
+                i += 1
+        return tags
+
+    return tag_text
+
+
+# a small alphabet with regex metacharacters, so terms overlap and nest
+TERM = st.text(alphabet="ab.*(|\\ ", min_size=1, max_size=4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(TERM, max_size=6, unique=True), st.data())
+def test_dictionary_tagger_matches_reference_scan(terms, data):
+    cut = sorted(data.draw(st.lists(st.integers(0, len(terms)), min_size=2,
+                                    max_size=2)))
+    lexicons = (terms[:cut[0]], terms[cut[0]:cut[1]], terms[cut[1]:])
+    text = data.draw(st.text(alphabet="ab.*(|\\ x", max_size=40))
+    assert dictionary_tagger(*lexicons)(text) == reference_tagger(*lexicons)(text)

@@ -327,3 +327,84 @@ def test_forward_deterministic_bitwise():
         return out.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+def test_weak_scalars_keep_float32_graphs_float32():
+    x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+    y = ad.add(ad.mul(x, np.float64(1.0) / np.sqrt(3.0)), 0.5)
+    y = 2.0 * y - 1.0
+    assert y.dtype == np.float32
+    ad.backward(ad.tensor_sum(y))
+    assert x.grad.dtype == np.float32
+    assert np.allclose(x.grad, 2.0 / np.sqrt(3.0))
+
+
+def test_vjps_skip_inputs_without_grad():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    frozen = dict(gamma=Tensor(np.ones(6)), beta=Tensor(np.zeros(6)),
+                  w=Tensor(rng.normal(size=(6, 6))), b=Tensor(np.zeros(6)),
+                  keep=Tensor(rng.random((5, 2)) > 0.5))
+    assert not any(t.requires_grad for t in frozen.values())
+    h = ad.layer_norm(x, frozen["gamma"], frozen["beta"], 1e-5)
+    h = ad.add(ad.matmul(h, frozen["w"]), frozen["b"])
+    h = ad.attention(h, 2, [3, 2])
+    h = ad.mul(h, frozen["keep"])
+    h = ad.concat_rows([h, Tensor(np.zeros((1, 2)))])
+    ad.tensor_sum(h)
+    for out, inputs, vjp in ad.active_tape().entries:
+        grads = vjp(np.ones_like(out.data))
+        for t, g in zip(inputs, grads):
+            assert (g is None) == (not t.requires_grad), vjp.__qualname__
+
+
+@pytest.mark.parametrize("lengths", [[4], [3, 1, 4], [2, 2]])
+def test_attention_grad_matches_fd(lengths):
+    rng = np.random.default_rng(8)
+    qkv = Tensor(rng.normal(size=(sum(lengths), 12)), requires_grad=True)
+    w = Tensor(rng.normal(size=(sum(lengths), 4)))
+
+    def loss_fn():
+        return ad.tensor_sum(ad.mul(ad.attention(qkv, 2, lengths), w))
+
+    ad.backward(loss_fn())
+    assert max_rel_err(qkv.grad, fd_grad(loss_fn, qkv)) < 1e-3
+
+
+def test_attention_sequences_are_independent():
+    rng = np.random.default_rng(9)
+    rows = rng.normal(size=(7, 6))
+    packed = ad.attention(Tensor(rows), 1, [4, 3]).data
+    first = ad.attention(Tensor(rows[:4]), 1, [4]).data
+    second = ad.attention(Tensor(rows[4:]), 1, [3]).data
+    assert np.allclose(packed, np.concatenate([first, second]), atol=1e-15)
+    with pytest.raises(ShapeError):
+        ad.attention(Tensor(rows), 1, [4, 4])
+
+
+def test_matmul_weight_grad_over_many_rows():
+    # past ROW_BLOCK rows the weight gradient is reduced block by block
+    rng = np.random.default_rng(10)
+    a = Tensor(rng.normal(size=(3 * ad.ROW_BLOCK + 37, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = rng.normal(size=(a.shape[0], 3))
+    ad.backward(ad.tensor_sum(ad.mul(ad.matmul(a, b), Tensor(w))))
+    assert np.allclose(b.grad, a.data.T @ w, rtol=1e-12, atol=1e-12)
+    assert np.allclose(a.grad, w @ b.data.T, rtol=1e-12, atol=1e-12)
+
+
+def test_cross_entropy_row_weights():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    targets, mask = [1, 2, 3, 4], [True, False, True, True]
+    weights = [0.5, 9.0, 0.25, 0.25]
+
+    def loss_fn():
+        return ad.cross_entropy(x, targets, mask, weights)
+
+    loss = loss_fn()
+    logp = x.data - np.log(np.exp(x.data).sum(axis=1, keepdims=True))
+    want = -(0.5 * logp[0, 1] + 0.25 * logp[2, 3] + 0.25 * logp[3, 4])
+    assert abs(float(loss.data) - want) < 1e-12
+    ad.backward(loss)
+    assert max_rel_err(x.grad, fd_grad(loss_fn, x)) < 1e-3

@@ -1,11 +1,22 @@
 """End-to-end command surface tests on a miniature pipeline."""
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gptlab
 from gptlab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from gptlab.config import read_kv
-from gptlab.corpus import load_corpus
-from gptlab.training import load_metrics
-from gptlab.vocab import load_vocab
+from gptlab.corpus import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS,
+                           SyntheticSpec, generate_synthetic, load_corpus,
+                           save_corpus, split)
+from gptlab.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from gptlab.training import (load_metrics, prepare_sequences, spawn_seeds)
+from gptlab.vocab import build_vocab, load_vocab, save_vocab
 
 GEN = """
 lexicon.symptoms = lex/symptoms.txt
@@ -216,3 +227,105 @@ def test_ablate_and_sweep_tables(workspace):
     lines = (root / "runs" / "sweep" / "sweep.csv").read_text().splitlines()
     assert lines[0] == "v_p,ppl"
     assert [l.split(",")[0] for l in lines[1:]] == ["1", "3"]
+
+
+def _container_parts(raw: bytes):
+    hlen = struct.unpack_from("<Q", raw, 8)[0]
+    return json.loads(raw[16:16 + hlen]), raw[16 + hlen:]
+
+
+def _container(header, body: bytes) -> bytes:
+    head = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return (CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(head))
+            + head + body)
+
+
+def _retabled(raw: bytes, edit) -> bytes:
+    header, body = _container_parts(raw)
+    edit(header["tensors"])
+    return _container(header, body)
+
+
+def _with_wide_prompts(raw: bytes) -> bytes:
+    header, body = _container_parts(raw)
+    hidden = header["config"]["hidden"]
+    header["tensors"].append({"name": "prompt.emb", "shape": [2, hidden + 1],
+                              "dtype": "<f4", "offset": len(body),
+                              "nbytes": 8 * (hidden + 1)})
+    return _container(header, body + bytes(8 * (hidden + 1)))
+
+
+MALFORMED_CHECKPOINTS = {
+    "short-magic": lambda raw: raw[:2],
+    "short-version": lambda raw: raw[:6],
+    "short-length": lambda raw: raw[:12],
+    "bad-json": lambda raw: _container(b'{"version": 2, "con', b""),
+    "bad-utf8": lambda raw: _container(b"\xff\xfe{}", b""),
+    "nbytes-mismatch": lambda raw: _retabled(
+        raw, lambda t: t[0].update(nbytes=t[0]["nbytes"] - 4)),
+    "past-end": lambda raw: raw[:-4],
+    "unknown-name": lambda raw: _retabled(
+        raw, lambda t: t[-1].update(name="layer0.head0.wq")),
+    "prompt-width": _with_wide_prompts,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_eval_rejects_malformed_checkpoint(workspace, capsys, case):
+    root, run = workspace
+    raw = (root / "runs" / "pretrain" / "final.ckpt").read_bytes()
+    bad = root / "runs" / f"bad-{case}.ckpt"
+    bad.write_bytes(MALFORMED_CHECKPOINTS[case](raw))
+    (root / f"eval-{case}.kv").write_text(
+        f"eval.checkpoint = runs/bad-{case}.ckpt\n"
+        "data.corpus = runs/b/corpus.jsonl\n"
+        "data.vocab = runs/vocab/vocab.txt\n"
+        "eval.part = all\n"
+        "seed = 1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("eval", f"eval-{case}.kv", f"x-{case}") == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: data:"), err
+
+
+def test_artifacts_identical_at_one_and_two_blas_threads(tmp_path):
+    corpus = generate_synthetic(
+        SyntheticSpec(DEFAULT_SYMPTOMS, DEFAULT_DISEASES, DEFAULT_DRUGS,
+                      n_dialogues=12, style="clinic"), seed=3)
+    save_corpus(corpus, tmp_path / "corpus.jsonl")
+    vocab = build_vocab(corpus)
+    save_vocab(vocab, tmp_path / "vocab.txt")
+    (tmp_path / "pretrain.kv").write_text(
+        "mode = pretrain\n"
+        "data.corpus = corpus.jsonl\n"
+        "data.vocab = vocab.txt\n"
+        "data.split = 4:1\n"
+        "model.layers = 1\nmodel.heads = 2\nmodel.hidden = 64\n"
+        "model.max_len = 160\nmodel.dropout = 0.1\n"
+        "train.batch_size = 64\ntrain.epochs = 2\n"
+        "lr.peak = 2e-3\nlr.min = 2e-4\n"
+        "lr.warmup_steps = 5\nlr.decay_end_step = 60\n"
+        "loss_mask = all\nseed = 1\n", encoding="utf-8")
+    # one step per epoch over every train sequence: the weight gradients
+    # reduce over a packed row count that is long and not a multiple of 128
+    train_dlgs, _ = split(corpus, (4, 1), spawn_seeds(1)[1])
+    seqs = prepare_sequences(train_dlgs, vocab, 160, "all", False, None)
+    rows = sum(len(s) for s in seqs)
+    assert rows >= 500 and rows % 128, rows
+
+    src = Path(gptlab.__file__).resolve().parents[1]
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                     if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gptlab.cli", "pretrain",
+             "--config", str(tmp_path / "pretrain.kv"),
+             "--out", str(tmp_path / f"threads{threads}")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("metrics.csv", "final.ckpt"):
+        assert ((tmp_path / "threads1" / name).read_bytes()
+                == (tmp_path / "threads2" / name).read_bytes()), name

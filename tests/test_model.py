@@ -8,10 +8,11 @@ from gptlab.annotation import LexTag
 from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.corpus import TokenSequence
 from gptlab.errors import CheckpointError, ConfigError, ShapeError
-from gptlab.model import (LN_EPS, ModelConfig, attention_head, causal_mask,
-                          embed, forward, generate, init_parameters, lm_loss,
-                          load_checkpoint, multi_head, parameter_count,
-                          parameter_shapes, save_checkpoint)
+from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, ModelConfig,
+                          batch_loss, embed, forward, forward_batch, generate,
+                          init_parameters, lm_loss, load_checkpoint,
+                          parameter_count, parameter_shapes, save_checkpoint)
+from gptlab.prompts import init_prompts
 from gptlab.training import OptimizerState, adamw_step, clip_grad_norm
 
 from .util import fd_grad, max_rel_err
@@ -100,11 +101,28 @@ def test_embed_range_errors():
         embed(long_seq, params, cfg)
 
 
+def attention_head(h_in, wq, wk, wv):
+    """One causal head through the fused op: wqkv = [wq | wk | wv]."""
+    wqkv = Tensor(np.concatenate([wq.data, wk.data, wv.data], axis=1))
+    return ad.attention(ad.matmul(h_in, wqkv), 1, [h_in.shape[0]])
+
+
+def multi_head(h_in, head_weights, w_out):
+    """Heads packed into one fused wqkv (all queries, then keys, then
+    values, head j at columns j*d_k of each third), then the output map."""
+    wqkv = Tensor(np.concatenate(
+        [w.data for i in range(3) for w in (hw[i] for hw in head_weights)],
+        axis=1))
+    heads = ad.attention(ad.matmul(h_in, wqkv), len(head_weights),
+                         [h_in.shape[0]])
+    return ad.matmul(heads, w_out)
+
+
 def test_attention_single_position_returns_value_row():
     rng = np.random.default_rng(0)
     h_in = Tensor(rng.normal(size=(1, 4)))
     wq, wk, wv = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
-    out = attention_head(h_in, wq, wk, wv, causal_mask(1))
+    out = attention_head(h_in, wq, wk, wv)
     assert np.allclose(out.data, h_in.data @ wv.data, atol=1e-15)
 
 
@@ -112,7 +130,7 @@ def test_attention_position_zero_sees_only_itself():
     rng = np.random.default_rng(1)
     h_in = Tensor(rng.normal(size=(5, 4)))
     wq, wk, wv = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
-    out = attention_head(h_in, wq, wk, wv, causal_mask(5))
+    out = attention_head(h_in, wq, wk, wv)
     v0 = (h_in.data @ wv.data)[0]
     assert np.allclose(out.data[0], v0, atol=1e-15)
 
@@ -123,8 +141,7 @@ def test_attention_two_positions_match_scalar_formula():
     wq = rng.normal(size=(4, 2))
     wk = rng.normal(size=(4, 2))
     wv = rng.normal(size=(4, 2))
-    out = attention_head(Tensor(h_in), Tensor(wq), Tensor(wk), Tensor(wv),
-                         causal_mask(2))
+    out = attention_head(Tensor(h_in), Tensor(wq), Tensor(wk), Tensor(wv))
     # direct evaluation: scores, stable softmax, weighted values
     q, k, v = h_in @ wq, h_in @ wk, h_in @ wv
     s10 = (q[1] @ k[0]) / math.sqrt(2)
@@ -140,9 +157,8 @@ def test_multi_head_degenerate_concat_is_identity():
     rng = np.random.default_rng(3)
     h_in = Tensor(rng.normal(size=(3, 4)))
     weights = [tuple(Tensor(rng.normal(size=(4, 4))) for _ in range(3))]
-    mask = causal_mask(3)
-    direct = attention_head(h_in, *weights[0], mask)
-    combined = multi_head(h_in, weights, Tensor(np.eye(4)), mask)
+    direct = attention_head(h_in, *weights[0])
+    combined = multi_head(h_in, weights, Tensor(np.eye(4)))
     assert np.array_equal(direct.data, combined.data)
 
 
@@ -151,15 +167,14 @@ def test_multi_head_one_hot_output_map_routes_heads():
     h_in = Tensor(rng.normal(size=(3, 4)))
     heads = [tuple(Tensor(rng.normal(size=(4, 2))) for _ in range(3))
              for _ in range(2)]
-    mask = causal_mask(3)
     w = np.zeros((4, 4))
     # route concat feature i to output column perm[i]
     perm = [2, 0, 3, 1]
     for i, j in enumerate(perm):
         w[i, j] = 1.0
-    out = multi_head(h_in, heads, Tensor(w), mask)
-    h0 = attention_head(h_in, *heads[0], mask).data
-    h1 = attention_head(h_in, *heads[1], mask).data
+    out = multi_head(h_in, heads, Tensor(w))
+    h0 = attention_head(h_in, *heads[0]).data
+    h1 = attention_head(h_in, *heads[1]).data
     concat = np.concatenate([h0, h1], axis=1)
     assert np.allclose(out.data[:, perm], concat, atol=1e-15)
 
@@ -169,11 +184,10 @@ def test_multi_head_head_permutation_identity():
     h_in = Tensor(rng.normal(size=(3, 4)))
     heads = [tuple(Tensor(rng.normal(size=(4, 2))) for _ in range(3))
              for _ in range(2)]
-    mask = causal_mask(3)
     w = rng.normal(size=(4, 4))
-    out1 = multi_head(h_in, heads, Tensor(w), mask)
+    out1 = multi_head(h_in, heads, Tensor(w))
     w_swapped = np.concatenate([w[2:], w[:2]], axis=0)
-    out2 = multi_head(h_in, heads[::-1], Tensor(w_swapped), mask)
+    out2 = multi_head(h_in, heads[::-1], Tensor(w_swapped))
     assert np.allclose(out1.data, out2.data, atol=1e-15)
 
 
@@ -202,10 +216,13 @@ def straight_line_blocks(x, params, config):
         pre = f"layer{i}"
         normed = ln(x, p(f"{pre}.ln1.gamma"), p(f"{pre}.ln1.beta"))
         outs = []
+        h, dk = config.hidden, config.head_dim
+        wqkv = p(f"{pre}.wqkv")
         for j in range(config.n_heads):
-            q = normed @ p(f"{pre}.head{j}.wq")
-            k = normed @ p(f"{pre}.head{j}.wk")
-            v = normed @ p(f"{pre}.head{j}.wv")
+            cols = slice(j * dk, (j + 1) * dk)
+            q = normed @ wqkv[:, :h][:, cols]
+            k = normed @ wqkv[:, h:2 * h][:, cols]
+            v = normed @ wqkv[:, 2 * h:][:, cols]
             scores = q @ k.T / math.sqrt(config.head_dim)
             att = np.zeros((n, n))
             for r in range(n):
@@ -318,6 +335,94 @@ def test_lm_loss_batch_mean_invariance():
     assert abs(float(pair.data) - single) < 1e-12
 
 
+def test_float32_lm_loss_keeps_every_tape_output_float32():
+    cfg = tiny_config(n_layers=2, hidden=8, n_heads=2, dropout=0.1)
+    params = init_parameters(cfg, seed=20)
+    prompts = init_prompts(2, cfg.hidden, seed=21).matrix
+    loss = lm_loss(make_seq([1, 2, 3, 4, 5]), params, cfg, prompts=prompts,
+                   train=True, rng=np.random.default_rng(0))
+    assert loss.dtype == np.float32
+    dtypes = {out.dtype for out, _, _ in ad.active_tape().entries}
+    assert dtypes == {np.dtype(np.float32)}
+    ad.backward(loss)
+    assert all(t.grad.dtype == np.float32 for t in params.values())
+
+
+def unequal_batch():
+    return [make_seq([1, 5, 3, 0, 2, 6, 4], tags=[0, 1, 2, 3, 0, 1, 2],
+                     flags=[0, 1, 1, 0, 0, 1, 0]),
+            make_seq([2, 4], mask=[False, True]),
+            make_seq([6, 1, 1, 3, 5], flags=[1, 1, 0, 0, 0],
+                     mask=[False, False, True, False, True])]
+
+
+@pytest.mark.parametrize("n_prompt", [0, 2])
+def test_batched_step_equals_mean_of_per_sequence_steps(n_prompt):
+    cfg = tiny_config(n_layers=2, hidden=8, n_heads=2, dropout=0.3)
+    params = params64(cfg, seed=22)
+    prompts = None
+    if n_prompt:
+        prompts = init_prompts(n_prompt, cfg.hidden, seed=23,
+                               dtype=np.float64).matrix
+    tensors = dict(params, prompts=prompts) if prompts else params
+    seqs = unequal_batch()
+
+    rng = np.random.default_rng(24)
+    mean_loss = 0.0
+    mean_grads = {n: np.zeros_like(t.data) for n, t in tensors.items()}
+    for seq in seqs:
+        ad.reset_tape()
+        loss = lm_loss(seq, params, cfg, prompts=prompts, train=True, rng=rng)
+        ad.backward(loss)
+        mean_loss += float(loss.data) / len(seqs)
+        for n, t in tensors.items():
+            mean_grads[n] += t.grad / len(seqs)
+            t.zero_grad()
+
+    batch_rng = np.random.default_rng(24)
+    ad.reset_tape()
+    loss = batch_loss(seqs, params, cfg, prompts=prompts, train=True,
+                      rng=batch_rng)
+    ad.backward(loss)
+    assert batch_rng.bit_generator.state == rng.bit_generator.state
+    assert abs(float(loss.data) - mean_loss) <= 1e-12 * abs(mean_loss)
+    for n, t in tensors.items():
+        scale = np.max(np.abs(mean_grads[n]))
+        assert np.max(np.abs(t.grad - mean_grads[n])) <= 1e-12 * scale, n
+
+
+def test_dropout_consumes_rng_per_sequence_in_site_order():
+    cfg = tiny_config(n_layers=2, hidden=8, n_heads=2, dropout=0.1)
+    params = init_parameters(cfg, seed=25)
+    seqs = unequal_batch()
+    rng = np.random.default_rng(26)
+    batch_loss(seqs, params, cfg, prompts=init_prompts(3, 8, seed=1).matrix,
+               train=True, rng=rng)
+    # embedding, then attention and FFW of each layer, sequence by sequence
+    ref = np.random.default_rng(26)
+    for seq in seqs:
+        ref.random((len(seq), cfg.hidden))
+        for _ in range(2 * cfg.n_layers):
+            ref.random((3 + len(seq), cfg.hidden))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_perturbing_one_sequence_leaves_other_sequences_bit_identical():
+    cfg = tiny_config(n_layers=2, hidden=8, n_heads=2)
+    params = init_parameters(cfg, seed=27)
+    prompts = init_prompts(2, cfg.hidden, seed=28).matrix
+    seqs = unequal_batch()
+    base = forward_batch(seqs, params, cfg, prompts=prompts).data.copy()
+    t = 3
+    seqs[0].ids[t] = (seqs[0].ids[t] + 1) % cfg.vocab_size
+    seqs[0].entity_flags[t] = 1 - seqs[0].entity_flags[t]
+    out = forward_batch(seqs, params, cfg, prompts=prompts).data
+    end = 2 + len(seqs[0])  # rows of the first sequence
+    assert np.array_equal(out[end:], base[end:])
+    assert np.array_equal(out[:2 + t], base[:2 + t])
+    assert not np.array_equal(out[2 + t], base[2 + t])
+
+
 def overfit_one_sequence(cfg, seq, steps=300, lr=3e-3, seed=0):
     params = init_parameters(cfg, seed=seed)
     state = OptimizerState()
@@ -414,6 +519,18 @@ def test_checkpoint_rejects_mismatte_and_garbage(tmp_path):
     save_checkpoint(bad, cfg, short)
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    cfg = tiny_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, init_parameters(cfg, seed=18))
+    raw = bytearray(path.read_bytes())
+    assert raw[4:8] == CHECKPOINT_VERSION.to_bytes(4, "little")
+    raw[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path)
 
 
 def test_parameter_shapes_cover_count():
