@@ -365,7 +365,21 @@ def softmax_rows(m: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     return out
 
 
-def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int]) -> Tensor:
+class KVSlot:
+    """Keys and values of the rows one sequence has run so far through one
+    attention layer: ``keys`` and ``values`` are [heads, capacity, d_k],
+    filled up to ``length``."""
+
+    __slots__ = ("keys", "values", "length")
+
+    def __init__(self, n_heads: int, capacity: int, d_k: int, dtype):
+        self.keys = np.empty((n_heads, capacity, d_k), dtype=dtype)
+        self.values = np.empty_like(self.keys)
+        self.length = 0
+
+
+def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
+              cache: Optional[KVSlot] = None) -> Tensor:
     """Causal multi-head self-attention over packed rows.
 
     Sequence b owns the next ``lengths[b]`` rows of ``qkv`` [N, 3H]; each
@@ -375,6 +389,11 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int]) -> Tensor:
     sequence's rows up to itself (causal and key-padding mask), and the
     result [N, H] comes back in packed order. Padded rows never reach the
     output, and the vjp is hand-written over the same layout.
+
+    With a ``cache`` (one sequence, grad recording off) the rows continue
+    the sequence whose first ``cache.length`` keys and values the cache
+    holds: the new keys and values are written after them, and new row i
+    attends to cached rows j <= cache.length + i.
     """
     qkv = _as_tensor(qkv)
     if qkv.data.ndim != 2 or qkv.shape[1] % (3 * n_heads):
@@ -391,6 +410,15 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int]) -> Tensor:
     h = h3 // 3
     dk = h // n_heads
     n_seq, t_max = lengths.size, int(lengths.max())
+    past = 0
+    if cache is not None:
+        if grad_enabled() or n_seq != 1:
+            raise GptLabError("a key/value cache serves one sequence with "
+                              "grad recording off")
+        past = cache.length
+        if past + n_rows > cache.keys.shape[1]:
+            raise ShapeError(f"{past + n_rows} rows overflow a key/value "
+                             f"cache of {cache.keys.shape[1]}")
     scale = 1.0 / math.sqrt(dk)
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     seq_idx = np.repeat(np.arange(n_seq), lengths)
@@ -419,7 +447,13 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int]) -> Tensor:
     q = split_heads(padded[..., :h]) * scale
     k = split_heads(padded[..., h:2 * h])
     v = split_heads(padded[..., 2 * h:])
-    keep = np.tril(np.ones((t_max, t_max), dtype=bool))
+    if cache is not None:
+        cache.keys[:, past:past + n_rows] = k[0]
+        cache.values[:, past:past + n_rows] = v[0]
+        cache.length = past + n_rows
+        k = cache.keys[None, :, :cache.length]
+        v = cache.values[None, :, :cache.length]
+    keep = np.arange(past + t_max) <= past + np.arange(t_max)[:, None]
     if ragged:
         valid = np.arange(t_max) < lengths[:, None]
         keep = (keep & valid[:, None, :])[:, None]

@@ -13,8 +13,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import (KV, load_run_config, parse_counts, parse_ratio, write_kv)
-from .corpus import (SyntheticSpec, TokenSequence, generate_synthetic,
-                     load_corpus, save_corpus, split)
+from .corpus import (SyntheticSpec, generate_synthetic, load_corpus,
+                     save_corpus, split)
 from .errors import ConfigError, DataError, GptLabError, NumericError
 from .model import generate as model_generate
 from .model import load_checkpoint
@@ -183,11 +183,7 @@ def cmd_generate(args) -> int:
                             False, tagger)[0]
     # keep history + the final doctor marker; drop the reply text and EOS
     keep = len(seq) - (len(dlg.turns[-1].text) + 1)
-    history_seq = TokenSequence(ids=seq.ids[:keep],
-                                lexical_tags=seq.lexical_tags[:keep],
-                                entity_flags=seq.entity_flags[:keep],
-                                loss_mask=seq.loss_mask[:keep],
-                                position_ids=seq.position_ids[:keep])
+    history_seq = seq.prefix(keep)
     new_ids = model_generate(
         history_seq, backbone, config,
         strategy=kv.str_("generate.strategy", "greedy"),

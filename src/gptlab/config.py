@@ -1,11 +1,14 @@
 """Documented key=value run-configuration files.
 
-One ``key = value`` pair per line, ``#`` comments, keys namespaced with
-dots. Paths are resolved relative to the config file so config trees can
-be shipped and moved as a unit.
+One ``key = value`` pair per line, keys namespaced with dots. A ``#``
+at the start of a line or after whitespace starts a comment; anywhere
+else it is part of the value, so ``runs#2/c.jsonl`` is a path. Paths are
+resolved relative to the config file so config trees can be shipped and
+moved as a unit.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Optional
 
@@ -36,6 +39,9 @@ KNOWN_KEYS = {
 }
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_kv(path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
@@ -43,7 +49,7 @@ def read_kv(path) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -8,7 +8,7 @@ symptom mention, so the entity channel carries real predictive signal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,6 +62,10 @@ class TokenSequence:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def prefix(self, n: int) -> "TokenSequence":
+        """The first ``n`` tokens, every field sliced alike."""
+        return TokenSequence(*(getattr(self, f.name)[:n] for f in fields(self)))
 
     def check(self) -> None:
         n = len(self.ids)

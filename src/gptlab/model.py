@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .annotation import ENTITY_TABLE_SIZE, LEX_TABLE_SIZE
+from .annotation import ENTITY_TABLE_SIZE, LEX_TABLE_SIZE, LexTag
 from .autodiff import Tensor
 from .corpus import TokenSequence
 from .errors import CheckpointError, ConfigError, EmptyLossError, ShapeError
@@ -76,6 +76,17 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
+
+
+class KVCache:
+    """Keys and values of one sequence being decoded, one slot per layer,
+    with room for ``n_prompt`` prompt rows and ``max_len`` tokens."""
+
+    def __init__(self, config: ModelConfig, n_prompt: int = 0,
+                 dtype=np.float32):
+        self.layers = [ad.KVSlot(config.n_heads, n_prompt + config.max_len,
+                                 config.head_dim, dtype)
+                       for _ in range(config.n_layers)]
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -190,12 +201,14 @@ def embed(seq: TokenSequence, params: dict[str, Tensor],
 def _block(x: Tensor, params: dict[str, Tensor], layer: int,
            config: ModelConfig, lengths: list[int],
            attn_keep: Optional[np.ndarray],
-           ffw_keep: Optional[np.ndarray]) -> Tensor:
+           ffw_keep: Optional[np.ndarray],
+           cache: Optional[KVCache]) -> Tensor:
     p = f"layer{layer}"
     normed = ad.layer_norm(x, params[f"{p}.ln1.gamma"],
                            params[f"{p}.ln1.beta"], LN_EPS)
     heads = ad.attention(ad.matmul(normed, params[f"{p}.wqkv"]),
-                         config.n_heads, lengths)
+                         config.n_heads, lengths,
+                         None if cache is None else cache.layers[layer])
     attn = _dropout(ad.matmul(heads, params[f"{p}.attn_out"]), attn_keep)
     x = ad.add(x, attn)
     normed = ad.layer_norm(x, params[f"{p}.ln2.gamma"],
@@ -210,13 +223,15 @@ def _block(x: Tensor, params: dict[str, Tensor], layer: int,
 def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
                   config: ModelConfig, prompts: Optional[Tensor] = None,
                   train: bool = False,
-                  rng: Optional[np.random.Generator] = None) -> Tensor:
+                  rng: Optional[np.random.Generator] = None,
+                  cache: Optional[KVCache] = None) -> Tensor:
     """Logits over the vocabulary for a batch, on packed rows: sequence b
     owns P + len(seqs[b]) consecutive rows, its P prompt rows first.
 
     Prompt rows get no positional/lexical/entity additions, every real
     token can attend to every prompt row of its own sequence, and no
-    sequence sees another.
+    sequence sees another. With a ``cache`` the one sequence continues the
+    rows already cached (see ``autodiff.attention``).
     """
     n_prompt = prompts.shape[0] if prompts is not None else 0
     masks = _dropout_masks(seqs, n_prompt, config, rng if train else None,
@@ -232,7 +247,7 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
         x = ad.take_rows(ad.concat_rows([prompts, x]), layout)
     for layer in range(config.n_layers):
         x = _block(x, params, layer, config, lengths,
-                   masks[1 + 2 * layer], masks[2 + 2 * layer])
+                   masks[1 + 2 * layer], masks[2 + 2 * layer], cache)
     x = ad.layer_norm(x, params["ln_f.gamma"], params["ln_f.beta"], LN_EPS)
     return ad.matmul(x, ad.transpose(params["tok_emb"]))  # tied LM head
 
@@ -240,15 +255,18 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
 def forward(seq: TokenSequence, params: dict[str, Tensor],
             config: ModelConfig, prompts: Optional[Tensor] = None,
             train: bool = False,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
+            rng: Optional[np.random.Generator] = None,
+            cache: Optional[KVCache] = None) -> Tensor:
     """Logits over the vocabulary, one row per (prompt or real) position.
 
     With a prompt matrix the rows are prepended before the embedded
     sequence: prompts get no positional/lexical/entity additions, and
-    every real token can attend to every prompt row.
+    every real token can attend to every prompt row. With a ``cache`` the
+    sequence continues the rows already cached, and only the new rows
+    come back.
     """
     return forward_batch([seq], params, config, prompts=prompts, train=train,
-                         rng=rng)
+                         rng=rng, cache=cache)
 
 
 def shifted_targets(seq: TokenSequence, n_prompt: int = 0
@@ -311,23 +329,26 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
              prompts: Optional[Tensor] = None, top_k: int = 5,
              eos_id: Optional[int] = None) -> list[int]:
     """Autoregressive decoding; greedy is deterministic, top-k is
-    deterministic under seed. New tokens are annotated OTHER/0."""
+    deterministic under seed. New tokens are annotated OTHER/0.
+
+    Prompts and history run once, filling a key/value cache; after that
+    each new token is fed as a one-row sequence.
+    """
     if strategy not in ("greedy", "top_k"):
         raise ConfigError(f"unknown decoding strategy {strategy!r}")
     if len(history) >= config.max_len:
         raise ShapeError("history must be shorter than max_len")
-    from .annotation import LexTag
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    seq = TokenSequence(ids=list(history.ids),
-                        lexical_tags=list(history.lexical_tags),
-                        entity_flags=list(history.entity_flags),
-                        loss_mask=list(history.loss_mask),
-                        position_ids=list(history.position_ids))
+    n_prompt = prompts.shape[0] if prompts is not None else 0
+    cache = KVCache(config, n_prompt, params["tok_emb"].dtype)
+    step, n = history, len(history)
     out: list[int] = []
     with ad.no_grad():
-        while len(out) < max_new and len(seq) < config.max_len:
-            logits = forward(seq, params, config, prompts=prompts).data[-1]
+        while len(out) < max_new and n < config.max_len:
+            logits = forward(step, params, config, prompts=prompts,
+                             cache=cache).data[-1]
+            prompts = None  # their keys and values are in the cache
             if strategy == "greedy":
                 nxt = int(np.argmax(logits))
             else:
@@ -337,11 +358,10 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
                 p = np.exp(z) / np.exp(z).sum()
                 nxt = int(rng.choice(cand, p=p))
             out.append(nxt)
-            seq.ids.append(nxt)
-            seq.lexical_tags.append(int(LexTag.OTHER))
-            seq.entity_flags.append(0)
-            seq.loss_mask.append(False)
-            seq.position_ids.append(len(seq.position_ids))
+            step = TokenSequence(ids=[nxt], lexical_tags=[int(LexTag.OTHER)],
+                                 entity_flags=[0], loss_mask=[False],
+                                 position_ids=[n])
+            n += 1
             if eos_id is not None and nxt == eos_id:
                 break
     return out

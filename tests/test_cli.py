@@ -173,6 +173,18 @@ def test_missing_config_is_config_error(workspace, capsys):
     assert "\n" not in err.strip()
 
 
+def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace(
+        tmp_path):
+    kv = tmp_path / "hash.kv"
+    kv.write_text("# a comment line\n"
+                  "   # an indented comment line\n"
+                  "data.corpus = runs#2/c.jsonl\n"
+                  "data.vocab = v#1.txt # trailing comment\n"
+                  "seed = 4\t# tab, then a comment\n", encoding="utf-8")
+    assert read_kv(kv) == {"data.corpus": "runs#2/c.jsonl",
+                           "data.vocab": "v#1.txt", "seed": "4"}
+
+
 def test_unknown_key_is_config_error(workspace, tmp_path):
     root, run = workspace
     bad = root / "bad.kv"
@@ -288,6 +300,19 @@ def test_eval_rejects_malformed_checkpoint(workspace, capsys, case):
     assert len(err) == 1 and err[0].startswith("error: data:"), err
 
 
+def run_cli_at_blas_threads(threads: str, *args: str) -> None:
+    """``gptlab *args`` in a fresh interpreter with BLAS on ``threads``."""
+    src = Path(gptlab.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                 if p]))
+    proc = subprocess.run([sys.executable, "-m", "gptlab.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_artifacts_identical_at_one_and_two_blas_threads(tmp_path):
     corpus = generate_synthetic(
         SyntheticSpec(DEFAULT_SYMPTOMS, DEFAULT_DISEASES, DEFAULT_DRUGS,
@@ -313,19 +338,29 @@ def test_artifacts_identical_at_one_and_two_blas_threads(tmp_path):
     rows = sum(len(s) for s in seqs)
     assert rows >= 500 and rows % 128, rows
 
-    src = Path(gptlab.__file__).resolve().parents[1]
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
-                                     if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gptlab.cli", "pretrain",
-             "--config", str(tmp_path / "pretrain.kv"),
-             "--out", str(tmp_path / f"threads{threads}")],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        run_cli_at_blas_threads(threads, "pretrain",
+                                "--config", str(tmp_path / "pretrain.kv"),
+                                "--out", str(tmp_path / f"threads{threads}"))
     for name in ("metrics.csv", "final.ckpt"):
         assert ((tmp_path / "threads1" / name).read_bytes()
                 == (tmp_path / "threads2" / name).read_bytes()), name
+
+
+def test_generation_identical_at_one_and_two_blas_threads(workspace):
+    root, _ = workspace
+    (root / "generate_threads.kv").write_text(
+        "generate.checkpoint = runs/pretrain/final.ckpt\n"
+        "data.corpus = runs/b/corpus.jsonl\n"
+        "data.vocab = runs/vocab/vocab.txt\n"
+        "generate.index = 1\n"
+        "generate.strategy = top_k\n"
+        "generate.max_new = 64\n"
+        "seed = 3\n", encoding="utf-8")
+    for threads in ("1", "2"):
+        run_cli_at_blas_threads(
+            threads, "generate", "--config", str(root / "generate_threads.kv"),
+            "--out", str(root / "runs" / f"generate-threads{threads}"))
+    texts = [(root / "runs" / f"generate-threads{t}" / "generation.txt")
+             .read_bytes() for t in ("1", "2")]
+    assert texts[0] == texts[1]

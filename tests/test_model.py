@@ -7,8 +7,8 @@ from gptlab import autodiff as ad
 from gptlab.annotation import LexTag
 from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.corpus import TokenSequence
-from gptlab.errors import CheckpointError, ConfigError, ShapeError
-from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, ModelConfig,
+from gptlab.errors import CheckpointError, ConfigError, GptLabError, ShapeError
+from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, KVCache, ModelConfig,
                           batch_loss, embed, forward, forward_batch, generate,
                           init_parameters, lm_loss, load_checkpoint,
                           parameter_count, parameter_shapes, save_checkpoint)
@@ -473,6 +473,121 @@ def test_generate_stops_at_eos():
     seq = make_seq([1, 3])
     out = generate(seq, params, cfg, max_new=8, eos_id=2)
     assert out == [2]
+
+
+def sharp_model(cfg, seed, n_prompt=0, dtype=np.float32):
+    """Random weights scaled up so that next-token distributions are far
+    from uniform; prompts are None when n_prompt is 0."""
+    params = init_parameters(cfg, seed=seed, dtype=dtype)
+    for t in params.values():
+        if t.data.ndim == 2:
+            t.data *= dtype(25.0)
+    if not n_prompt:
+        return params, None
+    prompts = init_prompts(n_prompt, cfg.hidden, seed=5, dtype=dtype).matrix
+    prompts.data *= dtype(25.0)
+    return params, prompts
+
+
+def annotated_seq(n, vocab_size, seed):
+    rng = np.random.default_rng(seed)
+    return TokenSequence(
+        ids=rng.integers(0, vocab_size, n).tolist(),
+        lexical_tags=rng.integers(0, len(LexTag), n).tolist(),
+        entity_flags=rng.integers(0, 2, n).tolist(),
+        loss_mask=[False] * n, position_ids=list(range(n)))
+
+
+def extended(seq, new_ids):
+    """History plus decoded tokens, annotated as generate annotates them."""
+    n, k = len(seq), len(new_ids)
+    return TokenSequence(
+        ids=seq.ids + list(new_ids),
+        lexical_tags=seq.lexical_tags + [int(LexTag.OTHER)] * k,
+        entity_flags=seq.entity_flags + [0] * k,
+        loss_mask=seq.loss_mask + [False] * k,
+        position_ids=seq.position_ids + list(range(n, n + k)))
+
+
+@pytest.mark.parametrize("n_prompt,channels,max_len,n_hist,max_new", [
+    (3, {}, 40, 9, 12),
+    (0, {}, 40, 9, 12),
+    (2, {"use_lexical": False, "use_entity": False}, 40, 9, 12),
+    (2, {}, 160, 140, 10),   # history longer than a 128-row block
+    (3, {}, 24, 9, 100),     # decoding stops at max_len
+])
+def test_cached_decode_matches_full_forward_float64(n_prompt, channels,
+                                                    max_len, n_hist, max_new):
+    cfg = ModelConfig(n_layers=2, n_heads=2, hidden=16, vocab_size=11,
+                      max_len=max_len, dropout=0.0, **channels)
+    params, prompts = sharp_model(cfg, 41, n_prompt, np.float64)
+    history = annotated_seq(n_hist, cfg.vocab_size, 3)
+    cache = KVCache(cfg, n_prompt, np.float64)
+    step, new_ids = history, []
+    with ad.no_grad():
+        while len(new_ids) < max_new and len(history) + len(new_ids) < max_len:
+            cached = forward(step, params, cfg, cache=cache,
+                             prompts=prompts if step is history else None)
+            full = forward(extended(history, new_ids), params, cfg,
+                           prompts=prompts).data[-cached.shape[0]:]
+            assert cached.shape[0] == len(step) + (
+                n_prompt if step is history else 0)
+            err = np.max(np.abs(cached.data - full))
+            assert err <= 1e-12 * np.max(np.abs(full)), err
+            new_ids.append(int(np.argmax(cached.data[-1])))
+            step = TokenSequence(
+                ids=new_ids[-1:], lexical_tags=[int(LexTag.OTHER)],
+                entity_flags=[0], loss_mask=[False],
+                position_ids=[len(history) + len(new_ids) - 1])
+    assert len(new_ids) == min(max_new, max_len - n_hist)
+    assert generate(history, params, cfg, max_new=max_new,
+                    prompts=prompts) == new_ids
+
+
+def test_kv_cache_misuse_raises():
+    cfg = tiny_config(hidden=8, n_heads=2)
+    params = params64(cfg)
+    cache = KVCache(cfg, dtype=np.float64)
+    with pytest.raises(GptLabError):  # grad recording on
+        forward(make_seq([1, 2, 3]), params, cfg, cache=cache)
+    with ad.no_grad(), pytest.raises(GptLabError):  # two sequences
+        forward_batch([make_seq([1, 2]), make_seq([3])], params, cfg,
+                      cache=cache)
+    slot = ad.KVSlot(n_heads=2, capacity=2, d_k=4, dtype=np.float64)
+    with ad.no_grad(), pytest.raises(ShapeError):  # past the capacity
+        ad.attention(Tensor(np.ones((3, 24))), 2, [3], slot)
+
+
+def test_greedy_tokens_are_teacher_forced_argmax_float32():
+    cfg = ModelConfig(n_layers=2, n_heads=2, hidden=16, vocab_size=13,
+                      max_len=48, dropout=0.0)
+    params, prompts = sharp_model(cfg, 31, n_prompt=3)
+    history = annotated_seq(11, cfg.vocab_size, 8)
+    out = generate(history, params, cfg, max_new=30, prompts=prompts)
+    assert len(out) == 30
+    with ad.no_grad():
+        logits = forward(extended(history, out), params, cfg,
+                         prompts=prompts).data
+    first = 3 + len(history) - 1  # the row that predicts out[0]
+    assert np.argmax(logits[first:first + len(out)], axis=1).tolist() == out
+
+
+def test_top_k_output_is_unchanged_by_the_cache():
+    # recorded with the full-recompute decoder that the cache replaced
+    cfg = ModelConfig(n_layers=2, n_heads=2, hidden=16, vocab_size=13,
+                      max_len=40, dropout=0.0)
+    params, prompts = sharp_model(cfg, 31, n_prompt=3)
+    seq = TokenSequence(ids=[1, 4, 7, 2, 9, 5],
+                        lexical_tags=[int(LexTag.OTHER)] * 6,
+                        entity_flags=[0, 1, 0, 1, 0, 1], loss_mask=[False] * 6,
+                        position_ids=list(range(6)))
+    kw = dict(strategy="top_k", max_new=24, seed=123, top_k=4)
+    assert generate(seq, params, cfg, **kw) == [
+        6, 8, 9, 9, 9, 9, 1, 6, 4, 6, 4, 2, 9, 9, 9, 9, 2, 9, 4, 10, 10, 4,
+        4, 4]
+    assert generate(seq, params, cfg, prompts=prompts, **kw) == [
+        12, 6, 9, 8, 9, 9, 12, 9, 4, 7, 6, 9, 6, 12, 2, 0, 6, 9, 9, 9, 9, 4,
+        4, 10]
 
 
 def test_checkpoint_round_trip(tmp_path):
