@@ -11,6 +11,10 @@ in whatever precision its leaves were created with. Plain numbers passed to
 ``add`` and ``mul`` are weak: they take the dtype of the tensor they meet,
 as Python floats do under NumPy 2 (NEP 50), never promoting the graph.
 
+``matmul`` takes an optional bias row, added in place to every row of the
+product (so in the product's dtype): an affine layer is one op and one
+tape entry.
+
 A vjp returns None for every input that does not require grad, so frozen
 weights cost no gradient work. Weight gradients that reduce over the row
 axis are summed over fixed 128-row blocks (see ``_rows_t_matmul``), which
@@ -28,7 +32,6 @@ from .errors import (
     DoubleBackwardError,
     EmptyLossError,
     GptLabError,
-    InvalidMaskError,
     ShapeError,
     VocabError,
 )
@@ -45,7 +48,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str = "",
                  dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -124,42 +127,41 @@ class Tape:
         return len(self.entries)
 
 
-_tls = threading.local()
+class _ThreadState(threading.local):
+    """Each thread starts with its own empty tape and grad recording on."""
+
+    def __init__(self):
+        self.tape = Tape()
+        self.grad_enabled = True
 
 
-def _state():
-    if not hasattr(_tls, "tape"):
-        _tls.tape = Tape()
-        _tls.grad_enabled = True
-    return _tls
+_tls = _ThreadState()
 
 
 def active_tape() -> Tape:
-    return _state().tape
+    return _tls.tape
 
 
 def reset_tape() -> Tape:
     """Install and return a fresh tape for the current thread."""
-    st = _state()
-    st.tape = Tape()
-    return st.tape
+    _tls.tape = Tape()
+    return _tls.tape
 
 
 def grad_enabled() -> bool:
-    return _state().grad_enabled
+    return _tls.grad_enabled
 
 
 class no_grad:
     """Context manager that suspends tape recording (pure evaluation)."""
 
     def __enter__(self):
-        st = _state()
-        self._prev = st.grad_enabled
-        st.grad_enabled = False
+        self._prev = _tls.grad_enabled
+        _tls.grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        _state().grad_enabled = self._prev
+        _tls.grad_enabled = self._prev
         return False
 
 
@@ -179,12 +181,12 @@ def _weak_pair(a, b) -> tuple[Tensor, Tensor]:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-    if out.requires_grad and grad_enabled():
-        active_tape().record(out, inputs, vjp)
+    if out.requires_grad and _tls.grad_enabled:
+        _tls.tape.record(out, inputs, vjp)
 
 
 def _wants_grad(*tensors: Tensor) -> bool:
-    return grad_enabled() and any(t.requires_grad for t in tensors)
+    return _tls.grad_enabled and any(t.requires_grad for t in tensors)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -290,8 +292,9 @@ def _rows_t_matmul(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return acc
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with dA = dC·Bᵀ, dB = Aᵀ·dC."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """2-D matrix product C = A·B, plus the row vector ``bias`` on every
+    row when given; dA = dC·Bᵀ, dB = Aᵀ·dC, dbias = column sums of dC."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
@@ -299,15 +302,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=_wants_grad(a, b))
+    y = a.data @ b.data
+    inputs = (a, b)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (b.shape[1],):
+            raise ShapeError(f"matmul bias must have shape ({b.shape[1]},), "
+                             f"got {bias.shape}")
+        y += bias.data
+        inputs = (a, b, bias)
+    out = Tensor(y, requires_grad=_wants_grad(*inputs))
     a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    need_bias = bias is not None and bias.requires_grad
 
     def vjp(g):
         return (g @ b_data.T if need_a else None,
-                _rows_t_matmul(a_data, g) if need_b else None)
+                _rows_t_matmul(a_data, g) if need_b else None,
+                g.sum(axis=0) if need_bias else None)
 
-    _record(out, (a, b), vjp)
+    _record(out, inputs, vjp)
     return out
 
 
@@ -338,30 +352,6 @@ def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """s * (g - <g, s>) over the last axis."""
     out = g - np.einsum("...j,...j->...", g, s)[..., None]
     out *= s
-    return out
-
-
-def softmax_rows(m: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Row-wise softmax with optional boolean mask.
-
-    Masked entries get weight exactly 0 and every row sums to 1.
-    """
-    m = _as_tensor(m)
-    if m.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-D tensor, got {m.shape}")
-    x = m.data
-    if mask is None:
-        keep = np.ones(x.shape, dtype=bool)
-    else:
-        keep = np.asarray(mask, dtype=bool)
-        if keep.shape != x.shape:
-            raise ShapeError(
-                f"mask shape {keep.shape} does not match tensor {x.shape}")
-        if not keep.any(axis=1).all():
-            raise InvalidMaskError("softmax row with every entry masked")
-    s = _masked_softmax(x.copy(), keep)
-    out = Tensor(s, requires_grad=_wants_grad(m))
-    _record(out, (m,), lambda g: (_softmax_vjp(s, g),))
     return out
 
 
@@ -400,19 +390,17 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
         raise ShapeError(
             f"attention needs [N, 3H] rows with H divisible by {n_heads} "
             f"heads, got {qkv.shape}")
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1 \
-            or lengths.sum() != qkv.shape[0]:
+    lengths = [int(n) for n in lengths]
+    if not lengths or min(lengths) < 1 or sum(lengths) != qkv.shape[0]:
         raise ShapeError(
-            f"sequence lengths {lengths.tolist()} do not cover "
-            f"{qkv.shape[0]} rows")
+            f"sequence lengths {lengths} do not cover {qkv.shape[0]} rows")
     n_rows, h3 = qkv.shape
     h = h3 // 3
     dk = h // n_heads
-    n_seq, t_max = lengths.size, int(lengths.max())
+    n_seq, t_max = len(lengths), max(lengths)
     past = 0
     if cache is not None:
-        if grad_enabled() or n_seq != 1:
+        if _tls.grad_enabled or n_seq != 1:
             raise GptLabError("a key/value cache serves one sequence with "
                               "grad recording off")
         past = cache.length
@@ -420,10 +408,12 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
             raise ShapeError(f"{past + n_rows} rows overflow a key/value "
                              f"cache of {cache.keys.shape[1]}")
     scale = 1.0 / math.sqrt(dk)
-    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    seq_idx = np.repeat(np.arange(n_seq), lengths)
-    pos_idx = np.arange(n_rows) - starts
-    ragged = bool((lengths != t_max).any())
+    ragged = min(lengths) != t_max
+    if ragged:
+        lengths = np.asarray(lengths)
+        seq_idx = np.repeat(np.arange(n_seq), lengths)
+        pos_idx = np.arange(n_rows) - np.repeat(np.cumsum(lengths) - lengths,
+                                                lengths)
 
     def pad(rows):  # [N, C] -> [B, T, C]
         if not ragged:
@@ -488,26 +478,31 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     if gamma.shape != (h,) or beta.shape != (h,):
         raise ShapeError(
             f"gamma/beta must have shape ({h},), got {gamma.shape}/{beta.shape}")
-    mean = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    out = Tensor(xhat * gamma.data + beta.data,
-                 requires_grad=_wants_grad(x, gamma, beta))
+    # the row mean and the population variance as np.mean/np.var compute
+    # them (sum, then divide by the count), without their call overhead
+    xhat = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / h
+    y = xhat * xhat
+    inv_std = 1.0 / np.sqrt(np.add.reduce(y, axis=1, keepdims=True) / h + eps)
+    xhat *= inv_std
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor(y, requires_grad=_wants_grad(x, gamma, beta))
     gamma_data = gamma.data
     need_x, need_gamma, need_beta = (
         x.requires_grad, gamma.requires_grad, beta.requires_grad)
 
     def vjp(g):
+        d_gamma = (g * xhat).sum(axis=0) if need_gamma else None
         dx = None
         if need_x:
-            dxhat = g * gamma_data
-            # standard layer-norm backward over the row axis
-            dx = inv_std * (dxhat
-                            - dxhat.mean(axis=1, keepdims=True)
-                            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-        return (dx, (g * xhat).sum(axis=0) if need_gamma else None,
-                g.sum(axis=0) if need_beta else None)
+            # inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+            # in the buffers of dxhat and xhat: a tape runs backward once
+            dx = g * gamma_data
+            m2 = np.add.reduce(dx * xhat, axis=1, keepdims=True) / h
+            dx -= np.add.reduce(dx, axis=1, keepdims=True) / h
+            dx -= np.multiply(xhat, m2, out=xhat)
+            dx *= inv_std
+        return (dx, d_gamma, g.sum(axis=0) if need_beta else None)
 
     _record(out, (x, gamma, beta), vjp)
     return out
@@ -637,32 +632,22 @@ def take_rows(table: Tensor, ids) -> Tensor:
     return out
 
 
-def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack 2-D tensors vertically (shared column count)."""
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
     for p in parts:
         if p.data.ndim != 2:
             raise ShapeError(f"concat needs 2-D tensors, got {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis),
+    out = Tensor(np.concatenate([p.data for p in parts]),
                  requires_grad=_wants_grad(*parts))
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([p.shape[0] for p in parts])[:-1]
     needs = [p.requires_grad for p in parts]
 
     def vjp(g):
         return tuple(part if need else None for part, need in
-                     zip(np.array_split(g, splits, axis=axis), needs))
+                     zip(np.split(g, splits), needs))
 
     _record(out, tuple(parts), vjp)
     return out
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors vertically (shared column count)."""
-    return _concat(parts, axis=0)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors horizontally (shared row count)."""
-    return _concat(parts, axis=1)

@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .atomic import atomic_write
 from .config import (KV, load_run_config, parse_counts, parse_ratio, write_kv)
 from .corpus import (SyntheticSpec, generate_synthetic, load_corpus,
                      save_corpus, split)
@@ -211,7 +212,7 @@ def cmd_sweep_prompts(args) -> int:
     run = load_run_config(args.config, "ptune", out, seed_override=args.seed)
     counts = parse_counts(kv.str_("sweep.counts", "1,25,50,75,100"))
     rows = sweep_prompt_counts(counts, run, out_dir=out)
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "sweep.csv") as fh:
         fh.write("v_p,ppl\n")
         for v_p, ppl in rows:
             fh.write(f"{v_p},{ppl!r}\n")
@@ -231,7 +232,7 @@ def cmd_ablate(args) -> int:
                       out_dir=out / name)
         result = train(run)
         rows.append((name, result.final_eval_ppl))
-    with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "ablation.csv") as fh:
         fh.write("variant,ppl\n")
         for name, ppl in rows:
             fh.write(f"{name},{ppl!r}\n")

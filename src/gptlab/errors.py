@@ -27,16 +27,13 @@ class ShapeError(GptLabError):
     """Tensor shapes incompatible for the requested operation."""
 
 
-class InvalidMaskError(GptLabError):
-    """A softmax row is fully masked (malformed causal mask)."""
-
-
 class DoubleBackwardError(GptLabError):
     """backward() called twice on the same tape without a reset."""
 
 
-class EmptyLossError(GptLabError):
-    """Loss requested over zero unmasked positions."""
+class EmptyLossError(DataError):
+    """Loss requested over zero unmasked positions: the data holds no token
+    that counts toward the loss."""
 
 
 class VocabError(DataError):

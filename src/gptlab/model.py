@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .annotation import ENTITY_TABLE_SIZE, LEX_TABLE_SIZE, LexTag
+from .atomic import atomic_write
 from .autodiff import Tensor
 from .corpus import TokenSequence
 from .errors import CheckpointError, ConfigError, EmptyLossError, ShapeError
@@ -213,10 +214,10 @@ def _block(x: Tensor, params: dict[str, Tensor], layer: int,
     x = ad.add(x, attn)
     normed = ad.layer_norm(x, params[f"{p}.ln2.gamma"],
                            params[f"{p}.ln2.beta"], LN_EPS)
-    hidden = ad.gelu(ad.add(ad.matmul(normed, params[f"{p}.ffw_in.w"]),
-                            params[f"{p}.ffw_in.b"]))
-    out = ad.add(ad.matmul(hidden, params[f"{p}.ffw_out.w"]),
-                 params[f"{p}.ffw_out.b"])
+    hidden = ad.gelu(ad.matmul(normed, params[f"{p}.ffw_in.w"],
+                               bias=params[f"{p}.ffw_in.b"]))
+    out = ad.matmul(hidden, params[f"{p}.ffw_out.w"],
+                    bias=params[f"{p}.ffw_out.b"])
     return ad.add(x, _dropout(out, ffw_keep))
 
 
@@ -371,28 +372,27 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
 
 def save_checkpoint(path, config: ModelConfig,
                     tensors: dict[str, Tensor]) -> None:
-    """Self-describing container: JSON header + raw little-endian float32."""
+    """Self-describing container: JSON header + raw little-endian float32,
+    written atomically."""
     entries = []
-    blobs = []
     offset = 0
     for name, t in tensors.items():
-        raw = np.ascontiguousarray(t.data.astype("<f4")).tobytes()
+        nbytes = 4 * t.size
         entries.append({"name": name, "shape": list(t.shape),
-                        "dtype": "<f4", "offset": offset, "nbytes": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
+                        "dtype": "<f4", "offset": offset, "nbytes": nbytes})
+        offset += nbytes
     header = json.dumps({
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
         "tensors": entries,
     }, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+        for t in tensors.values():
+            fh.write(t.data.astype("<f4").tobytes())
 
 
 def _is_count(value) -> bool:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .annotation import dictionary_tagger, splice_entities
+from .atomic import atomic_write
 from .autodiff import Tensor
 from .corpus import Dialogue, TokenSequence, linearize, load_corpus, split
 from .errors import ConfigError, DataError, EmptyLossError, NumericError
@@ -216,9 +217,10 @@ METRICS_HEADER = "step,lr,loss,ppl,eval_ppl,seconds"
 
 
 def save_metrics(log: MetricsLog, path) -> None:
-    """CSV per the documented schema. The seconds column is left empty so
-    that reruns with the same seed produce byte-identical files."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """CSV per the documented schema, written atomically. The seconds
+    column is left empty so that reruns with the same seed produce
+    byte-identical files."""
+    with atomic_write(path) as fh:
         fh.write(METRICS_HEADER + "\n")
         for r in log.rows:
             eval_s = repr(r.eval_ppl) if r.eval_ppl is not None else ""

@@ -186,9 +186,14 @@ def test_criterion_03_analytic_oracles():
     ppl = evaluate_ppl(params, cfg, seqs)
     assert abs(ppl - 32.0) / 32.0 < 1e-6
 
-    # softmax rows sum to one
+    # attention probability rows sum to one: with one head and the one-hot
+    # of each row's position as its value, attention returns the rows
     rng = np.random.default_rng(3)
-    s = ad.softmax_rows(ad.Tensor(rng.normal(size=(40, 17)) * 10))
+    lengths = [17, 17, 6]
+    pos = np.concatenate([np.arange(n) for n in lengths])
+    qkv = np.concatenate([rng.normal(size=(40, 34)) * 10,
+                          np.eye(17)[pos]], axis=1)
+    s = ad.attention(ad.Tensor(qkv), 1, lengths)
     assert np.max(np.abs(s.data.sum(axis=1) - 1.0)) < 1e-12
 
 

@@ -1,14 +1,15 @@
 import math
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptlab import autodiff as ad
 from gptlab.autodiff import Tensor
-from gptlab.errors import (DoubleBackwardError, EmptyLossError,
-                           InvalidMaskError, ShapeError, VocabError)
+from gptlab.errors import (DoubleBackwardError, EmptyLossError, ShapeError,
+                           VocabError)
 
 from .util import fd_grad, max_rel_err
 
@@ -49,29 +50,37 @@ def test_matmul_grad_is_ones_times_bt():
     assert max_rel_err(a.grad, num) < 1e-3
 
 
+def softmax(rows, keep=None):
+    """The attention softmax (``_masked_softmax``) of a copy of ``rows``."""
+    x = np.array(rows, dtype=np.float64)
+    return ad._masked_softmax(x, np.ones(x.shape, dtype=bool)
+                              if keep is None else keep)
+
+
 def test_softmax_symmetric_row():
-    s = ad.softmax_rows(Tensor([[5.0, 5.0, 5.0]]))
-    assert np.allclose(s.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+    s = softmax([[5.0, 5.0, 5.0]])
+    assert np.allclose(s, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
 
 def test_softmax_analytic_row():
-    s = ad.softmax_rows(Tensor([[0.0, math.log(2.0)]]))
-    assert np.allclose(s.data, [[1 / 3, 2 / 3]], atol=1e-15)
+    s = softmax([[0.0, math.log(2.0)]])
+    assert np.allclose(s, [[1 / 3, 2 / 3]], atol=1e-15)
 
 
 def test_softmax_masked_hand_value():
     # unmasked entries [1, 2]: softmax = [1/(1+e), e/(1+e)]; masked exactly 0
     mask = np.array([[True, True, False]])
-    s = ad.softmax_rows(Tensor([[1.0, 2.0, 3.0]]), mask)
+    s = softmax([[1.0, 2.0, 3.0]], mask)
     e = math.e
-    assert np.allclose(s.data, [[1 / (1 + e), e / (1 + e), 0.0]], atol=1e-15)
-    assert s.data[0, 2] == 0.0
+    assert np.allclose(s, [[1 / (1 + e), e / (1 + e), 0.0]], atol=1e-15)
+    assert s[0, 2] == 0.0
 
 
 def test_softmax_fully_masked_row_rejected():
-    mask = np.array([[True, True], [False, False]])
-    with pytest.raises(InvalidMaskError):
-        ad.softmax_rows(Tensor(np.zeros((2, 2))), mask)
+    # a sequence of zero rows is the only way attention could mask a whole
+    # softmax row (its padded queries would see no key); it is refused
+    with pytest.raises(ShapeError):
+        ad.attention(Tensor(np.zeros((2, 6))), 1, [2, 0])
 
 
 @settings(deadline=None, max_examples=40)
@@ -79,22 +88,23 @@ def test_softmax_fully_masked_row_rejected():
                 min_size=1, max_size=5).filter(
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_softmax_rows_sum_to_one(rows):
-    ad.reset_tape()
-    s = ad.softmax_rows(Tensor(np.asarray(rows, dtype=np.float64)))
-    assert np.all(np.abs(s.data.sum(axis=1) - 1.0) < 1e-12)
+    s = softmax(rows)
+    assert np.all(np.abs(s.sum(axis=1) - 1.0) < 1e-12)
 
 
 def test_softmax_grad_matches_fd():
+    # the vjp attention uses for its probabilities, against central
+    # differences of sum(w * softmax(x)) under a mask
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(3, 4)))
     mask = np.tril(np.ones((3, 4), dtype=bool), k=1)
-    w = Tensor(rng.normal(size=(3, 4)))
+    w = rng.normal(size=(3, 4))
 
     def loss_fn():
-        return ad.tensor_sum(ad.mul(ad.softmax_rows(x, mask), w))
+        return Tensor((softmax(x.data, mask) * w).sum())
 
-    ad.backward(loss_fn())
-    assert max_rel_err(x.grad, fd_grad(loss_fn, x)) < 1e-3
+    grad = ad._softmax_vjp(softmax(x.data, mask), w)
+    assert max_rel_err(grad, fd_grad(loss_fn, x)) < 1e-3
 
 
 def test_layer_norm_constant_row_collapses_to_beta():
@@ -277,12 +287,12 @@ def test_concat_grads_split_back():
 
     ad.reset_tape()
     c = Tensor(np.ones((2, 2)), requires_grad=True)
-    d = Tensor(np.ones((2, 5)), requires_grad=True)
-    out = ad.concat_cols([c, d])
-    assert out.shape == (2, 7)
+    d = Tensor(np.ones((5, 2)), requires_grad=True)
+    out = ad.concat_rows([c, d])
+    assert out.shape == (7, 2)
     ad.backward(ad.tensor_sum(out))
     assert np.array_equal(c.grad, np.ones((2, 2)))
-    assert np.array_equal(d.grad, np.ones((2, 5)))
+    assert np.array_equal(d.grad, np.ones((5, 2)))
 
 
 def test_transpose_roundtrip_grad():
@@ -318,12 +328,12 @@ def test_backward_rejects_foreign_loss():
 
 def test_forward_deterministic_bitwise():
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(5, 5))
+    x = rng.normal(size=(6, 6))
 
     def run():
         ad.reset_tape()
         t = Tensor(x.copy(), requires_grad=True)
-        out = ad.softmax_rows(ad.gelu(ad.matmul(t, ad.transpose(t))))
+        out = ad.attention(ad.gelu(ad.matmul(t, ad.transpose(t))), 1, [4, 2])
         return out.data.copy()
 
     assert np.array_equal(run(), run())
@@ -408,3 +418,108 @@ def test_cross_entropy_row_weights():
     assert abs(float(loss.data) - want) < 1e-12
     ad.backward(loss)
     assert max_rel_err(x.grad, fd_grad(loss_fn, x)) < 1e-3
+
+
+def _layer_norm_reference(x, gamma, beta, eps, g):
+    """The np.mean/np.var layer norm and vjp that ``ad.layer_norm`` replaced."""
+    mean = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    y = xhat * gamma + beta
+    dxhat = g * gamma
+    dx = inv_std * (dxhat
+                    - dxhat.mean(axis=1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+    return y, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+@settings(deadline=None, max_examples=30)
+@example(n_rows=1, dtype=np.float32, seed=0)
+@example(n_rows=1, dtype=np.float64, seed=0)
+@given(n_rows=st.integers(1, 300),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2 ** 16))
+def test_layer_norm_bit_equal_to_mean_var_formula(n_rows, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x, g = (rng.normal(1.0, 3.0, size=(n_rows, 48)).astype(dtype)
+            for _ in range(2))
+    gamma, beta = (rng.normal(1.0, 0.5, size=48).astype(dtype)
+                   for _ in range(2))
+    ad.reset_tape()
+    tx, tgamma, tbeta = (Tensor(a, requires_grad=True)
+                         for a in (x, gamma, beta))
+    out = ad.layer_norm(tx, tgamma, tbeta, 1e-5)
+    assert out.dtype == dtype
+    ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+    want = _layer_norm_reference(x, gamma, beta, 1e-5, g)
+    for got, ref in zip((out.data, tx.grad, tgamma.grad, tbeta.grad), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+def test_matmul_bias_grad_matches_fd():
+    rng = np.random.default_rng(12)
+    a = Tensor(rng.normal(size=(ad.ROW_BLOCK + 9, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(size=3), requires_grad=True)
+    w = Tensor(rng.normal(size=(a.shape[0], 3)))
+
+    def loss_fn():
+        return ad.tensor_sum(ad.mul(ad.matmul(a, b, bias=bias), w))
+
+    out = ad.matmul(a, b, bias=bias)
+    assert np.array_equal(out.data, a.data @ b.data + bias.data)
+    ad.backward(loss_fn())
+    for t in (a, b, bias):
+        assert max_rel_err(t.grad, fd_grad(loss_fn, t)) < 1e-6
+    assert np.array_equal(bias.grad, w.data.sum(axis=0))
+
+
+@pytest.mark.parametrize("frozen", ["b", "bias"])
+def test_matmul_frozen_weight_or_bias_gets_no_grad(frozen):
+    rng = np.random.default_rng(13)
+    t = {"a": Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+         "b": Tensor(rng.normal(size=(3, 2)), requires_grad=True),
+         "bias": Tensor(rng.normal(size=2), requires_grad=True)}
+    t[frozen].requires_grad = False
+    out = ad.matmul(t["a"], t["b"], bias=t["bias"])
+    (_, inputs, vjp), = ad.active_tape().entries
+    assert inputs == (t["a"], t["b"], t["bias"])
+    grads = dict(zip(("a", "b", "bias"), vjp(np.ones_like(out.data))))
+    for name, g in grads.items():
+        assert (g is None) == (name == frozen)
+    with pytest.raises(ShapeError, match="bias"):
+        ad.matmul(t["a"], t["b"], bias=Tensor(np.zeros(3)))
+
+
+def test_tensor_turns_non_floats_into_float64_and_keeps_float32():
+    assert Tensor([1, 2]).dtype == np.float64
+    assert Tensor(np.array([True, False])).dtype == np.float64
+    assert np.array_equal(Tensor(np.array([True, False])).data, [1.0, 0.0])
+    assert Tensor(np.arange(3, dtype=np.int32)).dtype == np.float64
+    assert Tensor(np.ones(2, dtype=np.float32)).dtype == np.float32
+    assert Tensor([1, 2], dtype=np.float32).dtype == np.float32
+    assert Tensor(3.5).dtype == np.float64
+
+
+def test_thread_started_inside_no_grad_records_on_its_own_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    seen = {}
+
+    def worker():
+        seen["enabled"] = ad.grad_enabled()
+        seen["empty"] = len(ad.active_tape()) == 0
+        y = ad.mul(x, x)
+        seen["recorded"] = y.requires_grad and len(ad.active_tape()) == 1
+        seen["tape"] = ad.active_tape()
+
+    ad.mul(x, x)  # one entry on this thread's tape
+    with ad.no_grad():
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert not ad.grad_enabled()
+    assert seen["enabled"] and seen["empty"] and seen["recorded"]
+    assert seen["tape"] is not ad.active_tape()
+    assert len(ad.active_tape()) == 1

@@ -241,6 +241,32 @@ def test_ablate_and_sweep_tables(workspace):
     assert [l.split(",")[0] for l in lines[1:]] == ["1", "3"]
 
 
+def test_split_without_loss_tokens_is_data_error(workspace, capsys):
+    root, run = workspace
+    # splicing a 180-character history mention after the dialogue pushes
+    # every loss-bearing token out of the 160-token window
+    mention = "fever " * 30
+    dialogue = {"id": "no-loss", "turns": [
+        {"speaker": "patient", "text": mention, "entities": [
+            {"start": 0, "end": len(mention), "label": "symptom"}]},
+        {"speaker": "doctor", "text": "flu"}]}
+    (root / "runs" / "no-loss.jsonl").write_text(
+        json.dumps(dialogue) + "\n", encoding="utf-8")
+    (root / "eval-no-loss.kv").write_text(
+        "eval.checkpoint = runs/pretrain/final.ckpt\n"
+        "data.corpus = runs/no-loss.jsonl\n"
+        "data.vocab = runs/vocab/vocab.txt\n"
+        "eval.part = all\n"
+        "loss_mask = response\n"
+        "splice = true\n"
+        "seed = 1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("eval", "eval-no-loss.kv", "x-no-loss") == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: data:"), err
+    assert "loss" in err[0]
+
+
 def _container_parts(raw: bytes):
     hlen = struct.unpack_from("<Q", raw, 8)[0]
     return json.loads(raw[16:16 + hlen]), raw[16 + hlen:]

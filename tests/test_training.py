@@ -12,7 +12,8 @@ from gptlab.corpus import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS,
                            SyntheticSpec, generate_synthetic, linearize,
                            save_corpus)
 from gptlab.errors import ConfigError, EmptyLossError, NumericError
-from gptlab.model import ModelConfig, init_parameters, load_checkpoint
+from gptlab.model import (ModelConfig, init_parameters, load_checkpoint,
+                          save_checkpoint)
 from gptlab.prompts import PROMPT_PARAM_NAME
 from gptlab.training import (MetricsLog, MetricsRow, OptimizerState,
                              RunConfig, ScheduleConfig, adamw_step,
@@ -155,6 +156,40 @@ def test_metrics_row_monotonicity_and_roundtrip(tmp_path):
     # seconds column is intentionally blank for rerun byte-identity
     assert all(line.endswith(",") for line in
                path.read_text().splitlines()[1:])
+
+
+def test_interrupted_writes_keep_previous_artifacts(tmp_path):
+    cfg = ModelConfig(n_layers=1, n_heads=2, hidden=8, vocab_size=11,
+                      max_len=16)
+    params = init_parameters(cfg, seed=0)
+    ckpt, csv = tmp_path / "final.ckpt", tmp_path / "metrics.csv"
+    save_checkpoint(ckpt, cfg, params)
+    log = MetricsLog()
+    log.add(MetricsRow(step=1, lr=1e-3, loss=2.0, ppl=math.exp(2.0)))
+    save_metrics(log, csv)
+    before = ckpt.read_bytes(), csv.read_bytes()
+
+    class Unwritable:
+        """A value that fails once the file is partly written."""
+        shape, size = (2,), 2
+
+        @property
+        def data(self):
+            raise RuntimeError("write failed")
+
+        def __repr__(self):
+            raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError, match="write failed"):
+        save_checkpoint(ckpt, cfg, {**params, "late": Unwritable()})
+    rerun = MetricsLog()
+    rerun.add(MetricsRow(step=1, lr=1e-3, loss=3.0, ppl=math.exp(3.0)))
+    rerun.add(MetricsRow(step=2, lr=Unwritable(), loss=1.0, ppl=math.e))
+    with pytest.raises(RuntimeError, match="write failed"):
+        save_metrics(rerun, csv)
+    assert (ckpt.read_bytes(), csv.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "final.ckpt", "metrics.csv"]
 
 
 def test_evaluate_ppl_uniform_model():
