@@ -368,8 +368,38 @@ class KVSlot:
         self.length = 0
 
 
+def suffix_rows(lengths: Sequence[int], first: Sequence[int]) -> np.ndarray:
+    """Packed indices of rows ``first[b]`` onwards of each sequence b, where
+    sequence b owns the next ``lengths[b]`` rows."""
+    lengths = np.asarray(lengths)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    own = np.arange(starts.size) - starts  # row index within its sequence
+    return np.flatnonzero(own >= np.repeat(first, lengths))
+
+
+def _padding(counts: list[int]):
+    """(pad, unpad) between packed rows, ``counts[b]`` rows per sequence,
+    and a zero-padded [B, T, C] layout; equal counts pad by a reshape."""
+    n_seq, t = len(counts), max(counts)
+    if min(counts) == t:
+        return (lambda rows: rows.reshape(n_seq, t, rows.shape[1]),
+                lambda padded: padded.reshape(-1, padded.shape[2]))
+    counts = np.asarray(counts)
+    seq_idx = np.repeat(np.arange(n_seq), counts)
+    pos_idx = np.arange(seq_idx.size) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+
+    def pad(rows):
+        out = np.zeros((n_seq, t, rows.shape[1]), dtype=rows.dtype)
+        out[seq_idx, pos_idx] = rows
+        return out
+
+    return pad, lambda padded: padded[seq_idx, pos_idx]
+
+
 def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
-              cache: Optional[KVSlot] = None) -> Tensor:
+              cache: Optional[KVSlot] = None,
+              first: Optional[Sequence[int]] = None) -> Tensor:
     """Causal multi-head self-attention over packed rows.
 
     Sequence b owns the next ``lengths[b]`` rows of ``qkv`` [N, 3H]; each
@@ -380,10 +410,14 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     result [N, H] comes back in packed order. Padded rows never reach the
     output, and the vjp is hand-written over the same layout.
 
+    With ``first`` only rows ``first[b]`` onwards of each sequence b ask a
+    query, and only their results come back, in packed order; keys and
+    values still come from every row. None means every row (all zeros).
+
     With a ``cache`` (one sequence, grad recording off) the rows continue
     the sequence whose first ``cache.length`` keys and values the cache
-    holds: the new keys and values are written after them, and new row i
-    attends to cached rows j <= cache.length + i.
+    holds: the new keys and values are written after them, and query j
+    attends to keys up to cache.length + first[0] + j.
     """
     qkv = _as_tensor(qkv)
     if qkv.data.ndim != 2 or qkv.shape[1] % (3 * n_heads):
@@ -398,6 +432,11 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     h = h3 // 3
     dk = h // n_heads
     n_seq, t_max = len(lengths), max(lengths)
+    firsts = [0] * n_seq if first is None else [int(f) for f in first]
+    if first is not None and (len(firsts) != n_seq or not all(
+            0 <= f < n for f, n in zip(firsts, lengths))):
+        raise ShapeError(f"first query rows {firsts} do not lie inside "
+                         f"sequences of lengths {lengths}")
     past = 0
     if cache is not None:
         if _tls.grad_enabled or n_seq != 1:
@@ -408,33 +447,21 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
             raise ShapeError(f"{past + n_rows} rows overflow a key/value "
                              f"cache of {cache.keys.shape[1]}")
     scale = 1.0 / math.sqrt(dk)
-    ragged = min(lengths) != t_max
-    if ragged:
-        lengths = np.asarray(lengths)
-        seq_idx = np.repeat(np.arange(n_seq), lengths)
-        pos_idx = np.arange(n_rows) - np.repeat(np.cumsum(lengths) - lengths,
-                                                lengths)
-
-    def pad(rows):  # [N, C] -> [B, T, C]
-        if not ragged:
-            return rows.reshape(n_seq, t_max, rows.shape[1])
-        out = np.zeros((n_seq, t_max, rows.shape[1]), dtype=rows.dtype)
-        out[seq_idx, pos_idx] = rows
-        return out
-
-    def unpad(padded):  # [B, T, C] -> [N, C]
-        if not ragged:
-            return padded.reshape(n_rows, padded.shape[2])
-        return padded[seq_idx, pos_idx]
+    pad, unpad = _padding(lengths)
+    rows = suffix_rows(lengths, firsts) if any(firsts) else None
+    n_queries = [n - f for n, f in zip(lengths, firsts)]
+    pad_q, unpad_q = (pad, unpad) if rows is None else _padding(n_queries)
+    t_q = max(n_queries)
 
     def split_heads(x):  # [B, T, H] -> [B, heads, T, d_k]
-        return x.reshape(n_seq, t_max, n_heads, dk).transpose(0, 2, 1, 3)
+        return x.reshape(n_seq, x.shape[1], n_heads, dk).transpose(0, 2, 1, 3)
 
     def merge_heads(x):  # [B, heads, T, d_k] -> [B, T, H]
-        return x.transpose(0, 2, 1, 3).reshape(n_seq, t_max, h)
+        return x.transpose(0, 2, 1, 3).reshape(n_seq, x.shape[2], h)
 
     padded = pad(qkv.data)
-    q = split_heads(padded[..., :h]) * scale
+    q = split_heads(padded[..., :h] if rows is None
+                    else pad_q(qkv.data[rows, :h])) * scale
     k = split_heads(padded[..., h:2 * h])
     v = split_heads(padded[..., 2 * h:])
     if cache is not None:
@@ -443,25 +470,33 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
         cache.length = past + n_rows
         k = cache.keys[None, :, :cache.length]
         v = cache.values[None, :, :cache.length]
-    keep = np.arange(past + t_max) <= past + np.arange(t_max)[:, None]
-    if ragged:
-        valid = np.arange(t_max) < lengths[:, None]
-        keep = (keep & valid[:, None, :])[:, None]
+    # query j of sequence b sits at key position past + first[b] + j; the
+    # mask is [T_q, T_k] when every sequence starts its queries at one row
+    at = past + (firsts[0] if len(set(firsts)) == 1
+                 else np.asarray(firsts)[:, None, None, None])
+    keep = np.arange(past + t_max) <= at + np.arange(t_q)[:, None]
+    if min(lengths) != t_max:
+        keep = keep & (np.arange(t_max) < np.asarray(lengths)[:, None]
+                       )[:, None, None]
     probs = _masked_softmax(np.matmul(q, k.transpose(0, 1, 3, 2)), keep)
-    out = Tensor(unpad(merge_heads(np.matmul(probs, v))),
+    out = Tensor(unpad_q(merge_heads(np.matmul(probs, v))),
                  requires_grad=_wants_grad(qkv))
 
     def vjp(g):
-        d_out = split_heads(pad(g))
+        d_out = split_heads(pad_q(g))
         d_scores = _softmax_vjp(probs, np.matmul(d_out, v.transpose(0, 1, 3, 2)))
+        d_q = np.matmul(d_scores, k)
+        d_q *= scale
         d_qkv = np.empty((n_seq, t_max, 3, n_heads, dk), dtype=g.dtype)
-        d_qkv[:, :, 0] = np.matmul(d_scores, k).transpose(0, 2, 1, 3)
-        d_qkv[:, :, 0] *= scale
+        d_qkv[:, :, 0] = 0.0 if rows is not None else d_q.transpose(0, 2, 1, 3)
         d_qkv[:, :, 1] = np.matmul(d_scores.transpose(0, 1, 3, 2),
                                    q).transpose(0, 2, 1, 3)
         d_qkv[:, :, 2] = np.matmul(probs.transpose(0, 1, 3, 2),
                                    d_out).transpose(0, 2, 1, 3)
-        return (unpad(d_qkv.reshape(n_seq, t_max, h3)),)
+        grad = unpad(d_qkv.reshape(n_seq, t_max, h3))
+        if rows is not None:  # the query rows get their gradient back
+            grad[rows, :h] = unpad_q(merge_heads(d_q))
+        return (grad,)
 
     _record(out, (qkv,), vjp)
     return out
@@ -638,8 +673,9 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     for p in parts:
-        if p.data.ndim != 2:
-            raise ShapeError(f"concat needs 2-D tensors, got {p.shape}")
+        if p.data.ndim != 2 or p.shape[1] != parts[0].shape[1]:
+            raise ShapeError("concat needs 2-D tensors with one column "
+                             f"count, got {[q.shape for q in parts]}")
     out = Tensor(np.concatenate([p.data for p in parts]),
                  requires_grad=_wants_grad(*parts))
     splits = np.cumsum([p.shape[0] for p in parts])[:-1]

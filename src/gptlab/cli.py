@@ -12,6 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .atomic import atomic_write
 from .config import (KV, load_run_config, parse_counts, parse_ratio, write_kv)
 from .corpus import (SyntheticSpec, generate_synthetic, load_corpus,
@@ -273,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result is a NumericError, not a stream of warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
     except DataError as exc:

@@ -15,7 +15,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -203,13 +203,22 @@ def _block(x: Tensor, params: dict[str, Tensor], layer: int,
            config: ModelConfig, lengths: list[int],
            attn_keep: Optional[np.ndarray],
            ffw_keep: Optional[np.ndarray],
-           cache: Optional[KVCache]) -> Tensor:
+           cache: Optional[KVCache],
+           first: Optional[Sequence[int]] = None) -> Tensor:
+    """One pre-norm block; with ``first`` only rows first[b] onwards of
+    each sequence b come out (keys and values still use every row)."""
     p = f"layer{layer}"
     normed = ad.layer_norm(x, params[f"{p}.ln1.gamma"],
                            params[f"{p}.ln1.beta"], LN_EPS)
     heads = ad.attention(ad.matmul(normed, params[f"{p}.wqkv"]),
                          config.n_heads, lengths,
-                         None if cache is None else cache.layers[layer])
+                         None if cache is None else cache.layers[layer],
+                         first=first)
+    if first is not None:
+        rows = ad.suffix_rows(lengths, first)
+        x = ad.take_rows(x, rows)
+        attn_keep, ffw_keep = (None if m is None else m[rows]
+                               for m in (attn_keep, ffw_keep))
     attn = _dropout(ad.matmul(heads, params[f"{p}.attn_out"]), attn_keep)
     x = ad.add(x, attn)
     normed = ad.layer_norm(x, params[f"{p}.ln2.gamma"],
@@ -225,7 +234,8 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
                   config: ModelConfig, prompts: Optional[Tensor] = None,
                   train: bool = False,
                   rng: Optional[np.random.Generator] = None,
-                  cache: Optional[KVCache] = None) -> Tensor:
+                  cache: Optional[KVCache] = None,
+                  first: Optional[Sequence[int]] = None) -> Tensor:
     """Logits over the vocabulary for a batch, on packed rows: sequence b
     owns P + len(seqs[b]) consecutive rows, its P prompt rows first.
 
@@ -233,8 +243,18 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
     token can attend to every prompt row of its own sequence, and no
     sequence sees another. With a ``cache`` the one sequence continues the
     rows already cached (see ``autodiff.attention``).
+
+    With ``first``, logits come back for rows first[b] onwards (prompt
+    rows counted) of each sequence b only: the last block after its
+    key/value map, the final norm and the LM head run on those rows alone.
+    Dropout masks are drawn for every row all the same.
     """
     n_prompt = prompts.shape[0] if prompts is not None else 0
+    if prompts is not None and prompts.shape[1:] != (config.hidden,):
+        raise ConfigError(f"prompt matrix of shape {prompts.shape} needs "
+                          f"rows of the hidden size {config.hidden}")
+    if first is not None and not any(first):
+        first = None  # every row
     masks = _dropout_masks(seqs, n_prompt, config, rng if train else None,
                            params["tok_emb"].dtype)
     x = _dropout(_embed_rows(seqs, params, config), masks[0])
@@ -248,7 +268,8 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
         x = ad.take_rows(ad.concat_rows([prompts, x]), layout)
     for layer in range(config.n_layers):
         x = _block(x, params, layer, config, lengths,
-                   masks[1 + 2 * layer], masks[2 + 2 * layer], cache)
+                   masks[1 + 2 * layer], masks[2 + 2 * layer], cache,
+                   first if layer == config.n_layers - 1 else None)
     x = ad.layer_norm(x, params["ln_f.gamma"], params["ln_f.beta"], LN_EPS)
     return ad.matmul(x, ad.transpose(params["tok_emb"]))  # tied LM head
 
@@ -257,8 +278,9 @@ def forward(seq: TokenSequence, params: dict[str, Tensor],
             config: ModelConfig, prompts: Optional[Tensor] = None,
             train: bool = False,
             rng: Optional[np.random.Generator] = None,
-            cache: Optional[KVCache] = None) -> Tensor:
-    """Logits over the vocabulary, one row per (prompt or real) position.
+            cache: Optional[KVCache] = None, first: int = 0) -> Tensor:
+    """Logits over the vocabulary, one row per (prompt or real) position
+    from row ``first`` on.
 
     With a prompt matrix the rows are prepended before the embedded
     sequence: prompts get no positional/lexical/entity additions, and
@@ -267,7 +289,7 @@ def forward(seq: TokenSequence, params: dict[str, Tensor],
     come back.
     """
     return forward_batch([seq], params, config, prompts=prompts, train=train,
-                         rng=rng, cache=cache)
+                         rng=rng, cache=cache, first=[first])
 
 
 def shifted_targets(seq: TokenSequence, n_prompt: int = 0
@@ -285,33 +307,38 @@ def shifted_targets(seq: TokenSequence, n_prompt: int = 0
     return targets, mask
 
 
-def _row_loss(logits: Tensor, seqs: list[TokenSequence],
-              n_prompt: int) -> Tensor:
-    """Mean over sequences of each sequence's mean next-token NLL over its
-    unmasked positions: one cross-entropy over the packed logit rows, where
-    a loss row of sequence b weighs 1/(B * n_b)."""
-    targets, masks, weights = [], [], []
+def _loss_rows(seqs: list[TokenSequence], n_prompt: int):
+    """Each sequence's first loss row, and the packed targets, loss mask
+    and weights of the rows from there on. A loss row of sequence b weighs
+    1/(B * n_b), so the weighted NLL sum is the mean over sequences of each
+    sequence's mean next-token NLL over its unmasked positions."""
+    first, targets, masks, weights = [], [], [], []
     for seq in seqs:
+        seq.check()
         t, m = shifted_targets(seq, n_prompt)
         n_live = int(m.sum())
         if n_live == 0:
             raise EmptyLossError("all positions masked out of the loss")
-        targets.append(t)
-        masks.append(m)
-        weights.append(m / (len(seqs) * n_live))
-    return ad.cross_entropy(logits, np.concatenate(targets),
-                            np.concatenate(masks), np.concatenate(weights))
+        f = int(np.argmax(m))
+        first.append(f)
+        targets.append(t[f:])
+        masks.append(m[f:])
+        weights.append(m[f:] / (len(seqs) * n_live))
+    return (first, np.concatenate(targets), np.concatenate(masks),
+            np.concatenate(weights))
 
 
 def batch_loss(seqs: list[TokenSequence], params: dict[str, Tensor],
                config: ModelConfig, prompts: Optional[Tensor] = None,
                train: bool = False,
                rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Mean over the batch of each sequence's lm_loss, in one graph."""
-    logits = forward_batch(seqs, params, config, prompts=prompts,
-                           train=train, rng=rng)
+    """Mean over the batch of each sequence's lm_loss, in one graph; the
+    last block and the LM head run only from each first loss row on."""
     n_prompt = prompts.shape[0] if prompts is not None else 0
-    return _row_loss(logits, seqs, n_prompt)
+    first, targets, mask, weights = _loss_rows(seqs, n_prompt)
+    logits = forward_batch(seqs, params, config, prompts=prompts,
+                           train=train, rng=rng, first=first)
+    return ad.cross_entropy(logits, targets, mask, weights)
 
 
 def lm_loss(seq: TokenSequence, params: dict[str, Tensor],
@@ -319,9 +346,11 @@ def lm_loss(seq: TokenSequence, params: dict[str, Tensor],
             train: bool = False,
             rng: Optional[np.random.Generator] = None) -> Tensor:
     """Mean next-token NLL over the sequence's unmasked positions."""
-    logits = forward(seq, params, config, prompts=prompts, train=train, rng=rng)
     n_prompt = prompts.shape[0] if prompts is not None else 0
-    return _row_loss(logits, [seq], n_prompt)
+    first, targets, mask, weights = _loss_rows([seq], n_prompt)
+    logits = forward(seq, params, config, prompts=prompts, train=train,
+                     rng=rng, first=first[0])
+    return ad.cross_entropy(logits, targets, mask, weights)
 
 
 def generate(history: TokenSequence, params: dict[str, Tensor],
@@ -332,8 +361,9 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
     """Autoregressive decoding; greedy is deterministic, top-k is
     deterministic under seed. New tokens are annotated OTHER/0.
 
-    Prompts and history run once, filling a key/value cache; after that
-    each new token is fed as a one-row sequence.
+    Prompts and history run once, filling a key/value cache, with logits
+    for their last row only; after that each new token is fed as a one-row
+    sequence.
     """
     if strategy not in ("greedy", "top_k"):
         raise ConfigError(f"unknown decoding strategy {strategy!r}")
@@ -344,12 +374,14 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
     n_prompt = prompts.shape[0] if prompts is not None else 0
     cache = KVCache(config, n_prompt, params["tok_emb"].dtype)
     step, n = history, len(history)
+    rows = n_prompt + n  # rows of this call; logits come for the last
     out: list[int] = []
     with ad.no_grad():
         while len(out) < max_new and n < config.max_len:
             logits = forward(step, params, config, prompts=prompts,
-                             cache=cache).data[-1]
+                             cache=cache, first=rows - 1).data[0]
             prompts = None  # their keys and values are in the cache
+            rows = 1
             if strategy == "greedy":
                 nxt = int(np.argmax(logits))
             else:
@@ -402,6 +434,8 @@ def _is_count(value) -> bool:
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Load a container, verifying its framing, header, tensor table and
     every shape against the config; a malformed file raises CheckpointError.
+    Tensors lie back to back from offset 0 in header order, as
+    ``save_checkpoint`` writes them.
 
     Besides the backbone, the only tensor a container may hold is a prompt
     matrix under PROMPT_PARAM_NAME, one row of width ``hidden`` per prompt.
@@ -427,12 +461,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
         config = ModelConfig.from_dict(header["config"])
         entries = [(e["name"], e["shape"], e["dtype"], e["offset"],
                     e["nbytes"]) for e in header["tensors"]]
+        expected = parameter_shapes(config)
     except (ValueError, KeyError, TypeError, ArithmeticError,
             ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
     body = memoryview(blob)[preamble + hlen:]
-    expected = parameter_shapes(config)
     tensors: dict[str, Tensor] = {}
+    end = 0  # where the previous tensor's bytes stop
     for name, shape, dtype, offset, nbytes in entries:
         if not (isinstance(name, str) and isinstance(shape, list)
                 and all(map(_is_count, shape))
@@ -457,7 +492,12 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
             raise CheckpointError(
                 f"{path}: tensor {name} stores {nbytes} bytes of {dtype!r}, "
                 f"shape {shape} needs {4 * count} of '<f4'")
-        if offset + nbytes > len(body):
+        if offset != end:
+            raise CheckpointError(
+                f"{path}: tensor {name} starts at byte {offset}, the "
+                f"previous one ends at {end}")
+        end = offset + nbytes
+        if end > len(body):
             raise CheckpointError(
                 f"{path}: tensor {name} runs past the end of the data")
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset)

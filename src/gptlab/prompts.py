@@ -11,7 +11,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
 from .model import INIT_STD, PROMPT_PARAM_NAME
@@ -24,10 +23,6 @@ class PromptEmbeddings:
     @property
     def count(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass
@@ -53,21 +48,6 @@ def init_prompts(v_p: int, hidden: int, seed: int,
     data = rng.normal(0.0, INIT_STD, size=(v_p, hidden)).astype(dtype)
     return PromptEmbeddings(Tensor(data, requires_grad=True,
                                    name=PROMPT_PARAM_NAME))
-
-
-def attach_prefix(embedded: Tensor, prompts: PromptEmbeddings,
-                  loss_mask: Sequence[bool]) -> tuple[Tensor, list[bool]]:
-    """Prepend prompt rows to an embedded sequence.
-
-    Returns the extended representation and a loss mask that is False at
-    every prompt position; causality among the real tokens is untouched
-    because prompts only add earlier rows.
-    """
-    if prompts.hidden != embedded.shape[1]:
-        raise ConfigError(
-            f"prompt width {prompts.hidden} != hidden size {embedded.shape[1]}")
-    extended = ad.concat_rows([prompts.matrix, embedded])
-    return extended, [False] * prompts.count + list(loss_mask)
 
 
 def apply_freeze(params: dict[str, Tensor],

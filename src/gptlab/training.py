@@ -354,15 +354,9 @@ def _effective_config(run: RunConfig, vocab_size: int
 
 def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
                  seqs: list[TokenSequence],
-                 prompts: Optional[PromptEmbeddings] = None,
-                 weighting: str = "token") -> float:
-    """exp of the mean masked NLL over the dataset.
-
-    "token" weights every unmasked token equally across the dataset;
-    "dialogue" averages the per-dialogue mean NLLs instead.
-    """
-    if weighting not in ("token", "dialogue"):
-        raise ConfigError(f"unknown PPL weighting {weighting!r}")
+                 prompts: Optional[PromptEmbeddings] = None) -> float:
+    """exp of the mean masked NLL over the dataset, every unmasked token
+    weighted equally; NumericError when that is not a finite number."""
     if not seqs:
         raise DataError("cannot evaluate perplexity on an empty dataset")
     total_nll = 0.0
@@ -374,12 +368,18 @@ def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
             if n == 0:
                 continue
             loss = lm_loss(seq, params, config, prompts=prompt_matrix)
-            w = n if weighting == "token" else 1
-            total_nll += float(loss.data) * w
-            total_weight += w
+            total_nll += float(loss.data) * n
+            total_weight += n
     if total_weight == 0:
         raise EmptyLossError("no loss-contributing tokens in the dataset")
-    return math.exp(total_nll / total_weight)
+    mean_nll = total_nll / total_weight
+    try:
+        ppl = math.exp(mean_nll)
+    except OverflowError:
+        ppl = math.inf
+    if not math.isfinite(ppl):
+        raise NumericError(f"mean NLL {mean_nll!r} has no finite perplexity")
+    return ppl
 
 
 # glibc mallopt parameters (malloc.h)

@@ -295,6 +295,11 @@ def test_concat_grads_split_back():
     assert np.array_equal(d.grad, np.ones((5, 2)))
 
 
+def test_concat_rejects_mismatched_column_counts():
+    with pytest.raises(ShapeError):
+        ad.concat_rows([Tensor(np.ones((2, 3))), Tensor(np.ones((1, 4)))])
+
+
 def test_transpose_roundtrip_grad():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     w = Tensor(np.arange(6.0).reshape(3, 2))
@@ -379,6 +384,51 @@ def test_attention_grad_matches_fd(lengths):
 
     ad.backward(loss_fn())
     assert max_rel_err(qkv.grad, fd_grad(loss_fn, qkv)) < 1e-3
+
+
+@pytest.mark.parametrize("lengths,first",
+                         [([4], [2]), ([3, 1, 5], [1, 0, 3]), ([2, 3], [1, 1])])
+def test_attention_with_first_grad_matches_fd(lengths, first):
+    """Only rows first[b]: ask queries; every row still gives keys and
+    values, and rows before first[b] get no query gradient."""
+    rng = np.random.default_rng(11)
+    qkv = Tensor(rng.normal(size=(sum(lengths), 12)), requires_grad=True)
+    rows = ad.suffix_rows(lengths, first)
+    w = Tensor(rng.normal(size=(rows.size, 4)))
+
+    def loss_fn():
+        return ad.tensor_sum(ad.mul(ad.attention(qkv, 2, lengths,
+                                                 first=first), w))
+
+    ad.backward(loss_fn())
+    assert max_rel_err(qkv.grad, fd_grad(loss_fn, qkv)) < 1e-3
+    asked = np.zeros(sum(lengths), dtype=bool)
+    asked[rows] = True
+    assert not qkv.grad[~asked, :4].any()
+    with ad.no_grad():
+        full = ad.attention(qkv, 2, lengths).data
+        assert np.allclose(ad.attention(qkv, 2, lengths, first=first).data,
+                           full[rows], rtol=0, atol=1e-15)
+
+
+def test_attention_with_first_after_a_cache_offset():
+    """Query j of a cached call sits at key position length + first + j."""
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(9, 12))
+    slot = ad.KVSlot(2, 12, 2, np.float64)
+    with ad.no_grad():
+        full = ad.attention(Tensor(rows), 2, [9]).data
+        head = ad.attention(Tensor(rows[:4]), 2, [4], cache=slot, first=[3])
+        tail = ad.attention(Tensor(rows[4:]), 2, [5], cache=slot, first=[2])
+    assert slot.length == 9
+    assert np.allclose(head.data, full[3:4], rtol=0, atol=1e-15)
+    assert np.allclose(tail.data, full[6:], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("first", [[2], [-1], [0, 0]])
+def test_attention_first_outside_the_sequence_rejected(first):
+    with pytest.raises(ShapeError):
+        ad.attention(Tensor(np.zeros((2, 6))), 1, [2], first=first)
 
 
 def test_attention_sequences_are_independent():

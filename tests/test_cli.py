@@ -1,20 +1,27 @@
 """End-to-end command surface tests on a miniature pipeline."""
+import contextlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gptlab
-from gptlab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from gptlab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from gptlab.config import read_kv
 from gptlab.corpus import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS,
                            SyntheticSpec, generate_synthetic, load_corpus,
                            save_corpus, split)
-from gptlab.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from gptlab.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                          PROMPT_PARAM_NAME, load_checkpoint, save_checkpoint)
+from gptlab.prompts import init_prompts
 from gptlab.training import (load_metrics, prepare_sequences, spawn_seeds)
 from gptlab.vocab import build_vocab, load_vocab, save_vocab
 
@@ -302,6 +309,8 @@ MALFORMED_CHECKPOINTS = {
     "nbytes-mismatch": lambda raw: _retabled(
         raw, lambda t: t[0].update(nbytes=t[0]["nbytes"] - 4)),
     "past-end": lambda raw: raw[:-4],
+    "offset-gap": lambda raw: _retabled(
+        raw, lambda t: t[1].update(offset=t[1]["offset"] + 4)),
     "unknown-name": lambda raw: _retabled(
         raw, lambda t: t[-1].update(name="layer0.head0.wq")),
     "prompt-width": _with_wide_prompts,
@@ -324,6 +333,73 @@ def test_eval_rejects_malformed_checkpoint(workspace, capsys, case):
     assert run("eval", f"eval-{case}.kv", f"x-{case}") == EXIT_DATA
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: data:"), err
+
+
+@pytest.fixture(scope="module")
+def prompted_checkpoint(workspace):
+    """The pretrained backbone plus a prompt matrix, saved after it: the
+    layout of a p-tuned checkpoint."""
+    root, _ = workspace
+    config, tensors = load_checkpoint(root / "runs" / "pretrain" / "final.ckpt")
+    tensors[PROMPT_PARAM_NAME] = init_prompts(2, config.hidden, seed=4).matrix
+    path = root / "runs" / "prompted.ckpt"
+    save_checkpoint(path, config, tensors)
+    return path.read_bytes()
+
+
+def _mutated(raw: bytes, mutation) -> bytes:
+    kind, at, arg = mutation
+    if kind == "offset":  # move one tensor's offset in the header
+        def shift(table):
+            table[at % len(table)]["offset"] += arg
+        return _retabled(raw, shift)
+    at %= len(raw)
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ (1 << arg)]) + raw[at + 1:]
+    return raw[:at] + arg[:len(raw) - at] + raw[at + len(arg):]
+
+
+# positions are taken modulo the file size; small ones land in the header
+POSITIONS = st.integers(0, 4096) | st.integers(0, 1 << 20)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), POSITIONS, st.none()),
+    st.tuples(st.just("flip"), POSITIONS, st.integers(0, 7)),
+    st.tuples(st.just("overwrite"), POSITIONS,
+              st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("offset"), st.integers(0, 64), st.integers(-8, 8)))
+
+
+@settings(max_examples=40, deadline=None)
+@example(mutation=("offset", -2, 1))  # ln_f.beta reads one byte late
+@example(mutation=("overwrite", -4, b"\x00\x00\x80\x7f"))  # an inf weight
+@given(mutation=MUTATIONS)
+def test_eval_of_mutated_checkpoint_keeps_the_exit_contract(
+        workspace, prompted_checkpoint, mutation):
+    """Exit 0, or exit 3/4 with one ``error:`` line; never a traceback."""
+    root, run = workspace
+    (root / "runs" / "mutant.ckpt").write_bytes(
+        _mutated(prompted_checkpoint, mutation))
+    (root / "eval-mutant.kv").write_text(
+        "eval.checkpoint = runs/mutant.ckpt\n"
+        "data.corpus = runs/b/corpus.jsonl\n"
+        "data.vocab = runs/vocab/vocab.txt\n"
+        "eval.part = all\n"
+        "seed = 1\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")  # a warning would be a stderr line
+        code = run("eval", "eval-mutant.kv", "x-mutant", "--force")
+    lines = err.getvalue().splitlines() + [str(w.message) for w in warned]
+    if code == EXIT_OK:
+        assert lines == []
+    else:
+        category = {EXIT_DATA: "data", EXIT_NUMERIC: "numeric"}[code]
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: {category}:"), lines
 
 
 def run_cli_at_blas_threads(threads: str, *args: str) -> None:
@@ -357,6 +433,18 @@ def test_artifacts_identical_at_one_and_two_blas_threads(tmp_path):
         "lr.peak = 2e-3\nlr.min = 2e-4\n"
         "lr.warmup_steps = 5\nlr.decay_end_step = 60\n"
         "loss_mask = all\nseed = 1\n", encoding="utf-8")
+    # p-tuning runs the last block on a subset of query rows
+    (tmp_path / "ptune.kv").write_text(
+        "mode = ptune\n"
+        "data.corpus = corpus.jsonl\n"
+        "data.vocab = vocab.txt\n"
+        "data.split = 4:1\n"
+        "backbone = threads1/final.ckpt\n"
+        "ptune.v_p = 4\nloss_mask = response\n"
+        "train.batch_size = 64\ntrain.epochs = 2\n"
+        "lr.peak = 2e-3\nlr.min = 2e-4\n"
+        "lr.warmup_steps = 5\nlr.decay_end_step = 60\n"
+        "seed = 1\n", encoding="utf-8")
     # one step per epoch over every train sequence: the weight gradients
     # reduce over a packed row count that is long and not a multiple of 128
     train_dlgs, _ = split(corpus, (4, 1), spawn_seeds(1)[1])
@@ -368,9 +456,14 @@ def test_artifacts_identical_at_one_and_two_blas_threads(tmp_path):
         run_cli_at_blas_threads(threads, "pretrain",
                                 "--config", str(tmp_path / "pretrain.kv"),
                                 "--out", str(tmp_path / f"threads{threads}"))
-    for name in ("metrics.csv", "final.ckpt"):
-        assert ((tmp_path / "threads1" / name).read_bytes()
-                == (tmp_path / "threads2" / name).read_bytes()), name
+    for threads in ("1", "2"):
+        run_cli_at_blas_threads(threads, "ptune",
+                                "--config", str(tmp_path / "ptune.kv"),
+                                "--out", str(tmp_path / f"ptune{threads}"))
+    for run in ("threads", "ptune"):
+        for name in ("metrics.csv", "final.ckpt"):
+            assert ((tmp_path / f"{run}1" / name).read_bytes()
+                    == (tmp_path / f"{run}2" / name).read_bytes()), (run, name)
 
 
 def test_generation_identical_at_one_and_two_blas_threads(workspace):

@@ -11,9 +11,11 @@ from gptlab.errors import CheckpointError, ConfigError, GptLabError, ShapeError
 from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, KVCache, ModelConfig,
                           batch_loss, embed, forward, forward_batch, generate,
                           init_parameters, lm_loss, load_checkpoint,
-                          parameter_count, parameter_shapes, save_checkpoint)
+                          parameter_count, parameter_shapes, save_checkpoint,
+                          shifted_targets)
 from gptlab.prompts import init_prompts
-from gptlab.training import OptimizerState, adamw_step, clip_grad_norm
+from gptlab.training import (OptimizerState, adamw_step, clip_grad_norm,
+                             evaluate_ppl)
 
 from .util import fd_grad, max_rel_err
 
@@ -389,6 +391,105 @@ def test_batched_step_equals_mean_of_per_sequence_steps(n_prompt):
     for n, t in tensors.items():
         scale = np.max(np.abs(mean_grads[n]))
         assert np.max(np.abs(t.grad - mean_grads[n])) <= 1e-12 * scale, n
+
+
+def full_row_loss(seqs, params, cfg, prompts=None, train=False, rng=None):
+    """batch_loss without row pruning: every row runs through the whole
+    model and the unscored rows are masked out of the cross-entropy."""
+    n_prompt = prompts.shape[0] if prompts is not None else 0
+    logits = forward_batch(seqs, params, cfg, prompts=prompts, train=train,
+                           rng=rng)
+    targets, masks, weights = [], [], []
+    for seq in seqs:
+        t, m = shifted_targets(seq, n_prompt)
+        targets.append(t)
+        masks.append(m)
+        weights.append(m / (len(seqs) * m.sum()))
+    return ad.cross_entropy(logits, np.concatenate(targets),
+                            np.concatenate(masks), np.concatenate(weights))
+
+
+def response_batch():
+    """Ragged sequences whose loss starts at different rows."""
+    return [make_seq([1, 5, 3, 0, 2, 6, 4], tags=[0, 1, 2, 3, 0, 1, 2],
+                     flags=[0, 1, 1, 0, 0, 1, 0], mask=[False] * 4 + [True] * 3),
+            make_seq([2, 4, 6], mask=[False, False, True]),
+            make_seq([6, 1, 1, 3, 5], flags=[1, 1, 0, 0, 0],
+                     mask=[False, False, True, False, True])]
+
+
+def test_pruned_batch_loss_matches_full_rows_float64():
+    cfg = tiny_config(n_layers=2, hidden=8, n_heads=2, dropout=0.3)
+    params = params64(cfg, seed=30)
+    prompts = init_prompts(2, cfg.hidden, seed=31, dtype=np.float64).matrix
+    tensors = dict(params, prompts=prompts)
+    seqs = response_batch()
+    first = [2 + 3, 2 + 1, 2 + 1]  # the row before each first loss token
+    runs = []
+    for loss_fn in (batch_loss, full_row_loss):
+        rng = np.random.default_rng(32)
+        ad.reset_tape()
+        loss = loss_fn(seqs, params, cfg, prompts=prompts, train=True, rng=rng)
+        ad.backward(loss)
+        runs.append((float(loss.data), {n: t.grad for n, t in tensors.items()},
+                     rng.bit_generator.state))
+        for t in tensors.values():
+            t.zero_grad()
+    (loss, grads, state), (ref_loss, ref_grads, ref_state) = runs
+    assert state == ref_state  # dropout drew the same masks
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for n, g in ref_grads.items():
+        assert np.max(np.abs(grads[n] - g)) <= 1e-12 * np.max(np.abs(g)), n
+    with ad.no_grad():
+        pruned = forward_batch(seqs, params, cfg, prompts=prompts, first=first)
+        full = forward_batch(seqs, params, cfg, prompts=prompts).data
+    assert pruned.shape[0] == sum(2 + len(s) - f for s, f in zip(seqs, first))
+    assert np.allclose(pruned.data, full[ad.suffix_rows(
+        [2 + len(s) for s in seqs], first)], rtol=0, atol=1e-12)
+
+
+def random_response_seqs(rng, n, vocab_size, lo, hi):
+    seqs = []
+    for _ in range(n):
+        length = int(rng.integers(lo, hi))
+        start = int(rng.integers(1, length - 1))  # the reply's first token
+        seqs.append(make_seq(rng.integers(0, vocab_size, length).tolist(),
+                             flags=rng.integers(0, 2, length).tolist(),
+                             mask=[False] * start + [True] * (length - start)))
+    return seqs
+
+
+def test_pruned_prompt_grad_and_ppl_bit_equal_float32():
+    """Against a frozen backbone the pruned rows change no bit of the loss,
+    the prompt gradient or the perplexity."""
+    cfg = ModelConfig(n_layers=2, n_heads=4, hidden=32, vocab_size=40,
+                      max_len=96, dropout=0.1)
+    params = init_parameters(cfg, seed=33)
+    for t in params.values():
+        t.requires_grad = False
+    prompts = init_prompts(8, cfg.hidden, seed=34)
+    seqs = random_response_seqs(np.random.default_rng(35), 12,
+                                cfg.vocab_size, 20, 80)
+    runs = []
+    for loss_fn in (batch_loss, full_row_loss):
+        rng = np.random.default_rng(36)
+        ad.reset_tape()
+        loss = loss_fn(seqs, params, cfg, prompts=prompts.matrix, train=True,
+                       rng=rng)
+        ad.backward(loss)
+        runs.append((loss.data.copy(), prompts.matrix.grad))
+        prompts.matrix.zero_grad()
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1], runs[1][1])
+
+    total, count = 0.0, 0
+    with ad.no_grad():
+        for seq in seqs:
+            n = sum(seq.loss_mask[1:])
+            total += float(full_row_loss([seq], params, cfg,
+                                         prompts=prompts.matrix).data) * n
+            count += n
+    assert evaluate_ppl(params, cfg, seqs, prompts) == math.exp(total / count)
 
 
 def test_dropout_consumes_rng_per_sequence_in_site_order():

@@ -6,9 +6,10 @@ import pytest
 from gptlab import autodiff as ad
 from gptlab.autodiff import Tensor
 from gptlab.errors import ConfigError
-from gptlab.model import ModelConfig, embed, forward, init_parameters, lm_loss
+from gptlab.model import (ModelConfig, forward, init_parameters, lm_loss,
+                          shifted_targets)
 from gptlab.prompts import (PROMPT_PARAM_NAME, FreezeSpec, apply_freeze,
-                            attach_prefix, init_prompts, sweep_prompt_counts)
+                            init_prompts, sweep_prompt_counts)
 from gptlab.training import OptimizerState, adamw_step
 
 from .test_model import (make_seq, straight_line_blocks, straight_line_embed,
@@ -39,23 +40,29 @@ def test_init_prompts_zero_count_rejected():
         init_prompts(0, 16, seed=0)
 
 
-def test_attach_prefix_shapes_and_mask():
+def test_prompt_rows_come_first_and_carry_no_loss():
     cfg = tiny_config()
     params = init_parameters(cfg, seed=0, dtype=np.float64)
     seq = make_seq([1, 2], mask=[False, True])
-    x = embed(seq, params, cfg)
     prompts = init_prompts(1, cfg.hidden, seed=1, dtype=np.float64)
-    ext, mask = attach_prefix(x, prompts, seq.loss_mask)
-    assert ext.shape == (3, cfg.hidden)
-    assert mask == [False, False, True]
-    assert np.array_equal(ext.data[0], prompts.matrix.data[0])
-    assert np.array_equal(ext.data[1:], x.data)
+    got = forward(seq, params, cfg, prompts=prompts.matrix).data
+    # the model input is [prompt row; embedded tokens], in that order
+    full = np.concatenate([prompts.matrix.data,
+                           straight_line_embed(seq, params, cfg)])
+    want = straight_line_blocks(full, params, cfg) @ params["tok_emb"].data.T
+    assert got.shape == (3, cfg.vocab_size)
+    assert np.max(np.abs(got - want)) < 1e-10
+    targets, mask = shifted_targets(seq, n_prompt=1)
+    assert mask.tolist() == [False, True, False]
+    assert targets[1] == 2
 
 
-def test_attach_prefix_width_mismatch():
+def test_forward_rejects_prompt_width_mismatch():
+    cfg = tiny_config()
+    params = init_parameters(cfg, seed=0)
     prompts = init_prompts(2, 8, seed=0)
     with pytest.raises(ConfigError):
-        attach_prefix(Tensor(np.zeros((3, 4))), prompts, [False] * 3)
+        forward(make_seq([1, 2, 3]), params, cfg, prompts=prompts.matrix)
 
 
 def test_zero_prompts_match_hand_built_prefixed_model():

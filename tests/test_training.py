@@ -221,7 +221,7 @@ def test_evaluate_ppl_empty_mask_rejected():
         evaluate_ppl(params, cfg, [seq])
 
 
-def test_evaluate_ppl_dialogue_weighting():
+def test_evaluate_ppl_weights_every_token_equally():
     cfg = ModelConfig(n_layers=1, n_heads=2, hidden=8, vocab_size=16,
                       max_len=16, dropout=0.0)
     params = init_parameters(cfg, seed=3)
@@ -237,13 +237,19 @@ def test_evaluate_ppl_dialogue_weighting():
     by_dialogue = math.exp(sum(losses) / 2)
     by_token = math.exp(
         sum(l * n for l, n in zip(losses, counts)) / sum(counts))
-    assert rel_close(evaluate_ppl(params, cfg, seqs, weighting="dialogue"),
-                     by_dialogue, 1e-12)
-    assert rel_close(evaluate_ppl(params, cfg, seqs, weighting="token"),
-                     by_token, 1e-12)
+    assert rel_close(evaluate_ppl(params, cfg, seqs), by_token, 1e-12)
     assert not rel_close(by_dialogue, by_token, 1e-6)  # genuinely different
-    with pytest.raises(ConfigError):
-        evaluate_ppl(params, cfg, seqs, weighting="chars")
+
+
+@pytest.mark.parametrize("scale", [1e6, float("nan")])
+def test_evaluate_ppl_without_finite_perplexity_is_numeric_error(scale):
+    """A mean NLL whose exp overflows (huge logits) or that is NaN."""
+    cfg = ModelConfig(n_layers=1, n_heads=2, hidden=8, vocab_size=16,
+                      max_len=16, dropout=0.0)
+    params = init_parameters(cfg, seed=4)
+    params["ln_f.gamma"].data *= np.float32(scale)
+    with pytest.raises(NumericError):
+        evaluate_ppl(params, cfg, [make_seq([1, 2, 3, 4])])
 
 
 # --- end-to-end train() ---
