@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from enum import IntEnum
 from typing import Callable, Iterable, Sequence
 
@@ -71,32 +72,21 @@ def dictionary_tagger(nouns: Sequence[str], adjectives: Sequence[str],
 def splice_entities(seq, entity_texts: Sequence[str], vocab: Vocab,
                     max_len: int):
     """Discrete-append baseline: original sequence, a separator marker,
-    then the concatenated entity mentions.
+    then the concatenated entity mentions; ``seq`` itself when there are
+    no mentions.
 
     Appended tokens are OTHER/0, excluded from the loss, and the result is
     re-truncated to the most recent max_len tokens. PAD doubles as the
     separator: sequences are never padded, so the id is free.
     """
-    from .corpus import TokenSequence
-
     if not entity_texts:
-        return TokenSequence(ids=list(seq.ids),
-                             lexical_tags=list(seq.lexical_tags),
-                             entity_flags=list(seq.entity_flags),
-                             loss_mask=list(seq.loss_mask),
-                             position_ids=list(seq.position_ids))
+        return seq
     appended = [vocab.pad_id]
     for text in entity_texts:
         appended.extend(encode(text, vocab))
-    ids = list(seq.ids) + appended
-    tags = list(seq.lexical_tags) + [int(LexTag.OTHER)] * len(appended)
-    flags = list(seq.entity_flags) + [0] * len(appended)
-    mask = list(seq.loss_mask) + [False] * len(appended)
-    if len(ids) > max_len:
-        ids = ids[-max_len:]
-        tags = tags[-max_len:]
-        flags = flags[-max_len:]
-        mask = mask[-max_len:]
-    return TokenSequence(ids=ids, lexical_tags=tags, entity_flags=flags,
-                         loss_mask=mask,
-                         position_ids=list(range(len(ids))))
+    n = len(appended)
+    return replace(seq, ids=seq.ids + appended,
+                   lexical_tags=seq.lexical_tags + [int(LexTag.OTHER)] * n,
+                   entity_flags=seq.entity_flags + [0] * n,
+                   loss_mask=seq.loss_mask + [False] * n,
+                   position_ids=list(range(len(seq) + n))).tail(max_len)

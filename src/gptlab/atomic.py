@@ -1,14 +1,27 @@
-"""Artifact files replaced whole: a reader sees the old file or the new one.
+"""Artifact files: read whole as UTF-8 text, replaced whole when written.
 
-Each write goes to a temporary file in the target's directory, which
+A write goes to a temporary file in the target's directory, which
 ``os.replace`` moves over the target only once it is complete; a write
-that raises removes it and leaves the target as it was.
+that raises removes it and leaves the target as it was. A reader sees the
+old file or the new one.
 """
 from __future__ import annotations
 
 import contextlib
 import os
 from pathlib import Path
+
+
+def read_lines(path, error: type[Exception], what: str) -> list[str]:
+    """The lines of a UTF-8 text file; one that cannot be opened or decoded
+    raises ``error``, naming the ``what`` it should have been."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise error(f"cannot open {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text ({exc})") from exc
 
 
 @contextlib.contextmanager

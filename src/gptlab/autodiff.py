@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -79,35 +76,9 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
-
-    # Operator sugar; the module-level functions are the primary API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(other) if isinstance(other, Tensor)
-                   else -np.asarray(other))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -122,9 +93,6 @@ class Tape:
     def record(self, out: Tensor, inputs: tuple[Tensor, ...],
                vjp: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> None:
         self.entries.append((out, inputs, vjp))
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class _ThreadState(threading.local):
@@ -227,11 +195,6 @@ def backward(loss: Tensor) -> None:
                 t.accumulate_grad(g)
 
 
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
-
-
 # --- operations ---
 
 def add(a, b) -> Tensor:
@@ -245,13 +208,6 @@ def add(a, b) -> Tensor:
                 _unbroadcast(g, b.shape) if need_b else None)
 
     _record(out, (a, b), vjp)
-    return out
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data, requires_grad=_wants_grad(a))
-    _record(out, (a,), lambda g: (-g,))
     return out
 
 
@@ -629,14 +585,6 @@ def cross_entropy(logits: Tensor, targets, loss_mask,
         return (grad,)
 
     _record(out, (logits,), vjp)
-    return out
-
-
-def tensor_sum(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype),
-                 requires_grad=_wants_grad(x))
-    _record(out, (x,), lambda g: (np.broadcast_to(g, x.shape).astype(x.dtype),))
     return out
 
 

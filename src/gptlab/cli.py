@@ -8,6 +8,7 @@ non-empty one without --force. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -60,7 +61,18 @@ def _echo_config(kv: KV, out: Path, seed) -> None:
 
 
 def _seed(kv: KV, args) -> int:
-    return args.seed if args.seed is not None else kv.int_("seed", 0)
+    seed = args.seed if args.seed is not None else kv.int_("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _write_table(path: Path, header: str, rows) -> None:
+    """A two-column CSV, the value column as repr, written atomically."""
+    with atomic_write(path) as fh:
+        fh.write(header + "\n")
+        for key, value in rows:
+            fh.write(f"{key},{value!r}\n")
 
 
 def cmd_gen_synthetic(args) -> int:
@@ -114,16 +126,9 @@ def _cmd_train(mode: str, args) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(args) -> int:
-    return _cmd_train("pretrain", args)
-
-
-def cmd_finetune(args) -> int:
-    return _cmd_train("finetune", args)
-
-
-def cmd_ptune(args) -> int:
-    return _cmd_train("ptune", args)
+cmd_pretrain = functools.partial(_cmd_train, "pretrain")
+cmd_finetune = functools.partial(_cmd_train, "finetune")
+cmd_ptune = functools.partial(_cmd_train, "ptune")
 
 
 def _load_eval_pieces(kv: KV, ckpt_key: str):
@@ -201,8 +206,8 @@ def cmd_generate(args) -> int:
         f"reference = {dlg.turns[-1].text}",
         f"generated = {decode(new_ids, vocab)}",
     ]
-    (out / "generation.txt").write_text("\n".join(lines) + "\n",
-                                        encoding="utf-8")
+    with atomic_write(out / "generation.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
     _echo_config(kv, out, seed)
     print(lines[-1])
     return EXIT_OK
@@ -214,10 +219,7 @@ def cmd_sweep_prompts(args) -> int:
     run = load_run_config(args.config, "ptune", out, seed_override=args.seed)
     counts = parse_counts(kv.str_("sweep.counts", "1,25,50,75,100"))
     rows = sweep_prompt_counts(counts, run, out_dir=out)
-    with atomic_write(out / "sweep.csv") as fh:
-        fh.write("v_p,ppl\n")
-        for v_p, ppl in rows:
-            fh.write(f"{v_p},{ppl!r}\n")
+    _write_table(out / "sweep.csv", "v_p,ppl", rows)
     _echo_config(kv, out, run.seed)
     for v_p, ppl in rows:
         print(f"v_p={v_p:>4d}  test ppl {ppl:.4f}")
@@ -234,10 +236,7 @@ def cmd_ablate(args) -> int:
                       out_dir=out / name)
         result = train(run)
         rows.append((name, result.final_eval_ppl))
-    with atomic_write(out / "ablation.csv") as fh:
-        fh.write("variant,ppl\n")
-        for name, ppl in rows:
-            fh.write(f"{name},{ppl!r}\n")
+    _write_table(out / "ablation.csv", "variant,ppl", rows)
     _echo_config(kv, out, base.seed)
     for name, ppl in rows:
         print(f"{name:>8s}  test ppl {ppl:.4f}")

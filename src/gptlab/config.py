@@ -12,6 +12,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
+from .atomic import atomic_write, read_lines
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import RunConfig, ScheduleConfig, make_run_config
@@ -35,7 +36,6 @@ KNOWN_KEYS = {
     "corpus.style", "corpus.mentions",
     "generate.checkpoint", "generate.index", "generate.strategy",
     "generate.max_new", "generate.top_k",
-    "ppl",  # emitted by the eval command; kept readable by read_kv
 }
 
 
@@ -47,26 +47,27 @@ def read_kv(path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _COMMENT.split(raw, 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            if key not in KNOWN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
+    for lineno, raw in enumerate(read_lines(path, ConfigError, "config file"),
+                                 start=1):
+        line = _COMMENT.split(raw, 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        if key not in KNOWN_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
 def write_kv(path, mapping: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """``key = value`` lines in key order, written atomically."""
+    with atomic_write(path) as fh:
         for key in sorted(mapping):
             fh.write(f"{key} = {mapping[key]}\n")
 
@@ -115,13 +116,19 @@ class KV:
             return False
         raise ConfigError(f"key {key!r}: {raw!r} is not a boolean")
 
+    def _resolve(self, key: str, raw: str) -> Path:
+        try:
+            return (self.base / raw).resolve()
+        except (OSError, ValueError) as exc:  # e.g. an embedded NUL byte
+            raise ConfigError(f"key {key!r}: bad path {raw!r} ({exc})") from exc
+
     def path_(self, key: str, default: Optional[str] = None) -> Path:
-        return (self.base / self.str_(key, default)).resolve()
+        return self._resolve(key, self.str_(key, default))
 
     def paths_(self, key: str) -> tuple[Path, ...]:
         if key not in self.table:
             return ()
-        return tuple((self.base / part.strip()).resolve()
+        return tuple(self._resolve(key, part.strip())
                      for part in self.table[key].split(",") if part.strip())
 
 

@@ -8,11 +8,13 @@ symptom mention, so the entity channel carries real predictive signal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
 
+from .annotation import LexTag, entity_flags
+from .atomic import atomic_write, read_lines
 from .errors import (
     ConfigError,
     DataError,
@@ -24,9 +26,6 @@ from .vocab import Vocab, encode
 
 PATIENT = "patient"
 DOCTOR = "doctor"
-
-# lexical tag ids; full table lives in annotation.LexTag
-OTHER_TAG = 3
 
 MIN_SEQ_LEN = 8
 
@@ -53,7 +52,8 @@ class Dialogue:
 
 @dataclass
 class TokenSequence:
-    """One linearized dialogue, ready for the model."""
+    """One linearized dialogue, ready for the model; checked once, when
+    it is built."""
     ids: list[int]
     lexical_tags: list[int]
     entity_flags: list[int]
@@ -67,14 +67,23 @@ class TokenSequence:
         """The first ``n`` tokens, every field sliced alike."""
         return TokenSequence(*(getattr(self, f.name)[:n] for f in fields(self)))
 
-    def check(self) -> None:
+    def __post_init__(self):
         n = len(self.ids)
         lists = (self.lexical_tags, self.entity_flags, self.loss_mask,
                  self.position_ids)
         if any(len(l) != n for l in lists):
             raise DataError("TokenSequence field lengths disagree")
-        if any(f not in (0, 1) for f in self.entity_flags):
+        if not set(self.entity_flags) <= {0, 1}:
             raise DataError("entity flags must be 0/1")
+
+    def tail(self, n: int) -> "TokenSequence":
+        """The last ``n`` tokens, every field sliced alike and positions
+        renumbered from 0; the sequence itself when it is no longer."""
+        if len(self) <= n:
+            return self
+        kept = {f.name: getattr(self, f.name)[-n:] for f in fields(self)}
+        kept["position_ids"] = list(range(n))
+        return TokenSequence(**kept)
 
 
 def validate_dialogue(dlg: Dialogue) -> None:
@@ -90,9 +99,9 @@ def validate_dialogue(dlg: Dialogue) -> None:
         if turn.speaker not in (PATIENT, DOCTOR):
             raise MalformedRecordError(
                 f"dialogue {dlg.id!r}: unknown speaker {turn.speaker!r}")
-        if not turn.text:
+        if not isinstance(turn.text, str) or not turn.text:
             raise MalformedRecordError(
-                f"dialogue {dlg.id!r}: empty text in turn {t_idx}")
+                f"dialogue {dlg.id!r}: turn {t_idx} has no text string")
         spans = sorted(turn.entities, key=lambda s: (s.start, s.end))
         prev_end = -1
         for span in spans:
@@ -118,7 +127,7 @@ def _dialogue_from_record(rec: dict, lineno: int) -> Dialogue:
             )
             for t in rec["turns"])
         dlg = Dialogue(id=str(rec["id"]), turns=turns)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise MalformedRecordError(
             f"line {lineno}: missing or malformed field ({exc})") from exc
     return dlg
@@ -128,28 +137,24 @@ def load_corpus(path) -> list[Dialogue]:
     """Load and validate a JSONL corpus; any invariant violation rejects
     the file, naming the offending dialogue."""
     out = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open corpus {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(
-                    f"line {lineno} of {path}: not valid JSON") from exc
-            dlg = _dialogue_from_record(rec, lineno)
-            validate_dialogue(dlg)
-            out.append(dlg)
+    for lineno, line in enumerate(read_lines(path, DataError, "corpus"),
+                                  start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise MalformedRecordError(
+                f"line {lineno} of {path}: not valid JSON") from exc
+        dlg = _dialogue_from_record(rec, lineno)
+        validate_dialogue(dlg)
+        out.append(dlg)
     return out
 
 
 def save_corpus(corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for dlg in corpus:
             rec = {
                 "id": dlg.id,
@@ -205,46 +210,37 @@ def linearize(dialogue: Dialogue, vocab: Vocab, max_len: int,
         raise ConfigError(f"unknown linearization mode {mode!r}")
     validate_dialogue(dialogue)
 
+    other = int(LexTag.OTHER)
     ids = [vocab.bos_id]
-    tags = [OTHER_TAG]
+    tags = [other]
     flags = [0]
     mask = [False]
     last = len(dialogue.turns) - 1
     for t_idx, turn in enumerate(dialogue.turns):
         marker = vocab.patient_id if turn.speaker == PATIENT else vocab.doctor_id
         ids.append(marker)
-        tags.append(OTHER_TAG)
+        tags.append(other)
         flags.append(0)
         mask.append(mode == "pretrain")
         text_ids = encode(turn.text, vocab)
-        turn_tags = tagger(turn.text) if tagger else [OTHER_TAG] * len(turn.text)
+        turn_tags = tagger(turn.text) if tagger else [other] * len(turn.text)
         if len(turn_tags) != len(turn.text):
             raise DataError(
                 f"tagger returned {len(turn_tags)} tags for "
                 f"{len(turn.text)} characters")
-        turn_flags = [0] * len(turn.text)
-        for span in turn.entities:
-            for i in range(span.start, span.end):
-                turn_flags[i] = 1
         in_loss = mode == "pretrain" or t_idx == last
         ids.extend(text_ids)
         tags.extend(turn_tags)
-        flags.extend(turn_flags)
+        flags.extend(entity_flags(len(turn.text), (
+            (span.start, span.end) for span in turn.entities)))
         mask.extend([in_loss] * len(text_ids))
     ids.append(vocab.eos_id)
-    tags.append(OTHER_TAG)
+    tags.append(other)
     flags.append(0)
     mask.append(True)  # EOS is always a prediction target
-
-    if len(ids) > max_len:
-        ids = ids[-max_len:]
-        tags = tags[-max_len:]
-        flags = flags[-max_len:]
-        mask = mask[-max_len:]
-    seq = TokenSequence(ids=ids, lexical_tags=tags, entity_flags=flags,
-                        loss_mask=mask, position_ids=list(range(len(ids))))
-    seq.check()
-    return seq
+    return TokenSequence(ids=ids, lexical_tags=tags, entity_flags=flags,
+                         loss_mask=mask, position_ids=list(range(len(ids)))
+                         ).tail(max_len)
 
 
 # --- synthetic annotated consultations ---

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,20 +63,6 @@ class ModelConfig:
     @property
     def ffw_dim(self) -> int:
         return 4 * self.hidden
-
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers, "n_heads": self.n_heads,
-            "hidden": self.hidden, "vocab_size": self.vocab_size,
-            "max_len": self.max_len, "dropout": self.dropout,
-            "use_lexical": self.use_lexical, "use_entity": self.use_entity,
-            "lex_table_size": self.lex_table_size,
-            "entity_table_size": self.entity_table_size,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 class KVCache:
@@ -178,7 +164,6 @@ def _embed_rows(seqs: list[TokenSequence], params: dict[str, Tensor],
                 config: ModelConfig) -> Tensor:
     """Four-channel embeddings of every token of ``seqs``, packed."""
     for seq in seqs:
-        seq.check()
         if len(seq) > config.max_len:
             raise ShapeError(
                 f"sequence length {len(seq)} exceeds max_len {config.max_len}")
@@ -191,12 +176,6 @@ def _embed_rows(seqs: list[TokenSequence], params: dict[str, Tensor],
         x = ad.add(x, ad.take_rows(params["ent_emb"],
                                    _pack(seqs, "entity_flags")))
     return x
-
-
-def embed(seq: TokenSequence, params: dict[str, Tensor],
-          config: ModelConfig) -> Tensor:
-    """Sum of the four channel lookups; disabled channels add nothing."""
-    return _embed_rows([seq], params, config)
 
 
 def _block(x: Tensor, params: dict[str, Tensor], layer: int,
@@ -314,7 +293,6 @@ def _loss_rows(seqs: list[TokenSequence], n_prompt: int):
     sequence's mean next-token NLL over its unmasked positions."""
     first, targets, masks, weights = [], [], [], []
     for seq in seqs:
-        seq.check()
         t, m = shifted_targets(seq, n_prompt)
         n_live = int(m.sum())
         if n_live == 0:
@@ -415,7 +393,7 @@ def save_checkpoint(path, config: ModelConfig,
         offset += nbytes
     header = json.dumps({
         "version": CHECKPOINT_VERSION,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "tensors": entries,
     }, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
@@ -458,7 +436,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(blob[preamble:preamble + hlen].decode("utf-8"))
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig(**header["config"])
         entries = [(e["name"], e["shape"], e["dtype"], e["offset"],
                     e["nbytes"]) for e in header["tensors"]]
         expected = parameter_shapes(config)

@@ -7,7 +7,7 @@ embedded input, ahead of BOS, with no positional additions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 import numpy as np
 
@@ -19,24 +19,6 @@ from .model import INIT_STD, PROMPT_PARAM_NAME
 @dataclass
 class PromptEmbeddings:
     matrix: Tensor  # [V_p x H]
-
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass
-class FreezeSpec:
-    """Names of trainable tensors; everything else stays frozen."""
-    trainable: frozenset[str]
-
-    @classmethod
-    def ptune(cls) -> "FreezeSpec":
-        return cls(frozenset({PROMPT_PARAM_NAME}))
-
-    @classmethod
-    def all_backbone(cls, params: dict[str, Tensor]) -> "FreezeSpec":
-        return cls(frozenset(params))
 
 
 def init_prompts(v_p: int, hidden: int, seed: int,
@@ -52,8 +34,9 @@ def init_prompts(v_p: int, hidden: int, seed: int,
 
 def apply_freeze(params: dict[str, Tensor],
                  prompts: Optional[PromptEmbeddings],
-                 spec: FreezeSpec) -> dict[str, Tensor]:
-    """Return the trainable-parameter view and pin requires_grad flags.
+                 trainable_names: AbstractSet[str]) -> dict[str, Tensor]:
+    """Return the trainable-parameter view and pin requires_grad flags:
+    the tensors named in ``trainable_names`` train, every other is frozen.
 
     Frozen tensors stop accumulating gradients entirely, which realizes
     "backbone gradients are zero" without wasted work.
@@ -61,12 +44,12 @@ def apply_freeze(params: dict[str, Tensor],
     named = dict(params)
     if prompts is not None:
         named[PROMPT_PARAM_NAME] = prompts.matrix
-    unknown = spec.trainable - named.keys()
+    unknown = trainable_names - named.keys()
     if unknown:
-        raise ConfigError(f"freeze spec names unknown tensors: {sorted(unknown)}")
+        raise ConfigError(f"no tensors named {sorted(unknown)} to train")
     trainable: dict[str, Tensor] = {}
     for name, t in named.items():
-        t.requires_grad = name in spec.trainable
+        t.requires_grad = name in trainable_names
         if t.requires_grad:
             trainable[name] = t
     return trainable

@@ -18,14 +18,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .annotation import dictionary_tagger, splice_entities
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 from .autodiff import Tensor
 from .corpus import Dialogue, TokenSequence, linearize, load_corpus, split
 from .errors import ConfigError, DataError, EmptyLossError, NumericError
 from .model import (ModelConfig, batch_loss, init_parameters, lm_loss,
                     load_checkpoint, save_checkpoint)
-from .prompts import (PROMPT_PARAM_NAME, FreezeSpec, PromptEmbeddings,
-                      apply_freeze, init_prompts)
+from .prompts import (PROMPT_PARAM_NAME, PromptEmbeddings, apply_freeze,
+                      init_prompts)
 from .vocab import load_vocab
 
 MODES = ("pretrain", "finetune", "ptune")
@@ -172,6 +172,8 @@ class RunConfig:
             raise ConfigError(f"unknown loss-mask policy {self.loss_mask_policy!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def make_run_config(mode: str, **kw) -> RunConfig:
@@ -227,24 +229,6 @@ def save_metrics(log: MetricsLog, path) -> None:
             fh.write(f"{r.step},{r.lr!r},{r.loss!r},{r.ppl!r},{eval_s},\n")
 
 
-def load_metrics(path) -> MetricsLog:
-    log = MetricsLog()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != METRICS_HEADER:
-            raise DataError(f"{path}: unexpected metrics header {header!r}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 6:
-                raise DataError(f"{path}: bad metrics row {line!r}")
-            log.add(MetricsRow(
-                step=int(parts[0]), lr=float(parts[1]), loss=float(parts[2]),
-                ppl=float(parts[3]),
-                eval_ppl=float(parts[4]) if parts[4] else None,
-                seconds=float(parts[5]) if parts[5] else None))
-    return log
-
-
 @dataclass
 class TrainResult:
     config: ModelConfig
@@ -266,11 +250,8 @@ def history_entity_texts(dlg: Dialogue) -> list[str]:
 
 def read_lexicon(path) -> list[str]:
     """One term per line; blanks ignored."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return [t.strip() for t in fh if t.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot open lexicon {path}: {exc}") from exc
+    return [t.strip() for t in read_lines(path, DataError, "lexicon")
+            if t.strip()]
 
 
 def build_tagger_from_files(noun_paths, adj_paths, verb_paths):
@@ -437,10 +418,8 @@ def train(run: RunConfig) -> TrainResult:
     prompts = None
     if run.mode == "ptune":
         prompts = init_prompts(run.v_p, config.hidden, prompt_seed)
-        freeze = FreezeSpec.ptune()
-    else:
-        freeze = FreezeSpec.all_backbone(params)
-    trainable = apply_freeze(params, prompts, freeze)
+    trainable = apply_freeze(params, prompts, set(params) if prompts is None
+                             else {PROMPT_PARAM_NAME})
     prompt_matrix = prompts.matrix if prompts is not None else None
 
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seed))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .atomic import atomic_write, read_lines
 from .errors import DataError, VocabError
 
 PAD = "<PAD>"
@@ -60,9 +61,6 @@ class Vocab:
     @property
     def unk_id(self) -> int:
         return self.symbol_to_id[UNK]
-
-    def special_ids(self) -> set[int]:
-        return {self.symbol_to_id[s] for s in SPECIALS}
 
 
 def build_vocab(corpus) -> Vocab:
@@ -120,8 +118,9 @@ def _unescape(line: str) -> str:
 
 
 def save_vocab(vocab: Vocab, path) -> None:
-    """One symbol per line, line number = id; specials as literal tags."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One symbol per line, line number = id; specials as literal tags;
+    written atomically."""
+    with atomic_write(path) as fh:
         for sym in vocab.id_to_symbol:
             if sym in SPECIALS:
                 fh.write(sym + "\n")
@@ -131,17 +130,12 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 def load_vocab(path) -> Vocab:
     table: dict[str, int] = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open vocab file {path}: {exc}") from exc
-    with fh:
-        for i, line in enumerate(fh):
-            line = line.rstrip("\n")
-            sym = line if line in SPECIALS else _unescape(line)
-            if sym in table:
-                raise DataError(f"duplicate symbol at line {i} of {path}")
-            table[sym] = i
+    for i, line in enumerate(read_lines(path, DataError, "vocab file")):
+        line = line.rstrip("\n")
+        sym = line if line in SPECIALS else _unescape(line)
+        if sym in table:
+            raise DataError(f"duplicate symbol at line {i} of {path}")
+        table[sym] = i
     for i, s in enumerate(SPECIALS):
         if table.get(s) != i:
             raise DataError(f"vocab file {path} misses special {s} at id {i}")

@@ -77,8 +77,7 @@ def test_splice_appends_separator_then_mentions():
 def test_splice_without_entities_is_identity():
     dlg, vocab, seq = make_seq()
     out = splice_entities(seq, [], vocab, max_len=64)
-    assert out == seq
-    assert out is not seq
+    assert out is seq
 
 
 def test_splice_preserves_surviving_original_annotations():

@@ -1,5 +1,6 @@
 """End-to-end command surface tests on a miniature pipeline."""
 import contextlib
+import csv
 import io
 import json
 import os
@@ -22,7 +23,7 @@ from gptlab.corpus import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS,
 from gptlab.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                           PROMPT_PARAM_NAME, load_checkpoint, save_checkpoint)
 from gptlab.prompts import init_prompts
-from gptlab.training import (load_metrics, prepare_sequences, spawn_seeds)
+from gptlab.training import METRICS_HEADER, prepare_sequences, spawn_seeds
 from gptlab.vocab import build_vocab, load_vocab, save_vocab
 
 GEN = """
@@ -110,8 +111,11 @@ def test_pipeline_artifacts_are_self_consumable(workspace):
     assert len(corpus) == 40
     vocab = load_vocab(root / "runs" / "vocab" / "vocab.txt")
     assert len(vocab) > 6
-    metrics = load_metrics(root / "runs" / "pretrain" / "metrics.csv")
-    assert metrics.rows
+    header, *rows = csv.reader(
+        (root / "runs" / "pretrain" / "metrics.csv").read_text().splitlines())
+    assert header == METRICS_HEADER.split(",")
+    assert rows and all(len(r) == len(header) for r in rows)
+    assert all(float(r[2]) > 0 for r in rows)  # parseable losses
     assert (root / "runs" / "pretrain" / "final.ckpt").exists()
     echoed = read_kv(root / "runs" / "pretrain" / "config.kv")
     assert echoed["mode"] == "pretrain"
@@ -130,8 +134,10 @@ def test_ptune_then_eval_and_generate(workspace):
         "loss_mask = response\n"
         "seed = 1\n", encoding="utf-8")
     assert run("eval", "eval.kv", "eval") == EXIT_OK
-    ppl = float(read_kv(root / "runs" / "eval" / "eval.txt")["ppl"])
-    assert ppl > 1.0
+    (line,) = (root / "runs" / "eval" / "eval.txt").read_text(
+        encoding="utf-8").splitlines()
+    key, value = line.split(" = ")
+    assert key == "ppl" and float(value) > 1.0
 
     (root / "generate.kv").write_text(
         "generate.checkpoint = runs/ptune/final.ckpt\n"
@@ -363,12 +369,32 @@ def _mutated(raw: bytes, mutation) -> bytes:
 
 # positions are taken modulo the file size; small ones land in the header
 POSITIONS = st.integers(0, 4096) | st.integers(0, 1 << 20)
-MUTATIONS = st.one_of(
+BYTE_MUTATIONS = st.one_of(
     st.tuples(st.just("truncate"), POSITIONS, st.none()),
     st.tuples(st.just("flip"), POSITIONS, st.integers(0, 7)),
     st.tuples(st.just("overwrite"), POSITIONS,
-              st.binary(min_size=1, max_size=8)),
-    st.tuples(st.just("offset"), st.integers(0, 64), st.integers(-8, 8)))
+              st.binary(min_size=1, max_size=8)))
+MUTATIONS = BYTE_MUTATIONS | st.tuples(
+    st.just("offset"), st.integers(0, 64), st.integers(-8, 8))
+
+
+def assert_exit_contract(run, categories, *args):
+    """``run(*args)`` exits 0 with nothing on stderr, or with a code of
+    ``categories`` and exactly one ``error: <category>:`` line on stderr;
+    never a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")  # a warning would be a stderr line
+        code = run(*args)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in warned]
+    if code == EXIT_OK:
+        assert lines == []
+    else:
+        category = categories[code]
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: {category}:"), lines
 
 
 @settings(max_examples=40, deadline=None)
@@ -387,19 +413,134 @@ def test_eval_of_mutated_checkpoint_keeps_the_exit_contract(
         "data.vocab = runs/vocab/vocab.txt\n"
         "eval.part = all\n"
         "seed = 1\n", encoding="utf-8")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()), \
-            warnings.catch_warnings(record=True) as warned:
-        warnings.simplefilter("always")  # a warning would be a stderr line
-        code = run("eval", "eval-mutant.kv", "x-mutant", "--force")
-    lines = err.getvalue().splitlines() + [str(w.message) for w in warned]
-    if code == EXIT_OK:
-        assert lines == []
-    else:
-        category = {EXIT_DATA: "data", EXIT_NUMERIC: "numeric"}[code]
-        assert len(lines) == 1 and lines[0].startswith(
-            f"error: {category}:"), lines
+    assert_exit_contract(run, {EXIT_DATA: "data", EXIT_NUMERIC: "numeric"},
+                         "eval", "eval-mutant.kv", "x-mutant", "--force")
+
+
+INPUT_ESCAPES = {
+    # case: (file it writes, its bytes, the command that reads it)
+    "span-start-not-a-number": ("runs/esc.jsonl", json.dumps(
+        {"id": "s", "turns": [
+            {"speaker": "patient", "text": "ab",
+             "entities": [{"start": "x", "end": 1, "label": "symptom"}]},
+            {"speaker": "doctor", "text": "ba"}]}).encode(), "build-vocab"),
+    "text-not-a-string": ("runs/esc.jsonl", json.dumps(
+        {"id": "t", "turns": [{"speaker": "patient", "text": 5},
+                              {"speaker": "doctor", "text": "ba"}]}).encode(),
+        "build-vocab"),
+    "corpus-not-utf8": ("runs/esc.jsonl", b'{"id": "\xff"}\n', "build-vocab"),
+    "config-not-utf8": ("esc.kv", b"seed = \xff\n", "build-vocab"),
+    "vocab-not-utf8": ("runs/esc-vocab.txt", b"<PAD>\n\xff\n", "eval"),
+    "lexicon-not-utf8": ("lex/esc.txt", b"fever\n\xfe\n", "gen-synthetic"),
+}
+
+ESCAPE_CONFIGS = {
+    "build-vocab": "data.corpus = runs/esc.jsonl\n",
+    "eval": ("eval.checkpoint = runs/pretrain/final.ckpt\n"
+             "data.corpus = runs/b/corpus.jsonl\n"
+             "data.vocab = runs/esc-vocab.txt\n"
+             "eval.part = all\n"),
+    "gen-synthetic": GEN.format(style="clinic", count=4, seed=1).replace(
+        "lex/symptoms.txt", "lex/esc.txt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ESCAPES))
+def test_malformed_input_is_one_error_line(workspace, capsys, case):
+    root, run = workspace
+    name, raw, command = INPUT_ESCAPES[case]
+    (root / name).write_bytes(raw)
+    config = name if name.endswith(".kv") else f"esc-{command}.kv"
+    if config != name:
+        (root / config).write_text(ESCAPE_CONFIGS[command], encoding="utf-8")
+    capsys.readouterr()
+    want, category = ((EXIT_CONFIG, "config") if case.startswith("config")
+                      else (EXIT_DATA, "data"))
+    assert run(command, config, f"x-esc-{case}") == want
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {category}:"), err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("gen-synthetic", "gen_a.kv"), ("ptune", "ptune.kv")])
+def test_negative_seed_is_config_error(workspace, capsys, command, config):
+    root, run = workspace
+    capsys.readouterr()
+    assert run(command, config, f"x-seed-{command}", "--seed", "-1") == \
+        EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:"), err
+
+
+def _first_dialogues(root, n: int) -> bytes:
+    lines = (root / "runs" / "b" / "corpus.jsonl").read_bytes().splitlines()
+    return b"\n".join(lines[:n]) + b"\n"
+
+
+INPUT_CATEGORIES = {EXIT_CONFIG: "config", EXIT_DATA: "data"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutation=BYTE_MUTATIONS)
+def test_mutated_corpus_keeps_the_exit_contract(workspace, mutation):
+    """A truncated or byte-mutated corpus, read by build-vocab and eval."""
+    root, run = workspace
+    (root / "runs" / "mutant.jsonl").write_bytes(
+        _mutated(_first_dialogues(root, 4), mutation))
+    (root / "vocab-mutant.kv").write_text(
+        "data.corpus = runs/mutant.jsonl\n", encoding="utf-8")
+    (root / "eval-mutant-corpus.kv").write_text(
+        "eval.checkpoint = runs/pretrain/final.ckpt\n"
+        "data.corpus = runs/mutant.jsonl\n"
+        "data.vocab = runs/vocab/vocab.txt\n"
+        "eval.part = all\n"
+        "loss_mask = response\n"
+        "tagger.nouns = lex/symptoms.txt, lex/diseases.txt\n",
+        encoding="utf-8")
+    for command, config in (("build-vocab", "vocab-mutant.kv"),
+                            ("eval", "eval-mutant-corpus.kv")):
+        assert_exit_contract(run, INPUT_CATEGORIES, command, config,
+                             f"x-mutant-corpus-{command}", "--force")
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutation=BYTE_MUTATIONS)
+def test_mutated_vocab_keeps_the_exit_contract(workspace, mutation):
+    root, run = workspace
+    (root / "runs" / "mutant-vocab.txt").write_bytes(_mutated(
+        (root / "runs" / "vocab" / "vocab.txt").read_bytes(), mutation))
+    (root / "runs" / "four.jsonl").write_bytes(_first_dialogues(root, 4))
+    (root / "eval-mutant-vocab.kv").write_text(
+        "eval.checkpoint = runs/pretrain/final.ckpt\n"
+        "data.corpus = runs/four.jsonl\n"
+        "data.vocab = runs/mutant-vocab.txt\n"
+        "eval.part = all\n", encoding="utf-8")
+    assert_exit_contract(run, INPUT_CATEGORIES, "eval",
+                         "eval-mutant-vocab.kv", "x-mutant-vocab", "--force")
+
+
+EVAL_CONFIG = (
+    "# held-out perplexity of the pretrained model\n"
+    "eval.checkpoint = runs/pretrain/final.ckpt\n"
+    "data.corpus = runs/b/corpus.jsonl\n"
+    "data.vocab = runs/vocab/vocab.txt\n"
+    "data.split = 8:2\n"
+    "eval.part = test\n"
+    "loss_mask = response\n"
+    "tagger.nouns = lex/symptoms.txt, lex/diseases.txt\n"
+    "seed = 1\n").encode()
+
+
+@settings(max_examples=30, deadline=None)
+@example(mutation=("overwrite", 70, b"\x00"))  # a NUL byte in a path
+@example(mutation=("overwrite", -3, b"-"))  # seed =-1
+@given(mutation=BYTE_MUTATIONS)
+def test_mutated_config_keeps_the_exit_contract(workspace, mutation):
+    root, run = workspace
+    (root / "eval-mutant-config.kv").write_bytes(
+        _mutated(EVAL_CONFIG, mutation))
+    assert_exit_contract(run, INPUT_CATEGORIES, "eval",
+                         "eval-mutant-config.kv", "x-mutant-config", "--force")
 
 
 def run_cli_at_blas_threads(threads: str, *args: str) -> None:

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptlab.corpus import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS,
-                           Dialogue, EntitySpan, SyntheticSpec, Turn,
-                           generate_synthetic, linearize, load_corpus,
+                           Dialogue, EntitySpan, SyntheticSpec, TokenSequence,
+                           Turn, generate_synthetic, linearize, load_corpus,
                            save_corpus, split)
 from gptlab.errors import (ConfigError, DataError, MalformedRecordError,
                            OverlappingSpanError, SpanOutOfBoundsError)
@@ -213,3 +213,30 @@ def test_split_union_and_disjoint_property(n, seed):
     assert len(train) + len(test) == n
     assert len(test) >= 1 and len(train) >= 1
     assert {d.id for d in train}.isdisjoint({d.id for d in test})
+
+
+def token_seq(n=5, **fields):
+    base = dict(ids=list(range(n)), lexical_tags=[3] * n, entity_flags=[0] * n,
+                loss_mask=[True] * n, position_ids=list(range(n)))
+    return TokenSequence(**{**base, **fields})
+
+
+@pytest.mark.parametrize("field", ["ids", "lexical_tags", "entity_flags",
+                                   "loss_mask", "position_ids"])
+def test_token_sequence_rejects_mismatched_lengths(field):
+    with pytest.raises(DataError, match="lengths"):
+        token_seq(**{field: getattr(token_seq(), field)[:4]})
+    seq = token_seq()
+    getattr(seq, field).append(getattr(seq, field)[-1])  # now 6 of 5
+    with pytest.raises(DataError, match="lengths"):
+        seq.prefix(6)
+
+
+def test_token_sequence_rejects_entity_flag_two():
+    with pytest.raises(DataError, match="0/1"):
+        token_seq(entity_flags=[0, 1, 2, 0, 0])
+    seq = token_seq()
+    seq.entity_flags[3] = 2
+    assert seq.prefix(3).entity_flags == [0, 0, 0]  # the 2 is cut off
+    with pytest.raises(DataError, match="0/1"):
+        seq.prefix(4)

@@ -9,8 +9,8 @@ from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.corpus import TokenSequence
 from gptlab.errors import CheckpointError, ConfigError, GptLabError, ShapeError
 from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, KVCache, ModelConfig,
-                          batch_loss, embed, forward, forward_batch, generate,
-                          init_parameters, lm_loss, load_checkpoint,
+                          _embed_rows, batch_loss, forward, forward_batch,
+                          generate, init_parameters, lm_loss, load_checkpoint,
                           parameter_count, parameter_shapes, save_checkpoint,
                           shifted_targets)
 from gptlab.prompts import init_prompts
@@ -63,7 +63,7 @@ def test_embed_reduces_to_word_plus_position_with_zero_tables():
     params["lex_emb"].data[:] = 0.0
     params["ent_emb"].data[:] = 0.0
     seq = make_seq([1, 2, 3], tags=[0, 1, 2], flags=[0, 1, 0])
-    out = embed(seq, params, cfg)
+    out = _embed_rows([seq], params, cfg)
     expected = params["tok_emb"].data[[1, 2, 3]] + params["pos_emb"].data[:3]
     assert np.array_equal(out.data, expected)
 
@@ -77,7 +77,7 @@ def test_embed_single_token_is_four_row_sum():
         params[name].data[:] = 0.0
         params[name].data[rows[name], table] = 1.0  # distinct one-hot rows
     seq = make_seq([2], tags=[1], flags=[1])
-    out = embed(seq, params, cfg)
+    out = _embed_rows([seq], params, cfg)
     assert np.array_equal(out.data, [[1.0, 1.0, 1.0, 1.0]])
 
 
@@ -86,10 +86,10 @@ def test_embed_disabled_channel_equals_zero_table():
     cfg_on = tiny_config()
     params = params64(cfg_on, seed=3)
     seq = make_seq([0, 4, 6], tags=[1, 2, 0], flags=[1, 0, 1])
-    off = embed(seq, params, cfg_off).data.copy()
+    off = _embed_rows([seq], params, cfg_off).data.copy()
     params["lex_emb"].data[:] = 0.0
     params["ent_emb"].data[:] = 0.0
-    on = embed(seq, params, cfg_on).data
+    on = _embed_rows([seq], params, cfg_on).data
     assert np.array_equal(off, on)
 
 
@@ -97,10 +97,10 @@ def test_embed_range_errors():
     cfg = tiny_config()
     params = params64(cfg)
     with pytest.raises(Exception):
-        embed(make_seq([cfg.vocab_size]), params, cfg)
+        _embed_rows([make_seq([cfg.vocab_size])], params, cfg)
     long_seq = make_seq(list(range(5)) * 4)
     with pytest.raises(ShapeError):
-        embed(long_seq, params, cfg)
+        _embed_rows([long_seq], params, cfg)
 
 
 def attention_head(h_in, wq, wk, wv):

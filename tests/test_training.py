@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 
@@ -8,17 +9,18 @@ from hypothesis import strategies as st
 
 from gptlab import autodiff as ad
 from gptlab.autodiff import Tensor
+from gptlab.config import write_kv
 from gptlab.corpus import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS,
-                           SyntheticSpec, generate_synthetic, linearize,
-                           save_corpus)
+                           Dialogue, SyntheticSpec, Turn, generate_synthetic,
+                           linearize, save_corpus)
 from gptlab.errors import ConfigError, EmptyLossError, NumericError
 from gptlab.model import (ModelConfig, init_parameters, load_checkpoint,
                           save_checkpoint)
 from gptlab.prompts import PROMPT_PARAM_NAME
-from gptlab.training import (MetricsLog, MetricsRow, OptimizerState,
-                             RunConfig, ScheduleConfig, adamw_step,
-                             clip_grad_norm, evaluate_ppl, load_metrics,
-                             lr_at, make_run_config, save_metrics, train)
+from gptlab.training import (METRICS_HEADER, MetricsLog, MetricsRow,
+                             OptimizerState, RunConfig, ScheduleConfig,
+                             adamw_step, clip_grad_norm, evaluate_ppl, lr_at,
+                             make_run_config, save_metrics, train)
 from gptlab.vocab import build_vocab, save_vocab
 
 from .test_model import make_seq
@@ -147,12 +149,14 @@ def test_metrics_row_monotonicity_and_roundtrip(tmp_path):
         log.add(MetricsRow(2, 9e-5, 1.0, math.exp(1.0)))
     path = tmp_path / "metrics.csv"
     save_metrics(log, path)
-    loaded = load_metrics(path)
-    assert [r.step for r in loaded.rows] == [1, 2]
-    assert loaded.rows[0].lr == 1e-4
-    assert loaded.rows[1].eval_ppl == 4.4817
-    for row in loaded.rows:
-        assert rel_close(row.ppl, math.exp(row.loss), 1e-9)
+    header, *rows = csv.reader(path.read_text().splitlines())
+    assert header == METRICS_HEADER.split(",")
+    assert all(len(r) == len(header) for r in rows)
+    assert [int(r[0]) for r in rows] == [1, 2]
+    assert float(rows[0][1]) == 1e-4
+    assert rows[0][4] == "" and float(rows[1][4]) == 4.4817
+    for r in rows:
+        assert rel_close(float(r[3]), math.exp(float(r[2])), 1e-9)
     # seconds column is intentionally blank for rerun byte-identity
     assert all(line.endswith(",") for line in
                path.read_text().splitlines()[1:])
@@ -190,6 +194,34 @@ def test_interrupted_writes_keep_previous_artifacts(tmp_path):
     assert (ckpt.read_bytes(), csv.read_bytes()) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "final.ckpt", "metrics.csv"]
+
+
+def test_interrupted_eval_and_vocab_writes_keep_previous_files(tmp_path):
+    """eval.txt (written by write_kv) and vocab.txt are replaced whole too."""
+    eval_txt, vocab_txt = tmp_path / "eval.txt", tmp_path / "vocab.txt"
+    write_kv(eval_txt, {"ppl": "12.5"})
+    vocab = build_vocab([Dialogue("d", (Turn("patient", "ab"),
+                                        Turn("doctor", "ba")))])
+    save_vocab(vocab, vocab_txt)
+    before = eval_txt.read_bytes(), vocab_txt.read_bytes()
+
+    class Unwritable:
+        """A value that fails once the file is partly written."""
+
+        def __format__(self, spec):
+            raise RuntimeError("write failed")
+
+        def __iter__(self):
+            raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError, match="write failed"):
+        write_kv(eval_txt, {"a": "1", "ppl": Unwritable()})
+    vocab.id_to_symbol.append(Unwritable())  # after every real symbol
+    with pytest.raises(RuntimeError, match="write failed"):
+        save_vocab(vocab, vocab_txt)
+    assert (eval_txt.read_bytes(), vocab_txt.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "eval.txt", "vocab.txt"]
 
 
 def test_evaluate_ppl_uniform_model():

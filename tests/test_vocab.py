@@ -81,7 +81,7 @@ def test_idempotent_construction():
 def test_no_special_collides_with_characters():
     v = build_vocab([dialogue("<PAD>ab", "a")])
     # '<', 'P', 'A', 'D', '>' are separate characters, never the special
-    assert v.special_ids().isdisjoint(
+    assert {v.symbol_to_id[s] for s in SPECIALS}.isdisjoint(
         {v.symbol_to_id[c] for c in "<PAD>ab"})
 
 

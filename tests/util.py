@@ -1,4 +1,5 @@
-"""Shared test oracles: central finite differences and error metrics.
+"""Shared test oracles: central finite differences, error metrics and a
+scalar sum for gradchecks.
 
 The finite-difference path only ever calls forward evaluation under
 no_grad, so it stays independent of the reverse-mode code it checks.
@@ -24,13 +25,21 @@ def fd_grad(loss_fn, tensor, h=FD_H):
         orig = flat[i]
         flat[i] = orig + h
         with ad.no_grad():
-            up = float(loss_fn().data)
+            up = loss_fn().data.item()
         flat[i] = orig - h
         with ad.no_grad():
-            down = float(loss_fn().data)
+            down = loss_fn().data.item()
         flat[i] = orig
         gflat[i] = (up - down) / (2.0 * h)
     return grad
+
+
+def total(x):
+    """The sum of every entry of a 2-D tensor as a [1, 1] tensor, built from
+    production ops: ones-vector matmuls on both sides."""
+    rows, cols = x.shape
+    return ad.matmul(ad.matmul(ad.Tensor(np.ones((1, rows), dtype=x.dtype)), x),
+                     ad.Tensor(np.ones((cols, 1), dtype=x.dtype)))
 
 
 def max_rel_err(analytic, numeric, floor=REL_FLOOR):
