@@ -16,16 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .config import (KV, load_run_config, parse_counts, parse_ratio, write_kv)
+from .config import (CHANNEL_KEYS, KV, load_run_config, parse_counts,
+                     parse_ratio, write_kv)
 from .corpus import (SyntheticSpec, generate_synthetic, load_corpus,
                      save_corpus, split)
 from .errors import ConfigError, DataError, GptLabError, NumericError
 from .model import generate as model_generate
-from .model import load_checkpoint
 from .prompts import sweep_prompt_counts
-from .training import (build_tagger_from_files, evaluate_ppl,
-                       prepare_sequences, read_lexicon, spawn_seeds,
-                       split_loaded_tensors, train)
+from .training import (build_tagger_from_files, evaluate_ppl, load_backbone,
+                       prepare_sequences, read_lexicon, spawn_seeds, train)
 from .vocab import build_vocab, decode, load_vocab, save_vocab
 
 EXIT_OK = 0
@@ -84,10 +83,10 @@ def cmd_gen_synthetic(args) -> int:
         diseases=read_lexicon(kv.path_("lexicon.diseases")),
         drugs=read_lexicon(kv.path_("lexicon.drugs")),
         n_dialogues=kv.int_("corpus.count"),
-        turns_min=kv.int_("corpus.turns_min", 2),
-        turns_max=kv.int_("corpus.turns_max", 4),
-        style=kv.str_("corpus.style", "clinic"),
-        n_mentions=kv.int_("corpus.mentions", 4),
+        **kv.present((("corpus.turns_min", "turns_min", KV.int_),
+                      ("corpus.turns_max", "turns_max", KV.int_),
+                      ("corpus.style", "style", KV.str_),
+                      ("corpus.mentions", "n_mentions", KV.int_))),
     )
     corpus = generate_synthetic(spec, seed)
     path = out / kv.str_("corpus.out", "corpus.jsonl")
@@ -133,17 +132,9 @@ cmd_ptune = functools.partial(_cmd_train, "ptune")
 
 def _load_eval_pieces(kv: KV, ckpt_key: str):
     """Checkpoint + vocab + channel overrides shared by eval/generate."""
-    config, tensors = load_checkpoint(kv.path_(ckpt_key))
-    backbone, prompts = split_loaded_tensors(tensors)
     vocab = load_vocab(kv.path_("data.vocab"))
-    if config.vocab_size != len(vocab):
-        raise DataError(
-            f"checkpoint vocab_size={config.vocab_size} disagrees with "
-            f"vocabulary of size {len(vocab)}")
-    if kv.has("model.lexical"):
-        config = replace(config, use_lexical=kv.bool_("model.lexical"))
-    if kv.has("model.entity"):
-        config = replace(config, use_entity=kv.bool_("model.entity"))
+    config, backbone, prompts = load_backbone(
+        kv.path_(ckpt_key), len(vocab), **kv.present(CHANNEL_KEYS))
     tagger = build_tagger_from_files(kv.paths_("tagger.nouns"),
                                      kv.paths_("tagger.adjectives"),
                                      kv.paths_("tagger.verbs"))

@@ -9,13 +9,14 @@ moved as a unit.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from .atomic import atomic_write, read_lines
 from .errors import ConfigError
 from .model import ModelConfig
-from .training import RunConfig, ScheduleConfig, make_run_config
+from .training import RunConfig, make_run_config
 
 KNOWN_KEYS = {
     "mode", "seed",
@@ -23,14 +24,12 @@ KNOWN_KEYS = {
     "vocab.out", "corpus.out",
     "model.layers", "model.heads", "model.hidden", "model.max_len",
     "model.dropout", "model.lexical", "model.entity",
-    "train.batch_size", "train.epochs", "train.clip", "train.weight_decay",
-    "train.beta1", "train.beta2", "train.eps",
+    "train.batch_size", "train.epochs", "train.weight_decay",
     "lr.peak", "lr.min", "lr.warmup_steps", "lr.decay_end_step",
     "loss_mask", "backbone", "splice",
     "ptune.v_p", "sweep.counts",
     "tagger.nouns", "tagger.adjectives", "tagger.verbs",
-    "eval.every", "eval.checkpoint", "eval.part",
-    "checkpoint.every",
+    "eval.checkpoint", "eval.part",
     "lexicon.symptoms", "lexicon.diseases", "lexicon.drugs",
     "corpus.count", "corpus.turns_min", "corpus.turns_max",
     "corpus.style", "corpus.mentions",
@@ -86,6 +85,12 @@ class KV:
 
     def has(self, key: str) -> bool:
         return key in self.table
+
+    def present(self, fields) -> dict:
+        """{name: read(self, key)} for each (key, name, read) of ``fields``
+        whose key is set; an absent key keeps the default of its field."""
+        return {name: read(self, key) for key, name, read in fields
+                if key in self.table}
 
     def str_(self, key: str, default: Optional[str] = None) -> str:
         if key in self.table:
@@ -153,26 +158,25 @@ def parse_counts(raw: str) -> list[int]:
     return counts
 
 
-def model_config_from(kv: KV) -> ModelConfig:
-    return ModelConfig(
-        n_layers=kv.int_("model.layers"),
-        n_heads=kv.int_("model.heads"),
-        hidden=kv.int_("model.hidden"),
-        vocab_size=0,  # derived from the vocabulary at train time
-        max_len=kv.int_("model.max_len"),
-        dropout=kv.float_("model.dropout", 0.1),
-        use_lexical=kv.bool_("model.lexical", True),
-        use_entity=kv.bool_("model.entity", True),
-    )
-
-
-def schedule_from(kv: KV, default_peak: float) -> ScheduleConfig:
-    return ScheduleConfig(
-        peak_lr=kv.float_("lr.peak", default_peak),
-        min_lr=kv.float_("lr.min", 5e-6),
-        warmup_steps=kv.int_("lr.warmup_steps", 2000),
-        decay_end_step=kv.int_("lr.decay_end_step", 100_000),
-    )
+# optional keys, each with the field it sets and its reader
+CHANNEL_KEYS = (("model.dropout", "dropout", KV.float_),
+                ("model.lexical", "use_lexical", KV.bool_),
+                ("model.entity", "use_entity", KV.bool_))
+SCHEDULE_KEYS = (("lr.peak", "peak_lr", KV.float_),
+                 ("lr.min", "min_lr", KV.float_),
+                 ("lr.warmup_steps", "warmup_steps", KV.int_),
+                 ("lr.decay_end_step", "decay_end_step", KV.int_))
+RUN_KEYS = (("seed", "seed", KV.int_),
+            ("data.split", "split_ratio",
+             lambda kv, key: parse_ratio(kv.str_(key))),
+            ("train.batch_size", "batch_size", KV.int_),
+            ("train.epochs", "epochs", KV.int_),
+            ("train.weight_decay", "weight_decay", KV.float_),
+            ("loss_mask", "loss_mask_policy", KV.str_),
+            ("splice", "splice", KV.bool_),
+            ("tagger.nouns", "noun_lexicons", KV.paths_),
+            ("tagger.adjectives", "adj_lexicons", KV.paths_),
+            ("tagger.verbs", "verb_lexicons", KV.paths_))
 
 
 def load_run_config(path, mode: str, out_dir,
@@ -183,43 +187,29 @@ def load_run_config(path, mode: str, out_dir,
         raise ConfigError(
             f"config declares mode {kv.str_('mode')!r} but the "
             f"{mode!r} command was invoked")
-    base = make_run_config(
+    run = make_run_config(
         mode,
         corpus_path=kv.path_("data.corpus"),
         vocab_path=kv.path_("data.vocab"),
         out_dir=Path(out_dir),
+        **kv.present(RUN_KEYS),
     )
-    default_peak = base.sched.peak_lr
-    run = base
-    run.seed = seed_override if seed_override is not None else kv.int_("seed", 0)
-    if kv.has("data.split"):
-        run.split_ratio = parse_ratio(kv.str_("data.split"))
-    run.batch_size = kv.int_("train.batch_size", 32)
-    run.epochs = kv.int_("train.epochs", run.epochs)
-    run.sched = schedule_from(kv, default_peak)
-    run.clip = kv.float_("train.clip", 0.5)
-    run.weight_decay = kv.float_("train.weight_decay", 0.1)
-    run.beta1 = kv.float_("train.beta1", 0.9)
-    run.beta2 = kv.float_("train.beta2", 0.95)
-    run.eps = kv.float_("train.eps", 1e-8)
-    run.loss_mask_policy = kv.str_("loss_mask", run.loss_mask_policy)
-    run.eval_every = kv.int_("eval.every", 0)
-    run.ckpt_every = kv.int_("checkpoint.every", 0)
-    run.splice = kv.bool_("splice", False)
-    run.noun_lexicons = kv.paths_("tagger.nouns")
-    run.adj_lexicons = kv.paths_("tagger.adjectives")
-    run.verb_lexicons = kv.paths_("tagger.verbs")
+    run.sched = replace(run.sched, **kv.present(SCHEDULE_KEYS))
+    if seed_override is not None:
+        run.seed = seed_override
     if mode == "pretrain":
-        run.model = model_config_from(kv)
+        run.model = ModelConfig(
+            n_layers=kv.int_("model.layers"),
+            n_heads=kv.int_("model.heads"),
+            hidden=kv.int_("model.hidden"),
+            vocab_size=0,  # derived from the vocabulary at train time
+            max_len=kv.int_("model.max_len"),
+            **kv.present(CHANNEL_KEYS),
+        )
     else:
         run.backbone_path = kv.path_("backbone")
-        if kv.has("model.lexical"):
-            run.use_lexical = kv.bool_("model.lexical")
-        if kv.has("model.entity"):
-            run.use_entity = kv.bool_("model.entity")
-        if kv.has("model.dropout"):
-            run.dropout = kv.float_("model.dropout")
-    if mode == "ptune":
-        run.v_p = kv.int_("ptune.v_p", 8)
+        run = replace(run, **kv.present(CHANNEL_KEYS))
+    if mode == "ptune" and kv.has("ptune.v_p"):
+        run.v_p = kv.int_("ptune.v_p")
     run.validate()
     return run

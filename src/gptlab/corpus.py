@@ -113,6 +113,12 @@ def validate_dialogue(dlg: Dialogue) -> None:
                 raise OverlappingSpanError(
                     f"dialogue {dlg.id!r}: overlapping spans in turn {t_idx}")
             prev_end = span.end
+    try:  # a lone surrogate escape decodes from JSON but has no UTF-8
+        "".join([dlg.id] + [t.text for t in dlg.turns]).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise MalformedRecordError(
+            f"dialogue {dlg.id!r}: id or text is not UTF-8 ({exc.reason})"
+        ) from exc
 
 
 def _dialogue_from_record(rec: dict, lineno: int) -> Dialogue:

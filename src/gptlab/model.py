@@ -324,11 +324,8 @@ def lm_loss(seq: TokenSequence, params: dict[str, Tensor],
             train: bool = False,
             rng: Optional[np.random.Generator] = None) -> Tensor:
     """Mean next-token NLL over the sequence's unmasked positions."""
-    n_prompt = prompts.shape[0] if prompts is not None else 0
-    first, targets, mask, weights = _loss_rows([seq], n_prompt)
-    logits = forward(seq, params, config, prompts=prompts, train=train,
-                     rng=rng, first=first[0])
-    return ad.cross_entropy(logits, targets, mask, weights)
+    return batch_loss([seq], params, config, prompts=prompts, train=train,
+                      rng=rng)
 
 
 def generate(history: TokenSequence, params: dict[str, Tensor],

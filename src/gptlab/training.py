@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -29,6 +28,10 @@ from .prompts import (PROMPT_PARAM_NAME, PromptEmbeddings, apply_freeze,
 from .vocab import load_vocab
 
 MODES = ("pretrain", "finetune", "ptune")
+CLIP = 0.5  # global gradient-norm threshold of the reference regimen
+# loss-mask policy -> linearization mode: every token, or the final
+# doctor turn only
+LOSS_MASK_POLICIES = {"all": "pretrain", "response": "tune"}
 
 
 @dataclass
@@ -130,7 +133,8 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 @dataclass
 class RunConfig:
     """Full description of one training run; defaults follow the reference
-    regimen (batch 32, clip 0.5, wd 0.1, warmup-cosine 2000->100k)."""
+    regimen (batch 32, wd 0.1, warmup-cosine 2000->100k; the clip and
+    AdamW's betas and eps are fixed)."""
     mode: str
     corpus_path: Path
     vocab_path: Path
@@ -145,19 +149,13 @@ class RunConfig:
     batch_size: int = 32
     epochs: int = 3
     sched: ScheduleConfig = field(default_factory=ScheduleConfig)
-    clip: float = 0.5
     weight_decay: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
     loss_mask_policy: str = "all"            # all | response
     v_p: int = 8
     splice: bool = False
     noun_lexicons: tuple[Path, ...] = ()
     adj_lexicons: tuple[Path, ...] = ()
     verb_lexicons: tuple[Path, ...] = ()
-    eval_every: int = 0                      # 0 = final eval only
-    ckpt_every: int = 0                      # 0 = final checkpoint only
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -168,7 +166,7 @@ class RunConfig:
             raise ConfigError(f"{self.mode} needs a backbone checkpoint")
         if self.mode == "ptune" and self.v_p < 1:
             raise ConfigError("ptune needs v_p >= 1")
-        if self.loss_mask_policy not in ("all", "response"):
+        if self.loss_mask_policy not in LOSS_MASK_POLICIES:
             raise ConfigError(f"unknown loss-mask policy {self.loss_mask_policy!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
@@ -202,7 +200,6 @@ class MetricsRow:
     loss: float
     ppl: float
     eval_ppl: Optional[float] = None
-    seconds: Optional[float] = None
 
 
 @dataclass
@@ -281,7 +278,9 @@ def spawn_seeds(seed: int) -> tuple[int, int, int, int, int]:
 
 def prepare_sequences(dialogues, vocab, max_len: int, policy: str,
                       splice: bool, tagger) -> list[TokenSequence]:
-    mode = "pretrain" if policy == "all" else "tune"
+    if policy not in LOSS_MASK_POLICIES:
+        raise ConfigError(f"unknown loss-mask policy {policy!r}")
+    mode = LOSS_MASK_POLICIES[policy]
     seqs = []
     for dlg in dialogues:
         seq = linearize(dlg, vocab, max_len, mode=mode, tagger=tagger)
@@ -305,32 +304,20 @@ def split_loaded_tensors(tensors: dict[str, Tensor]
     return backbone, prompts
 
 
-def _effective_config(run: RunConfig, vocab_size: int
-                      ) -> tuple[ModelConfig, dict[str, Tensor]]:
-    """Resolve architecture + starting parameters for the run's mode."""
-    if run.mode == "pretrain":
-        config = run.model
-        if config.vocab_size == 0:
-            config = replace(config, vocab_size=vocab_size)
-        if config.vocab_size != vocab_size:
-            raise DataError(
-                f"model vocab_size={config.vocab_size} disagrees with "
-                f"vocabulary of size {vocab_size}")
-        return config, {}
-    ckpt_config, tensors = load_checkpoint(run.backbone_path)
-    if ckpt_config.vocab_size != vocab_size:
+def load_backbone(path, vocab_size: int, **overrides
+                  ) -> tuple[ModelConfig, dict[str, Tensor],
+                             Optional[PromptEmbeddings]]:
+    """A checkpoint's config, backbone and prompts (None without), checked
+    against a vocabulary of ``vocab_size``. Each override (``use_lexical``,
+    ``use_entity``, ``dropout``) that is not None replaces the config's."""
+    config, tensors = load_checkpoint(path)
+    if config.vocab_size != vocab_size:
         raise DataError(
-            f"checkpoint vocab_size={ckpt_config.vocab_size} disagrees with "
+            f"checkpoint vocab_size={config.vocab_size} disagrees with "
             f"vocabulary of size {vocab_size}")
-    config = ckpt_config
-    if run.use_lexical is not None:
-        config = replace(config, use_lexical=run.use_lexical)
-    if run.use_entity is not None:
-        config = replace(config, use_entity=run.use_entity)
-    if run.dropout is not None:
-        config = replace(config, dropout=run.dropout)
-    backbone, _ = split_loaded_tensors(tensors)
-    return config, backbone
+    config = replace(config, **{k: v for k, v in overrides.items()
+                                if v is not None})
+    return (config, *split_loaded_tensors(tensors))
 
 
 def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
@@ -405,9 +392,19 @@ def train(run: RunConfig) -> TrainResult:
     corpus = load_corpus(run.corpus_path)
     train_dlgs, test_dlgs = split(corpus, run.split_ratio, split_seed)
 
-    config, params = _effective_config(run, len(vocab))
     if run.mode == "pretrain":
+        config = run.model
+        if config.vocab_size == 0:
+            config = replace(config, vocab_size=len(vocab))
+        if config.vocab_size != len(vocab):
+            raise DataError(
+                f"model vocab_size={config.vocab_size} disagrees with "
+                f"vocabulary of size {len(vocab)}")
         params = init_parameters(config, init_seed)
+    else:
+        config, params, _ = load_backbone(
+            run.backbone_path, len(vocab), use_lexical=run.use_lexical,
+            use_entity=run.use_entity, dropout=run.dropout)
 
     tagger = _build_tagger(run)
     train_seqs = prepare_sequences(train_dlgs, vocab, config.max_len,
@@ -429,14 +426,6 @@ def train(run: RunConfig) -> TrainResult:
     metrics = MetricsLog()
     ckpt_path = out_dir / "final.ckpt"
     step = 0
-    t0 = time.perf_counter()
-
-    def save_now(path) -> None:
-        tensors = dict(params)
-        if prompts is not None:
-            tensors[PROMPT_PARAM_NAME] = prompts.matrix
-        save_checkpoint(path, config, tensors)
-
     try:
         for _epoch in range(run.epochs):
             order = shuffle_rng.permutation(len(train_seqs))
@@ -451,24 +440,15 @@ def train(run: RunConfig) -> TrainResult:
                 ad.backward(loss)
                 grads = {name: t.grad for name, t in trainable.items()
                          if t.grad is not None}
-                clip_grad_norm(grads, run.clip)
+                clip_grad_norm(grads, CLIP)
                 step += 1
                 lr = lr_at(step, run.sched)
                 adamw_step(trainable, grads, state, lr,
-                           beta1=run.beta1, beta2=run.beta2, eps=run.eps,
                            weight_decay=run.weight_decay)
                 for t in trainable.values():
                     t.zero_grad()
-                eval_ppl = None
-                if run.eval_every and step % run.eval_every == 0 and test_seqs:
-                    eval_ppl = evaluate_ppl(params, config, test_seqs,
-                                            prompts=prompts)
                 metrics.add(MetricsRow(step=step, lr=lr, loss=loss_val,
-                                       ppl=float(np.exp(loss_val)),
-                                       eval_ppl=eval_ppl,
-                                       seconds=time.perf_counter() - t0))
-                if run.ckpt_every and step % run.ckpt_every == 0:
-                    save_now(out_dir / f"step{step}.ckpt")
+                                       ppl=float(np.exp(loss_val))))
     except NumericError:
         save_metrics(metrics, out_dir / "metrics.csv")
         raise
@@ -477,7 +457,10 @@ def train(run: RunConfig) -> TrainResult:
     if metrics.rows:
         metrics.rows[-1].eval_ppl = final_ppl
     save_metrics(metrics, out_dir / "metrics.csv")
-    save_now(ckpt_path)
+    tensors = dict(params)
+    if prompts is not None:
+        tensors[PROMPT_PARAM_NAME] = prompts.matrix
+    save_checkpoint(ckpt_path, config, tensors)
     return TrainResult(config=config, params=params, prompts=prompts,
                        metrics=metrics, checkpoint_path=ckpt_path,
                        final_eval_ppl=final_ppl)

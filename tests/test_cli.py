@@ -429,6 +429,16 @@ INPUT_ESCAPES = {
                               {"speaker": "doctor", "text": "ba"}]}).encode(),
         "build-vocab"),
     "corpus-not-utf8": ("runs/esc.jsonl", b'{"id": "\xff"}\n', "build-vocab"),
+    "corpus-lone-surrogate": ("runs/esc.jsonl", json.dumps(
+        {"id": "u", "turns": [{"speaker": "patient", "text": "a\ud800b"},
+                              {"speaker": "doctor", "text": "ba"}]}).encode(),
+        "build-vocab"),
+    "config-loss-mask-typo": ("esc-mask.kv", (
+        "eval.checkpoint = runs/pretrain/final.ckpt\n"
+        "data.corpus = runs/b/corpus.jsonl\n"
+        "data.vocab = runs/vocab/vocab.txt\n"
+        "eval.part = all\n"
+        "loss_mask = respnse\n").encode(), "eval"),
     "config-not-utf8": ("esc.kv", b"seed = \xff\n", "build-vocab"),
     "vocab-not-utf8": ("runs/esc-vocab.txt", b"<PAD>\n\xff\n", "eval"),
     "lexicon-not-utf8": ("lex/esc.txt", b"fever\n\xfe\n", "gen-synthetic"),

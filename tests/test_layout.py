@@ -1,13 +1,17 @@
-"""Production code holds no code that only tests call.
+"""Production code holds no code that only tests call, and no setting
+that nothing reads.
 
 Every module-level function or class of ``src/gptlab``, and every method
 of its classes, must be named (as a whole word) on some other line of
 ``src/gptlab`` or ``perfbench/``. Dunder methods are exempt: Python calls
-them.
+them. Every config key that the reader accepts must be quoted somewhere
+in ``src/gptlab`` outside the set that lists the accepted keys.
 """
 import ast
 import re
 from pathlib import Path
+
+from gptlab.config import KNOWN_KEYS
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "gptlab"
@@ -47,3 +51,18 @@ def test_every_definition_is_named_outside_tests():
                     if (p, no) != (path, lineno)):
                 unused.append(f"{path.name}:{lineno} {name}")
     assert not unused, "named only by tests: " + ", ".join(unused)
+
+
+def test_every_config_key_is_read():
+    listing = ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))
+    known = next(node for node in listing.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["KNOWN_KEYS"])
+    text = "\n".join(
+        line for path in sorted(PACKAGE.glob("*.py"))
+        for no, line in enumerate(path.read_text(encoding="utf-8")
+                                  .splitlines(), start=1)
+        if not (path.name == "config.py"
+                and known.lineno <= no <= known.end_lineno))
+    unread = sorted(key for key in KNOWN_KEYS if f'"{key}"' not in text)
+    assert not unread, "config keys nothing reads: " + ", ".join(unread)

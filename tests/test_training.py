@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from gptlab import autodiff as ad
 from gptlab.autodiff import Tensor
-from gptlab.config import write_kv
+from gptlab.config import load_run_config, write_kv
 from gptlab.corpus import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS,
                            Dialogue, SyntheticSpec, Turn, generate_synthetic,
                            linearize, save_corpus)
@@ -17,7 +18,7 @@ from gptlab.errors import ConfigError, EmptyLossError, NumericError
 from gptlab.model import (ModelConfig, init_parameters, load_checkpoint,
                           save_checkpoint)
 from gptlab.prompts import PROMPT_PARAM_NAME
-from gptlab.training import (METRICS_HEADER, MetricsLog, MetricsRow,
+from gptlab.training import (CLIP, METRICS_HEADER, MetricsLog, MetricsRow,
                              OptimizerState, RunConfig, ScheduleConfig,
                              adamw_step, clip_grad_norm, evaluate_ppl, lr_at,
                              make_run_config, save_metrics, train)
@@ -143,8 +144,8 @@ def test_adamw_skips_missing_grads_and_exempts_norm_params():
 
 def test_metrics_row_monotonicity_and_roundtrip(tmp_path):
     log = MetricsLog()
-    log.add(MetricsRow(1, 1e-4, 2.0, math.exp(2.0), None, 0.1))
-    log.add(MetricsRow(2, 9e-5, 1.5, math.exp(1.5), 4.4817, 0.2))
+    log.add(MetricsRow(1, 1e-4, 2.0, math.exp(2.0), None))
+    log.add(MetricsRow(2, 9e-5, 1.5, math.exp(1.5), 4.4817))
     with pytest.raises(ConfigError):
         log.add(MetricsRow(2, 9e-5, 1.0, math.exp(1.0)))
     path = tmp_path / "metrics.csv"
@@ -407,7 +408,6 @@ def test_train_divergence_aborts_with_numeric_error(tmp_path):
     run = fast_run(tmp_path, out="diverge", epochs=30)
     run.sched = ScheduleConfig(peak_lr=1e9, min_lr=1e8, warmup_steps=1,
                                decay_end_step=10)
-    run.clip = 1e12  # let the explosion through
     with pytest.raises(NumericError):
         train(run)
     assert not (run.out_dir / "final.ckpt").exists()
@@ -417,8 +417,10 @@ def test_train_divergence_aborts_with_numeric_error(tmp_path):
 def test_run_config_defaults_mirror_reference_regimen():
     pre = make_run_config("pretrain", corpus_path="c", vocab_path="v",
                           out_dir="o", model=None)
-    assert (pre.batch_size, pre.clip, pre.weight_decay) == (32, 0.5, 0.1)
-    assert (pre.beta1, pre.beta2) == (0.9, 0.95)
+    assert (pre.batch_size, CLIP, pre.weight_decay) == (32, 0.5, 0.1)
+    adamw = inspect.signature(adamw_step).parameters
+    assert (adamw["beta1"].default, adamw["beta2"].default) == (0.9, 0.95)
+    assert adamw["eps"].default == 1e-8
     assert (pre.sched.peak_lr, pre.sched.min_lr) == (1e-4, 5e-6)
     assert (pre.sched.warmup_steps, pre.sched.decay_end_step) == (2000, 100_000)
     assert (pre.epochs, pre.split_ratio, pre.loss_mask_policy) == \
@@ -429,6 +431,29 @@ def test_run_config_defaults_mirror_reference_regimen():
         assert tune.sched.peak_lr == 5e-5
         assert (tune.epochs, tune.split_ratio, tune.loss_mask_policy) == \
             (6, (8, 2), "response")
+
+
+@pytest.mark.parametrize("mode", ["pretrain", "finetune", "ptune"])
+def test_run_config_from_required_keys_keeps_every_default(tmp_path, mode):
+    required = {"data.corpus": "c.jsonl", "data.vocab": "v.txt"}
+    model = None
+    if mode == "pretrain":
+        required.update({"model.layers": "1", "model.heads": "2",
+                         "model.hidden": "8", "model.max_len": "16"})
+        model = ModelConfig(n_layers=1, n_heads=2, hidden=8, vocab_size=0,
+                            max_len=16)
+    else:
+        required["backbone"] = "b.ckpt"
+    path = tmp_path / "run.kv"
+    write_kv(path, required)
+    run = load_run_config(path, mode, tmp_path / "out")
+    assert run == make_run_config(
+        mode, corpus_path=run.corpus_path, vocab_path=run.vocab_path,
+        out_dir=run.out_dir, backbone_path=run.backbone_path, model=model)
+    for key in required:
+        write_kv(path, {k: v for k, v in required.items() if k != key})
+        with pytest.raises(ConfigError, match="missing required config key"):
+            load_run_config(path, mode, tmp_path / "out")
 
 
 def test_run_config_validation(tmp_path):
