@@ -10,21 +10,19 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_write
-from .config import (CHANNEL_KEYS, KV, load_run_config, parse_counts,
-                     parse_ratio, write_kv)
-from .corpus import (SyntheticSpec, generate_synthetic, load_corpus,
-                     save_corpus, split)
+from .config import (CHANNEL_KEYS, DECODE_KEYS, KV, load_run_config,
+                     parse_counts, parse_ratio, write_kv)
+from .corpus import SyntheticSpec, generate_synthetic, load_corpus, save_corpus
 from .errors import ConfigError, DataError, GptLabError, NumericError
 from .model import generate as model_generate
-from .prompts import sweep_prompt_counts
 from .training import (build_tagger_from_files, evaluate_ppl, load_backbone,
-                       prepare_sequences, read_lexicon, spawn_seeds, train)
+                       prepare_sequences, read_lexicon, split_corpus, train,
+                       train_variants)
 from .vocab import build_vocab, decode, load_vocab, save_vocab
 
 EXIT_OK = 0
@@ -34,12 +32,12 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 ABLATION_VARIANTS = (
-    # name, use_lexical, use_entity, splice
-    ("none", False, False, False),
-    ("lexical", True, False, False),
-    ("entity", False, True, False),
-    ("both", True, True, False),
-    ("splice", False, False, True),
+    # name (run subdirectory and table row), RunConfig overrides
+    ("none", dict(use_lexical=False, use_entity=False, splice=False)),
+    ("lexical", dict(use_lexical=True, use_entity=False, splice=False)),
+    ("entity", dict(use_lexical=False, use_entity=True, splice=False)),
+    ("both", dict(use_lexical=True, use_entity=True, splice=False)),
+    ("splice", dict(use_lexical=False, use_entity=False, splice=True)),
 )
 
 
@@ -116,7 +114,7 @@ def cmd_build_vocab(args) -> int:
 def _cmd_train(mode: str, args) -> int:
     kv = KV.load(args.config)
     out = prepare_out_dir(args.out, args.force)
-    run = load_run_config(args.config, mode, out, seed_override=args.seed)
+    run = load_run_config(kv, mode, out, seed_override=args.seed)
     _echo_config(kv, out, run.seed)
     result = train(run)
     print(f"{mode}: {len(result.metrics.rows)} steps, "
@@ -154,8 +152,7 @@ def cmd_eval(args) -> int:
     if part != "all":
         if not kv.has("data.split"):
             raise ConfigError("eval.part needs data.split")
-        split_seed = spawn_seeds(seed)[1]
-        tr, te = split(corpus, parse_ratio(kv.str_("data.split")), split_seed)
+        tr, te = split_corpus(corpus, parse_ratio(kv.str_("data.split")), seed)
         corpus = tr if part == "train" else te
     policy = kv.str_("loss_mask", "response")
     seqs = prepare_sequences(corpus, vocab, config.max_len, policy,
@@ -184,13 +181,9 @@ def cmd_generate(args) -> int:
     keep = len(seq) - (len(dlg.turns[-1].text) + 1)
     history_seq = seq.prefix(keep)
     new_ids = model_generate(
-        history_seq, backbone, config,
-        strategy=kv.str_("generate.strategy", "greedy"),
-        max_new=kv.int_("generate.max_new", 64),
-        seed=seed,
+        history_seq, backbone, config, seed=seed,
         prompts=prompts.matrix if prompts is not None else None,
-        top_k=kv.int_("generate.top_k", 5),
-        eos_id=vocab.eos_id)
+        eos_id=vocab.eos_id, **kv.present(DECODE_KEYS))
     lines = [
         f"dialogue = {dlg.id}",
         f"history = {decode(history_seq.ids, vocab)}",
@@ -204,34 +197,31 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_prompts(args) -> int:
+def _cmd_variants(column: str, args) -> int:
+    """p-tune one variant of the config per table row: each prompt count of
+    ``sweep.counts`` (column ``v_p``) or each ablation variant (column
+    ``variant``)."""
     kv = KV.load(args.config)
     out = prepare_out_dir(args.out, args.force)
-    run = load_run_config(args.config, "ptune", out, seed_override=args.seed)
-    counts = parse_counts(kv.str_("sweep.counts", "1,25,50,75,100"))
-    rows = sweep_prompt_counts(counts, run, out_dir=out)
-    _write_table(out / "sweep.csv", "v_p,ppl", rows)
-    _echo_config(kv, out, run.seed)
-    for v_p, ppl in rows:
-        print(f"v_p={v_p:>4d}  test ppl {ppl:.4f}")
-    return EXIT_OK
-
-
-def cmd_ablate(args) -> int:
-    kv = KV.load(args.config)
-    out = prepare_out_dir(args.out, args.force)
-    base = load_run_config(args.config, "ptune", out, seed_override=args.seed)
-    rows = []
-    for name, lex, ent, splice in ABLATION_VARIANTS:
-        run = replace(base, use_lexical=lex, use_entity=ent, splice=splice,
-                      out_dir=out / name)
-        result = train(run)
-        rows.append((name, result.final_eval_ppl))
-    _write_table(out / "ablation.csv", "variant,ppl", rows)
+    base = load_run_config(kv, "ptune", out, seed_override=args.seed)
+    if column == "v_p":
+        keys = parse_counts(kv.str_("sweep.counts", "1,25,50,75,100"))
+        variants = [(f"vp{n}", {"v_p": n}) for n in keys]
+        table = "sweep.csv"
+    else:
+        keys = [name for name, _ in ABLATION_VARIANTS]
+        variants = ABLATION_VARIANTS
+        table = "ablation.csv"
+    rows = list(zip(keys, train_variants(base, variants)))
+    _write_table(out / table, f"{column},ppl", rows)
     _echo_config(kv, out, base.seed)
-    for name, ppl in rows:
-        print(f"{name:>8s}  test ppl {ppl:.4f}")
+    for key, ppl in rows:
+        print(f"{column}={key}  test ppl {ppl:.4f}")
     return EXIT_OK
+
+
+cmd_sweep_prompts = functools.partial(_cmd_variants, "v_p")
+cmd_ablate = functools.partial(_cmd_variants, "variant")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -162,6 +162,9 @@ def parse_counts(raw: str) -> list[int]:
 CHANNEL_KEYS = (("model.dropout", "dropout", KV.float_),
                 ("model.lexical", "use_lexical", KV.bool_),
                 ("model.entity", "use_entity", KV.bool_))
+DECODE_KEYS = (("generate.strategy", "strategy", KV.str_),
+               ("generate.max_new", "max_new", KV.int_),
+               ("generate.top_k", "top_k", KV.int_))
 SCHEDULE_KEYS = (("lr.peak", "peak_lr", KV.float_),
                  ("lr.min", "min_lr", KV.float_),
                  ("lr.warmup_steps", "warmup_steps", KV.int_),
@@ -179,10 +182,9 @@ RUN_KEYS = (("seed", "seed", KV.int_),
             ("tagger.verbs", "verb_lexicons", KV.paths_))
 
 
-def load_run_config(path, mode: str, out_dir,
+def load_run_config(kv: KV, mode: str, out_dir,
                     seed_override: Optional[int] = None) -> RunConfig:
     """Build a RunConfig for one of the training subcommands."""
-    kv = KV.load(path)
     if kv.has("mode") and kv.str_("mode") != mode:
         raise ConfigError(
             f"config declares mode {kv.str_('mode')!r} but the "

@@ -346,10 +346,3 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> list[Dialogue]:
         dialogues.append(dlg)
     return dialogues
 
-
-DEFAULT_SYMPTOMS = ["headache", "fever", "cough", "nausea",
-                    "rash", "weakness", "dizziness", "itching"]
-DEFAULT_DISEASES = ["flu", "gout", "mumps", "polio",
-                    "rabies", "asthma", "ulcer", "vertigo"]
-DEFAULT_DRUGS = ["zinc", "iron", "salbex", "taxol",
-                 "budecort", "exipan", "lovir", "minoxil"]

@@ -7,7 +7,7 @@ embedded input, ahead of BOS, with no positional additions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Optional, Sequence
+from typing import AbstractSet, Optional
 
 import numpy as np
 
@@ -54,22 +54,3 @@ def apply_freeze(params: dict[str, Tensor],
             trainable[name] = t
     return trainable
 
-
-def sweep_prompt_counts(counts: Sequence[int], run_config,
-                        out_dir=None) -> list[tuple[int, float]]:
-    """One complete p-tuning run per count, shared seed and data split."""
-    from dataclasses import replace
-    from pathlib import Path
-
-    from .training import train
-
-    if not counts:
-        raise ConfigError("prompt-count sweep needs at least one count")
-    rows = []
-    for v_p in counts:
-        run = replace(run_config, v_p=int(v_p))
-        if out_dir is not None:
-            run = replace(run, out_dir=Path(out_dir) / f"vp{v_p}")
-        result = train(run)
-        rows.append((int(v_p), result.final_eval_ppl))
-    return rows

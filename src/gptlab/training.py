@@ -276,6 +276,12 @@ def spawn_seeds(seed: int) -> tuple[int, int, int, int, int]:
     return tuple(int(s.generate_state(1)[0]) for s in children)
 
 
+def split_corpus(corpus: list[Dialogue], ratio: tuple[int, int], seed: int
+                 ) -> tuple[list[Dialogue], list[Dialogue]]:
+    """The (train, test) dialogues of a run with this seed."""
+    return split(corpus, ratio, spawn_seeds(seed)[1])
+
+
 def prepare_sequences(dialogues, vocab, max_len: int, policy: str,
                       splice: bool, tagger) -> list[TokenSequence]:
     if policy not in LOSS_MASK_POLICIES:
@@ -385,12 +391,11 @@ def train(run: RunConfig) -> TrainResult:
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    init_seed, split_seed, shuffle_seed, drop_seed, prompt_seed = (
-        spawn_seeds(run.seed))
+    init_seed, _, shuffle_seed, drop_seed, prompt_seed = spawn_seeds(run.seed)
 
     vocab = load_vocab(run.vocab_path)
     corpus = load_corpus(run.corpus_path)
-    train_dlgs, test_dlgs = split(corpus, run.split_ratio, split_seed)
+    train_dlgs, test_dlgs = split_corpus(corpus, run.split_ratio, run.seed)
 
     if run.mode == "pretrain":
         config = run.model
@@ -464,3 +469,12 @@ def train(run: RunConfig) -> TrainResult:
     return TrainResult(config=config, params=params, prompts=prompts,
                        metrics=metrics, checkpoint_path=ckpt_path,
                        final_eval_ppl=final_ppl)
+
+
+def train_variants(base: RunConfig, variants) -> list[float]:
+    """One complete run per ``(subdir, overrides)`` of ``variants``: base
+    with the overrides, trained into ``base.out_dir / subdir``. Returns the
+    final eval perplexities in order."""
+    return [train(replace(base, out_dir=Path(base.out_dir) / subdir,
+                          **overrides)).final_eval_ppl
+            for subdir, overrides in variants]

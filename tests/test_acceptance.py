@@ -20,10 +20,10 @@ from gptlab.corpus import (SyntheticSpec, generate_synthetic, load_corpus,
                            save_corpus, split)
 from gptlab.model import (ModelConfig, forward, init_parameters, lm_loss,
                           load_checkpoint, parameter_count)
-from gptlab.prompts import sweep_prompt_counts
 from gptlab.training import (ScheduleConfig, evaluate_ppl, lr_at,
                              make_run_config, prepare_sequences, read_lexicon,
-                             spawn_seeds, split_loaded_tensors, train)
+                             spawn_seeds, split_loaded_tensors, train,
+                             train_variants)
 from gptlab.vocab import build_vocab, save_vocab
 
 from .test_model import make_seq
@@ -305,10 +305,11 @@ def test_criterion_08_freeze_contract(pipeline):
 def test_criterion_09_prompt_count_sweep(pipeline):
     run = replace(pipeline["pt_run"], epochs=4,
                   sched=ScheduleConfig(peak_lr=3e-3, min_lr=3e-4,
-                                       warmup_steps=10, decay_end_step=60))
+                                       warmup_steps=10, decay_end_step=60),
+                  out_dir=pipeline["root"] / "sweep")
     counts = [1, 25, 50, 75, 100]
-    rows = sweep_prompt_counts(counts, run,
-                               out_dir=pipeline["root"] / "sweep")
+    rows = list(zip(counts, train_variants(
+        run, [(f"vp{n}", {"v_p": n}) for n in counts])))
     table = pipeline["root"] / "sweep" / "sweep.csv"
     with open(table, "w", encoding="utf-8") as fh:
         fh.write("v_p,ppl\n")

@@ -1,6 +1,7 @@
 """End-to-end command surface tests on a miniature pipeline."""
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -16,15 +17,17 @@ from hypothesis import strategies as st
 
 import gptlab
 from gptlab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from gptlab.config import read_kv
-from gptlab.corpus import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS,
-                           SyntheticSpec, generate_synthetic, load_corpus,
+from gptlab.config import read_kv, write_kv
+from gptlab.corpus import (SyntheticSpec, generate_synthetic, load_corpus,
                            save_corpus, split)
 from gptlab.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                          PROMPT_PARAM_NAME, load_checkpoint, save_checkpoint)
+                          PROMPT_PARAM_NAME, generate, load_checkpoint,
+                          save_checkpoint)
 from gptlab.prompts import init_prompts
 from gptlab.training import METRICS_HEADER, prepare_sequences, spawn_seeds
 from gptlab.vocab import build_vocab, load_vocab, save_vocab
+
+from .util import DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS
 
 GEN = """
 lexicon.symptoms = lex/symptoms.txt
@@ -62,6 +65,10 @@ model.dropout = 0.0
 loss_mask = all
 """
 
+PTUNE = TRAIN.format(mode="ptune", corpus="runs/b/corpus.jsonl", split="8:2",
+                     epochs=2, extra=("backbone = runs/pretrain/final.ckpt\n"
+                                      "ptune.v_p = 2\nloss_mask = response\n"))
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -87,12 +94,7 @@ def workspace(tmp_path_factory):
         TRAIN.format(mode="pretrain", corpus="runs/a/corpus.jsonl",
                      split="4:1", epochs=4, extra=MODEL_BLOCK),
         encoding="utf-8")
-    (root / "ptune.kv").write_text(
-        TRAIN.format(mode="ptune", corpus="runs/b/corpus.jsonl",
-                     split="8:2", epochs=2,
-                     extra=("backbone = runs/pretrain/final.ckpt\n"
-                            "ptune.v_p = 2\nloss_mask = response\n")),
-        encoding="utf-8")
+    (root / "ptune.kv").write_text(PTUNE, encoding="utf-8")
 
     def run(cmd, config, out, *more):
         return main([cmd, "--config", str(root / config),
@@ -149,6 +151,61 @@ def test_ptune_then_eval_and_generate(workspace):
     assert run("generate", "generate.kv", "generate") == EXIT_OK
     text = (root / "runs" / "generate" / "generation.txt").read_text()
     assert "generated = " in text
+
+
+def test_eval_scores_a_run_as_its_final_eval_ppl(workspace):
+    """eval over a ptune run's corpus, split, seed, loss mask and tagger
+    writes exactly the eval_ppl of that run's last metrics row."""
+    root, run = workspace
+    (root / "ptune-tagged.kv").write_text(
+        (root / "ptune.kv").read_text()
+        + "tagger.nouns = lex/symptoms.txt, lex/diseases.txt\n",
+        encoding="utf-8")
+    assert run("ptune", "ptune-tagged.kv", "ptune-tagged") == EXIT_OK
+    ptune = read_kv(root / "ptune-tagged.kv")
+    write_kv(root / "eval-tagged.kv", {
+        "eval.checkpoint": "runs/ptune-tagged/final.ckpt",
+        "eval.part": "test",
+        **{key: ptune[key] for key in (
+            "data.corpus", "data.vocab", "data.split", "seed", "loss_mask",
+            "tagger.nouns")}})
+    assert run("eval", "eval-tagged.kv", "eval-tagged") == EXIT_OK
+    last = (root / "runs" / "ptune-tagged" / "metrics.csv").read_text(
+        encoding="utf-8").splitlines()[-1]
+    eval_ppl = last.split(",")[4]
+    assert (root / "runs" / "eval-tagged" / "eval.txt").read_text(
+        encoding="utf-8") == f"ppl = {eval_ppl}\n"
+
+
+def test_generate_without_decode_keys_uses_model_defaults(workspace):
+    root, run = workspace
+    defaults = {name: p.default for name, p in
+                inspect.signature(generate).parameters.items()
+                if name in ("strategy", "max_new", "top_k")}
+    base = ("generate.checkpoint = runs/pretrain/final.ckpt\n"
+            "data.corpus = runs/b/corpus.jsonl\n"
+            "data.vocab = runs/vocab/vocab.txt\n"
+            "generate.index = 2\n"
+            "seed = 1\n")
+    explicit = (f"generate.strategy = {defaults['strategy']}\n"
+                f"generate.top_k = {defaults['top_k']}\n")
+    configs = {
+        "plain": base,
+        "defaults": base + explicit
+        + f"generate.max_new = {defaults['max_new']}\n",
+        "longer": base + explicit
+        + f"generate.max_new = {2 * defaults['max_new']}\n",
+    }
+    texts = {}
+    for name, text in configs.items():
+        (root / f"generate-{name}.kv").write_text(text, encoding="utf-8")
+        assert run("generate", f"generate-{name}.kv",
+                   f"generate-{name}") == EXIT_OK
+        texts[name] = (root / "runs" / f"generate-{name}"
+                       / "generation.txt").read_bytes()
+    # no EOS within the default budget, so max_new sets the reply length
+    assert texts["longer"] != texts["defaults"]
+    assert texts["plain"] == texts["defaults"]
 
 
 def test_rerun_reproduces_byte_identical_artifacts(workspace):
@@ -240,8 +297,8 @@ def test_ablate_and_sweep_tables(workspace):
     assert run("ablate", "ablate.kv", "ablate") == EXIT_OK
     lines = (root / "runs" / "ablate" / "ablation.csv").read_text().splitlines()
     assert lines[0] == "variant,ppl"
-    assert [l.split(",")[0] for l in lines[1:]] == [
-        "none", "lexical", "entity", "both", "splice"]
+    variants = ["none", "lexical", "entity", "both", "splice"]
+    assert [l.split(",")[0] for l in lines[1:]] == variants
     for line in lines[1:]:
         float(line.split(",")[1])  # parseable ppl
 
@@ -253,6 +310,10 @@ def test_ablate_and_sweep_tables(workspace):
     assert lines[0] == "v_p,ppl"
     assert [l.split(",")[0] for l in lines[1:]] == ["1", "3"]
 
+    # one complete run per row, each in its own subdirectory
+    for sub in [f"ablate/{v}" for v in variants] + ["sweep/vp1", "sweep/vp3"]:
+        for name in ("metrics.csv", "final.ckpt"):
+            assert (root / "runs" / sub / name).is_file(), (sub, name)
 
 def test_split_without_loss_tokens_is_data_error(workspace, capsys):
     root, run = workspace
@@ -439,6 +500,9 @@ INPUT_ESCAPES = {
         "data.vocab = runs/vocab/vocab.txt\n"
         "eval.part = all\n"
         "loss_mask = respnse\n").encode(), "eval"),
+    "config-sweep-no-counts": (
+        "esc-sweep.kv", (PTUNE + "sweep.counts = ,\n").encode(),
+        "sweep-prompts"),
     "config-not-utf8": ("esc.kv", b"seed = \xff\n", "build-vocab"),
     "vocab-not-utf8": ("runs/esc-vocab.txt", b"<PAD>\n\xff\n", "eval"),
     "lexicon-not-utf8": ("lex/esc.txt", b"fever\n\xfe\n", "gen-synthetic"),

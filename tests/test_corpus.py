@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptlab.corpus import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS,
-                           Dialogue, EntitySpan, SyntheticSpec, TokenSequence,
+from gptlab.corpus import (Dialogue, EntitySpan, SyntheticSpec, TokenSequence,
                            Turn, generate_synthetic, linearize, load_corpus,
                            save_corpus, split)
 from gptlab.errors import (ConfigError, DataError, MalformedRecordError,
                            OverlappingSpanError, SpanOutOfBoundsError)
 from gptlab.vocab import build_vocab
+
+from .util import DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS
 
 
 def two_turn(idx="d0", patient="ab", doctor="c", spans=()):

@@ -1,11 +1,13 @@
-"""Production code holds no code that only tests call, and no setting
-that nothing reads.
+"""Production code holds no code or constant that only tests use, no
+setting that nothing reads and no import hidden in a function.
 
-Every module-level function or class of ``src/gptlab``, and every method
-of its classes, must be named (as a whole word) on some other line of
-``src/gptlab`` or ``perfbench/``. Dunder methods are exempt: Python calls
-them. Every config key that the reader accepts must be quoted somewhere
-in ``src/gptlab`` outside the set that lists the accepted keys.
+Every module-level function, class or constant of ``src/gptlab``, and
+every method of its classes, must be named (as a whole word) on some other
+line of ``src/gptlab`` or ``perfbench/``. Dunder names are exempt: Python
+reads them. Every config key that the reader accepts must be quoted
+somewhere in ``src/gptlab`` outside the set that lists the accepted keys.
+Imports sit at module level, so the import graph of the package is the one
+its module headers show.
 """
 import ast
 import re
@@ -21,21 +23,42 @@ PACKAGE = REPO / "src" / "gptlab"
 ALLOWED = {"parameter_count"}
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree: ast.Module):
     """(name, line) of each module-level function and class, and of each
     method of those classes."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defs = FUNCTIONS + (ast.ClassDef,)
     for node in tree.body:
         if isinstance(node, defs):
             yield node.name, node.lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs) and not (
-                        item.name.startswith("__") and item.name.endswith("__")):
+                if isinstance(item, defs) and not is_dunder(item.name):
                     yield item.name, item.lineno
 
 
-def test_every_definition_is_named_outside_tests():
+def constants(tree: ast.Module):
+    """(name, line) of each name bound by a module-level assignment."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not is_dunder(name.id):
+                    yield name.id, node.lineno
+
+
+def named_only_by_tests(names) -> list[str]:
+    """``path:line name`` of each (name, line) that ``names(tree)`` yields
+    for a module of ``src/gptlab`` and that no other line of the package or
+    of ``perfbench/`` names."""
     sources = sorted(PACKAGE.glob("*.py")) + sorted(
         (REPO / "perfbench").glob("*.py"))
     lines = [(path, no, text) for path in sources
@@ -44,13 +67,34 @@ def test_every_definition_is_named_outside_tests():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for name, lineno in definitions(tree):
+        for name, lineno in names(tree):
             word = re.compile(rf"\b{re.escape(name)}\b")
             if name not in ALLOWED and not any(
                     word.search(text) for p, no, text in lines
                     if (p, no) != (path, lineno)):
                 unused.append(f"{path.name}:{lineno} {name}")
+    return unused
+
+
+def test_every_definition_is_named_outside_tests():
+    unused = named_only_by_tests(definitions)
     assert not unused, "named only by tests: " + ", ".join(unused)
+
+
+def test_every_module_constant_is_named_outside_tests():
+    unused = named_only_by_tests(constants)
+    assert not unused, "constants named only by tests: " + ", ".join(unused)
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, FUNCTIONS):
+                found += [f"{path.name}:{node.lineno} in {func.name}"
+                          for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, "imports inside functions: " + ", ".join(found)
 
 
 def test_every_config_key_is_read():

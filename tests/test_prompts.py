@@ -8,8 +8,7 @@ from gptlab.autodiff import Tensor
 from gptlab.errors import ConfigError
 from gptlab.model import (ModelConfig, forward, init_parameters, lm_loss,
                           shifted_targets)
-from gptlab.prompts import (PROMPT_PARAM_NAME, apply_freeze, init_prompts,
-                            sweep_prompt_counts)
+from gptlab.prompts import PROMPT_PARAM_NAME, apply_freeze, init_prompts
 from gptlab.training import OptimizerState, adamw_step
 
 from .test_model import (make_seq, straight_line_blocks, straight_line_embed,
@@ -175,8 +174,3 @@ def test_apply_freeze_unknown_name_rejected():
     cfg, params, prompts = ptune_setup(seed=4)
     with pytest.raises(ConfigError):
         apply_freeze(params, prompts, {"no.such"})
-
-
-def test_sweep_requires_counts():
-    with pytest.raises(ConfigError):
-        sweep_prompt_counts([], None)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from gptlab import autodiff as ad
 from gptlab.autodiff import Tensor
-from gptlab.config import load_run_config, write_kv
-from gptlab.corpus import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS,
-                           Dialogue, SyntheticSpec, Turn, generate_synthetic,
+from gptlab.config import KV, load_run_config, write_kv
+from gptlab.corpus import (Dialogue, SyntheticSpec, Turn, generate_synthetic,
                            linearize, save_corpus)
 from gptlab.errors import ConfigError, EmptyLossError, NumericError
 from gptlab.model import (ModelConfig, init_parameters, load_checkpoint,
@@ -25,6 +24,7 @@ from gptlab.training import (CLIP, METRICS_HEADER, MetricsLog, MetricsRow,
 from gptlab.vocab import build_vocab, save_vocab
 
 from .test_model import make_seq
+from .util import DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS
 
 PAPER_SCHED = ScheduleConfig(peak_lr=1e-4, min_lr=5e-6, warmup_steps=2000,
                              decay_end_step=100_000)
@@ -446,14 +446,14 @@ def test_run_config_from_required_keys_keeps_every_default(tmp_path, mode):
         required["backbone"] = "b.ckpt"
     path = tmp_path / "run.kv"
     write_kv(path, required)
-    run = load_run_config(path, mode, tmp_path / "out")
+    run = load_run_config(KV.load(path), mode, tmp_path / "out")
     assert run == make_run_config(
         mode, corpus_path=run.corpus_path, vocab_path=run.vocab_path,
         out_dir=run.out_dir, backbone_path=run.backbone_path, model=model)
     for key in required:
         write_kv(path, {k: v for k, v in required.items() if k != key})
         with pytest.raises(ConfigError, match="missing required config key"):
-            load_run_config(path, mode, tmp_path / "out")
+            load_run_config(KV.load(path), mode, tmp_path / "out")
 
 
 def test_run_config_validation(tmp_path):

@@ -1,5 +1,5 @@
 """Shared test oracles: central finite differences, error metrics and a
-scalar sum for gradchecks.
+scalar sum for gradchecks; small lexicons for synthetic corpora.
 
 The finite-difference path only ever calls forward evaluation under
 no_grad, so it stays independent of the reverse-mode code it checks.
@@ -10,6 +10,13 @@ from gptlab import autodiff as ad
 
 FD_H = 1e-5
 REL_FLOOR = 1e-6
+
+DEFAULT_SYMPTOMS = ["headache", "fever", "cough", "nausea",
+                    "rash", "weakness", "dizziness", "itching"]
+DEFAULT_DISEASES = ["flu", "gout", "mumps", "polio",
+                    "rabies", "asthma", "ulcer", "vertigo"]
+DEFAULT_DRUGS = ["zinc", "iron", "salbex", "taxol",
+                 "budecort", "exipan", "lovir", "minoxil"]
 
 
 def fd_grad(loss_fn, tensor, h=FD_H):
