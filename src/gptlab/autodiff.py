@@ -7,9 +7,9 @@ every tensor that ``requires_grad``.
 
 Verification suites run in float64, training runs in float32; the dtype
 of a result follows numpy promotion of its tensor inputs, so a graph stays
-in whatever precision its leaves were created with. Plain numbers passed to
-``add`` and ``mul`` are weak: they take the dtype of the tensor they meet,
-as Python floats do under NumPy 2 (NEP 50), never promoting the graph.
+in whatever precision its leaves were created with. Ops take tensors
+only, and ``add`` and ``mul`` take two of one shape, so no constant or
+broadcast can promote a graph or hide a shape error.
 
 ``matmul`` takes an optional bias row, added in place to every row of the
 product (so in the product's dtype): an affine layer is one op and one
@@ -45,9 +45,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = "",
-                 dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+        arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
@@ -133,21 +132,6 @@ class no_grad:
         return False
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64), requires_grad=False)
-
-
-def _weak_pair(a, b) -> tuple[Tensor, Tensor]:
-    """Tensors for a binary op; a plain number takes the other side's dtype."""
-    if isinstance(a, Tensor) and not isinstance(b, Tensor) and np.ndim(b) == 0:
-        b = Tensor(np.asarray(b, dtype=a.dtype))
-    elif isinstance(b, Tensor) and not isinstance(a, Tensor) and np.ndim(a) == 0:
-        a = Tensor(np.asarray(a, dtype=b.dtype))
-    return _as_tensor(a), _as_tensor(b)
-
-
 def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
     if out.requires_grad and _tls.grad_enabled:
         _tls.tape.record(out, inputs, vjp)
@@ -155,16 +139,6 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
 
 def _wants_grad(*tensors: Tensor) -> bool:
     return _tls.grad_enabled and any(t.requires_grad for t in tensors)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting expanded."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
 
 
 def backward(loss: Tensor) -> None:
@@ -197,30 +171,35 @@ def backward(loss: Tensor) -> None:
 
 # --- operations ---
 
-def add(a, b) -> Tensor:
-    """Elementwise (broadcasting) sum; plain numbers are weak constants."""
-    a, b = _weak_pair(a, b)
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} needs operands of one shape, "
+                         f"got {a.shape} and {b.shape}")
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    _same_shape("add", a, b)
     out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape) if need_a else None,
-                _unbroadcast(g, b.shape) if need_b else None)
+        return (g if need_a else None, g if need_b else None)
 
     _record(out, (a, b), vjp)
     return out
 
 
-def mul(a, b) -> Tensor:
-    """Elementwise (broadcasting) product; plain numbers are weak constants."""
-    a, b = _weak_pair(a, b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of two tensors of one shape."""
+    _same_shape("mul", a, b)
     out = Tensor(a.data * b.data, requires_grad=_wants_grad(a, b))
     a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (_unbroadcast(g * b_data, a.shape) if need_a else None,
-                _unbroadcast(g * a_data, b.shape) if need_b else None)
+        return (g * b_data if need_a else None,
+                g * a_data if need_b else None)
 
     _record(out, (a, b), vjp)
     return out
@@ -251,7 +230,6 @@ def _rows_t_matmul(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """2-D matrix product C = A·B, plus the row vector ``bias`` on every
     row when given; dA = dC·Bᵀ, dB = Aᵀ·dC, dbias = column sums of dC."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
             f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
@@ -261,7 +239,6 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     y = a.data @ b.data
     inputs = (a, b)
     if bias is not None:
-        bias = _as_tensor(bias)
         if bias.shape != (b.shape[1],):
             raise ShapeError(f"matmul bias must have shape ({b.shape[1]},), "
                              f"got {bias.shape}")
@@ -282,7 +259,6 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
     out = Tensor(a.data.T.copy(), requires_grad=_wants_grad(a))
@@ -375,7 +351,6 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     holds: the new keys and values are written after them, and query j
     attends to keys up to cache.length + first[0] + j.
     """
-    qkv = _as_tensor(qkv)
     if qkv.data.ndim != 2 or qkv.shape[1] % (3 * n_heads):
         raise ShapeError(
             f"attention needs [N, 3H] rows with H divisible by {n_heads} "
@@ -460,7 +435,6 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then affine."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if eps < 0:
         raise ShapeError("layer_norm eps must be >= 0")
     if x.data.ndim != 2:
@@ -501,7 +475,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Elementwise GELU, tanh approximation (fixed for reproducibility)."""
-    x = _as_tensor(x)
     d = x.data
     d2 = d * d
     t = d2 * GELU_COEF  # becomes tanh(c * (d + a * d^3)) in place
@@ -542,7 +515,6 @@ def cross_entropy(logits: Tensor, targets, loss_mask,
     By default each unmasked row weighs 1/n, which is the mean over them;
     ``weights`` gives one weight per row instead (masked rows never count).
     """
-    logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy needs 2-D logits, got {logits.shape}")
     n_rows, vocab = logits.shape
@@ -590,7 +562,6 @@ def cross_entropy(logits: Tensor, targets, loss_mask,
 
 def take_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of an embedding table; backward scatter-adds."""
-    table = _as_tensor(table)
     if table.data.ndim != 2:
         raise ShapeError(f"take_rows needs a 2-D table, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
@@ -617,7 +588,6 @@ def take_rows(table: Tensor, ids) -> Tensor:
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack 2-D tensors vertically (shared column count)."""
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
     for p in parts:

@@ -179,6 +179,9 @@ def cmd_generate(args) -> int:
                             False, tagger)[0]
     # keep history + the final doctor marker; drop the reply text and EOS
     keep = len(seq) - (len(dlg.turns[-1].text) + 1)
+    if keep < 1:
+        raise DataError(f"generate.index {index}: the final reply fills all "
+                        f"{config.max_len} tokens, leaving no history")
     history_seq = seq.prefix(keep)
     new_ids = model_generate(
         history_seq, backbone, config, seed=seed,

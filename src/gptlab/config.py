@@ -106,8 +106,8 @@ class KV:
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {raw!r} is not an integer") from exc
 
-    def float_(self, key: str, default: Optional[float] = None) -> float:
-        raw = self.str_(key, None if default is None else repr(default))
+    def float_(self, key: str) -> float:
+        raw = self.str_(key)
         try:
             return float(raw)
         except ValueError as exc:
@@ -127,8 +127,8 @@ class KV:
         except (OSError, ValueError) as exc:  # e.g. an embedded NUL byte
             raise ConfigError(f"key {key!r}: bad path {raw!r} ({exc})") from exc
 
-    def path_(self, key: str, default: Optional[str] = None) -> Path:
-        return self._resolve(key, self.str_(key, default))
+    def path_(self, key: str) -> Path:
+        return self._resolve(key, self.str_(key))
 
     def paths_(self, key: str) -> tuple[Path, ...]:
         if key not in self.table:

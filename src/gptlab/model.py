@@ -48,6 +48,10 @@ class ModelConfig:
     entity_table_size: int = ENTITY_TABLE_SIZE
 
     def __post_init__(self):
+        if min(self.n_layers, self.n_heads, self.hidden) < 1:
+            raise ConfigError(f"n_layers={self.n_layers}, n_heads="
+                              f"{self.n_heads} and hidden={self.hidden} "
+                              f"must be >= 1")
         if self.hidden % self.n_heads != 0:
             raise ConfigError(
                 f"hidden={self.hidden} not divisible by n_heads={self.n_heads}")
@@ -63,17 +67,6 @@ class ModelConfig:
     @property
     def ffw_dim(self) -> int:
         return 4 * self.hidden
-
-
-class KVCache:
-    """Keys and values of one sequence being decoded, one slot per layer,
-    with room for ``n_prompt`` prompt rows and ``max_len`` tokens."""
-
-    def __init__(self, config: ModelConfig, n_prompt: int = 0,
-                 dtype=np.float32):
-        self.layers = [ad.KVSlot(config.n_heads, n_prompt + config.max_len,
-                                 config.head_dim, dtype)
-                       for _ in range(config.n_layers)]
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -182,8 +175,8 @@ def _block(x: Tensor, params: dict[str, Tensor], layer: int,
            config: ModelConfig, lengths: list[int],
            attn_keep: Optional[np.ndarray],
            ffw_keep: Optional[np.ndarray],
-           cache: Optional[KVCache],
-           first: Optional[Sequence[int]] = None) -> Tensor:
+           cache: Optional[list[ad.KVSlot]],
+           first: Optional[Sequence[int]]) -> Tensor:
     """One pre-norm block; with ``first`` only rows first[b] onwards of
     each sequence b come out (keys and values still use every row)."""
     p = f"layer{layer}"
@@ -191,7 +184,7 @@ def _block(x: Tensor, params: dict[str, Tensor], layer: int,
                            params[f"{p}.ln1.beta"], LN_EPS)
     heads = ad.attention(ad.matmul(normed, params[f"{p}.wqkv"]),
                          config.n_heads, lengths,
-                         None if cache is None else cache.layers[layer],
+                         None if cache is None else cache[layer],
                          first=first)
     if first is not None:
         rows = ad.suffix_rows(lengths, first)
@@ -211,17 +204,17 @@ def _block(x: Tensor, params: dict[str, Tensor], layer: int,
 
 def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
                   config: ModelConfig, prompts: Optional[Tensor] = None,
-                  train: bool = False,
                   rng: Optional[np.random.Generator] = None,
-                  cache: Optional[KVCache] = None,
+                  cache: Optional[list[ad.KVSlot]] = None,
                   first: Optional[Sequence[int]] = None) -> Tensor:
     """Logits over the vocabulary for a batch, on packed rows: sequence b
     owns P + len(seqs[b]) consecutive rows, its P prompt rows first.
 
     Prompt rows get no positional/lexical/entity additions, every real
     token can attend to every prompt row of its own sequence, and no
-    sequence sees another. With a ``cache`` the one sequence continues the
-    rows already cached (see ``autodiff.attention``).
+    sequence sees another. Dropout runs exactly when ``rng`` is given.
+    With a ``cache``, one ``autodiff.KVSlot`` per layer, the one sequence
+    continues the rows already cached (see ``autodiff.attention``).
 
     With ``first``, logits come back for rows first[b] onwards (prompt
     rows counted) of each sequence b only: the last block after its
@@ -234,7 +227,7 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
                           f"rows of the hidden size {config.hidden}")
     if first is not None and not any(first):
         first = None  # every row
-    masks = _dropout_masks(seqs, n_prompt, config, rng if train else None,
+    masks = _dropout_masks(seqs, n_prompt, config, rng,
                            params["tok_emb"].dtype)
     x = _dropout(_embed_rows(seqs, params, config), masks[0])
     lengths = [n_prompt + len(s) for s in seqs]
@@ -254,21 +247,11 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
 
 
 def forward(seq: TokenSequence, params: dict[str, Tensor],
-            config: ModelConfig, prompts: Optional[Tensor] = None,
-            train: bool = False,
-            rng: Optional[np.random.Generator] = None,
-            cache: Optional[KVCache] = None, first: int = 0) -> Tensor:
+            config: ModelConfig, prompts: Optional[Tensor] = None) -> Tensor:
     """Logits over the vocabulary, one row per (prompt or real) position
-    from row ``first`` on.
-
-    With a prompt matrix the rows are prepended before the embedded
-    sequence: prompts get no positional/lexical/entity additions, and
-    every real token can attend to every prompt row. With a ``cache`` the
-    sequence continues the rows already cached, and only the new rows
-    come back.
+    of one sequence, without dropout: ``forward_batch`` of a batch of one.
     """
-    return forward_batch([seq], params, config, prompts=prompts, train=train,
-                         rng=rng, cache=cache, first=[first])
+    return forward_batch([seq], params, config, prompts=prompts)
 
 
 def shifted_targets(seq: TokenSequence, n_prompt: int = 0
@@ -308,24 +291,22 @@ def _loss_rows(seqs: list[TokenSequence], n_prompt: int):
 
 def batch_loss(seqs: list[TokenSequence], params: dict[str, Tensor],
                config: ModelConfig, prompts: Optional[Tensor] = None,
-               train: bool = False,
                rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Mean over the batch of each sequence's lm_loss, in one graph; the
-    last block and the LM head run only from each first loss row on."""
+    """Mean over the batch of each sequence's lm_loss, in one graph, with
+    dropout when ``rng`` is given; the last block and the LM head run only
+    from each first loss row on."""
     n_prompt = prompts.shape[0] if prompts is not None else 0
     first, targets, mask, weights = _loss_rows(seqs, n_prompt)
-    logits = forward_batch(seqs, params, config, prompts=prompts,
-                           train=train, rng=rng, first=first)
+    logits = forward_batch(seqs, params, config, prompts=prompts, rng=rng,
+                           first=first)
     return ad.cross_entropy(logits, targets, mask, weights)
 
 
 def lm_loss(seq: TokenSequence, params: dict[str, Tensor],
-            config: ModelConfig, prompts: Optional[Tensor] = None,
-            train: bool = False,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Mean next-token NLL over the sequence's unmasked positions."""
-    return batch_loss([seq], params, config, prompts=prompts, train=train,
-                      rng=rng)
+            config: ModelConfig, prompts: Optional[Tensor] = None) -> Tensor:
+    """Mean next-token NLL over the sequence's unmasked positions, without
+    dropout: ``batch_loss`` of a batch of one."""
+    return batch_loss([seq], params, config, prompts=prompts)
 
 
 def generate(history: TokenSequence, params: dict[str, Tensor],
@@ -336,25 +317,30 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
     """Autoregressive decoding; greedy is deterministic, top-k is
     deterministic under seed. New tokens are annotated OTHER/0.
 
-    Prompts and history run once, filling a key/value cache, with logits
-    for their last row only; after that each new token is fed as a one-row
-    sequence.
+    Prompts and history run once, filling a key/value cache (one
+    ``autodiff.KVSlot`` per layer), with logits for their last row only;
+    after that each new token is fed as a one-row sequence.
     """
     if strategy not in ("greedy", "top_k"):
         raise ConfigError(f"unknown decoding strategy {strategy!r}")
+    if top_k < 1 or max_new < 0:
+        raise ConfigError(f"need top_k >= 1 and max_new >= 0, got "
+                          f"top_k={top_k}, max_new={max_new}")
     if len(history) >= config.max_len:
         raise ShapeError("history must be shorter than max_len")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     n_prompt = prompts.shape[0] if prompts is not None else 0
-    cache = KVCache(config, n_prompt, params["tok_emb"].dtype)
+    cache = [ad.KVSlot(config.n_heads, n_prompt + config.max_len,
+                       config.head_dim, params["tok_emb"].dtype)
+             for _ in range(config.n_layers)]
     step, n = history, len(history)
     rows = n_prompt + n  # rows of this call; logits come for the last
     out: list[int] = []
     with ad.no_grad():
         while len(out) < max_new and n < config.max_len:
-            logits = forward(step, params, config, prompts=prompts,
-                             cache=cache, first=rows - 1).data[0]
+            logits = forward_batch([step], params, config, prompts=prompts,
+                                   cache=cache, first=[rows - 1]).data[0]
             prompts = None  # their keys and values are in the cache
             rows = 1
             if strategy == "greedy":

@@ -133,8 +133,8 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 @dataclass
 class RunConfig:
     """Full description of one training run; defaults follow the reference
-    regimen (batch 32, wd 0.1, warmup-cosine 2000->100k; the clip and
-    AdamW's betas and eps are fixed)."""
+    pretraining regimen (batch 32, wd 0.1, warmup-cosine 2000->100k; the
+    clip and AdamW's betas and eps are fixed)."""
     mode: str
     corpus_path: Path
     vocab_path: Path
@@ -175,22 +175,16 @@ class RunConfig:
 
 
 def make_run_config(mode: str, **kw) -> RunConfig:
-    """RunConfig with the per-mode reference defaults filled in."""
-    defaults = {
-        "pretrain": dict(split_ratio=(100, 1), epochs=3,
-                         loss_mask_policy="all",
-                         sched=ScheduleConfig(peak_lr=1e-4)),
-        "finetune": dict(split_ratio=(8, 2), epochs=6,
-                         loss_mask_policy="response",
-                         sched=ScheduleConfig(peak_lr=5e-5)),
-        "ptune": dict(split_ratio=(8, 2), epochs=6,
-                      loss_mask_policy="response",
-                      sched=ScheduleConfig(peak_lr=5e-5)),
-    }
-    if mode not in defaults:
+    """RunConfig with the per-mode reference defaults filled in: pretrain
+    keeps RunConfig's own; finetune and ptune train longer, at a lower
+    peak rate, on the final reply of a wider split."""
+    if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    merged = {**defaults[mode], **kw}
-    return RunConfig(mode=mode, **merged)
+    if mode != "pretrain":
+        kw = {"split_ratio": (8, 2), "epochs": 6,
+              "loss_mask_policy": "response",
+              "sched": ScheduleConfig(peak_lr=5e-5), **kw}
+    return RunConfig(mode=mode, **kw)
 
 
 @dataclass
@@ -438,7 +432,7 @@ def train(run: RunConfig) -> TrainResult:
                 batch = [train_seqs[i] for i in order[lo:lo + run.batch_size]]
                 ad.reset_tape()
                 loss = batch_loss(batch, params, config, prompts=prompt_matrix,
-                                  train=True, rng=drop_rng)
+                                  rng=drop_rng)
                 loss_val = float(loss.data)
                 if not math.isfinite(loss_val):
                     raise NumericError(f"loss diverged at step {step + 1}")

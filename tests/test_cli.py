@@ -352,9 +352,9 @@ def _container(header, body: bytes) -> bytes:
             + head + body)
 
 
-def _retabled(raw: bytes, edit) -> bytes:
+def _edited(raw: bytes, part: str, edit) -> bytes:
     header, body = _container_parts(raw)
-    edit(header["tensors"])
+    edit(header[part])
     return _container(header, body)
 
 
@@ -373,14 +373,16 @@ MALFORMED_CHECKPOINTS = {
     "short-length": lambda raw: raw[:12],
     "bad-json": lambda raw: _container(b'{"version": 2, "con', b""),
     "bad-utf8": lambda raw: _container(b"\xff\xfe{}", b""),
-    "nbytes-mismatch": lambda raw: _retabled(
-        raw, lambda t: t[0].update(nbytes=t[0]["nbytes"] - 4)),
+    "nbytes-mismatch": lambda raw: _edited(
+        raw, "tensors", lambda t: t[0].update(nbytes=t[0]["nbytes"] - 4)),
     "past-end": lambda raw: raw[:-4],
-    "offset-gap": lambda raw: _retabled(
-        raw, lambda t: t[1].update(offset=t[1]["offset"] + 4)),
-    "unknown-name": lambda raw: _retabled(
-        raw, lambda t: t[-1].update(name="layer0.head0.wq")),
+    "offset-gap": lambda raw: _edited(
+        raw, "tensors", lambda t: t[1].update(offset=t[1]["offset"] + 4)),
+    "unknown-name": lambda raw: _edited(
+        raw, "tensors", lambda t: t[-1].update(name="layer0.head0.wq")),
     "prompt-width": _with_wide_prompts,
+    "heads-negative": lambda raw: _edited(
+        raw, "config", lambda c: c.update(n_heads=-2)),
 }
 
 
@@ -419,7 +421,7 @@ def _mutated(raw: bytes, mutation) -> bytes:
     if kind == "offset":  # move one tensor's offset in the header
         def shift(table):
             table[at % len(table)]["offset"] += arg
-        return _retabled(raw, shift)
+        return _edited(raw, "tensors", shift)
     at %= len(raw)
     if kind == "truncate":
         return raw[:at]
@@ -478,6 +480,13 @@ def test_eval_of_mutated_checkpoint_keeps_the_exit_contract(
                          "eval", "eval-mutant.kv", "x-mutant", "--force")
 
 
+def _reply_dialogue(n_chars: int) -> bytes:
+    reply = ("take zinc " * n_chars)[:n_chars]
+    return json.dumps({"id": "r", "turns": [
+        {"speaker": "patient", "text": "fever"},
+        {"speaker": "doctor", "text": reply}]}).encode()
+
+
 INPUT_ESCAPES = {
     # case: (file it writes, its bytes, the command that reads it)
     "span-start-not-a-number": ("runs/esc.jsonl", json.dumps(
@@ -506,6 +515,26 @@ INPUT_ESCAPES = {
     "config-not-utf8": ("esc.kv", b"seed = \xff\n", "build-vocab"),
     "vocab-not-utf8": ("runs/esc-vocab.txt", b"<PAD>\n\xff\n", "eval"),
     "lexicon-not-utf8": ("lex/esc.txt", b"fever\n\xfe\n", "gen-synthetic"),
+    "config-top-k-zero": ("esc-top-k.kv", (
+        "generate.checkpoint = runs/pretrain/final.ckpt\n"
+        "data.corpus = runs/b/corpus.jsonl\n"
+        "data.vocab = runs/vocab/vocab.txt\n"
+        "generate.strategy = top_k\n"
+        "generate.top_k = 0\n").encode(), "generate"),
+    "config-heads-zero": ("esc-heads.kv", TRAIN.format(
+        mode="pretrain", corpus="runs/a/corpus.jsonl", split="4:1", epochs=1,
+        extra=MODEL_BLOCK.replace("model.heads = 2", "model.heads = 0")
+    ).encode(), "pretrain"),
+    "config-layers-zero": ("esc-layers.kv", TRAIN.format(
+        mode="pretrain", corpus="runs/a/corpus.jsonl", split="4:1", epochs=1,
+        extra=MODEL_BLOCK.replace("model.layers = 1", "model.layers = 0")
+    ).encode(), "pretrain"),
+    # a final reply of max_len - 1 (160 - 1) or more characters leaves no
+    # history token before it
+    "reply-fills-max-len": ("runs/esc-reply.jsonl", _reply_dialogue(159),
+                            "generate"),
+    "reply-beyond-max-len": ("runs/esc-reply.jsonl", _reply_dialogue(170),
+                             "generate"),
 }
 
 ESCAPE_CONFIGS = {
@@ -516,6 +545,9 @@ ESCAPE_CONFIGS = {
              "eval.part = all\n"),
     "gen-synthetic": GEN.format(style="clinic", count=4, seed=1).replace(
         "lex/symptoms.txt", "lex/esc.txt"),
+    "generate": ("generate.checkpoint = runs/pretrain/final.ckpt\n"
+                 "data.corpus = runs/esc-reply.jsonl\n"
+                 "data.vocab = runs/vocab/vocab.txt\n"),
 }
 
 

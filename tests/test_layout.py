@@ -1,11 +1,13 @@
-"""Production code holds no code or constant that only tests use, no
-setting that nothing reads and no import hidden in a function.
+"""Production code holds no code, constant or parameter that only tests
+use, no setting that nothing reads and no import hidden in a function.
 
 Every module-level function, class or constant of ``src/gptlab``, and
 every method of its classes, must be named (as a whole word) on some other
 line of ``src/gptlab`` or ``perfbench/``. Dunder names are exempt: Python
-reads them. Every config key that the reader accepts must be quoted
-somewhere in ``src/gptlab`` outside the set that lists the accepted keys.
+reads them. Every parameter with a default of those functions and methods
+must be passed by some call in ``src/gptlab`` or ``perfbench/``. Every
+config key that the reader accepts must be quoted somewhere in
+``src/gptlab`` outside the set that lists the accepted keys.
 Imports sit at module level, so the import graph of the package is the one
 its module headers show.
 """
@@ -55,13 +57,17 @@ def constants(tree: ast.Module):
                     yield name.id, node.lineno
 
 
+def production_sources() -> list[Path]:
+    """The modules of ``src/gptlab`` and ``perfbench/``."""
+    return sorted(PACKAGE.glob("*.py")) + sorted(
+        (REPO / "perfbench").glob("*.py"))
+
+
 def named_only_by_tests(names) -> list[str]:
     """``path:line name`` of each (name, line) that ``names(tree)`` yields
     for a module of ``src/gptlab`` and that no other line of the package or
     of ``perfbench/`` names."""
-    sources = sorted(PACKAGE.glob("*.py")) + sorted(
-        (REPO / "perfbench").glob("*.py"))
-    lines = [(path, no, text) for path in sources
+    lines = [(path, no, text) for path in production_sources()
              for no, text in enumerate(path.read_text(encoding="utf-8")
                                        .splitlines(), start=1)]
     unused = []
@@ -110,3 +116,90 @@ def test_every_config_key_is_read():
                 and known.lineno <= no <= known.end_lineno))
     unread = sorted(key for key in KNOWN_KEYS if f'"{key}"' not in text)
     assert not unread, "config keys nothing reads: " + ", ".join(unread)
+
+
+# parameters with a default that only tests pass, and why each stays
+OPTIONAL_ALLOWED = {
+    ("init_parameters", "dtype"):
+        "the float64 verification suites build float64 parameters",
+    ("init_prompts", "dtype"):
+        "the float64 verification suites build float64 prompts",
+    ("adamw_step", "beta1"): "the hand-traced AdamW oracle sets every "
+                             "hyper-parameter, eps=1e-15 among them",
+    ("adamw_step", "beta2"): "the hand-traced AdamW oracle, as beta1",
+    ("adamw_step", "eps"): "the hand-traced AdamW oracle, as beta1",
+}
+
+
+def optional_parameters(tree: ast.Module):
+    """(callee, parameter, index, line) of each parameter with a default of
+    a module-level function or method. The callee is the name a call uses:
+    the class for ``__init__``. The index counts the positional arguments
+    a call passes before it (None for a keyword-only parameter)."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            yield from _defaults(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    callee = (node.name if item.name == "__init__"
+                              else item.name)
+                    yield from _defaults(item, callee, 0 if static else 1)
+
+
+def _defaults(func, callee: str, bound: int):
+    args = func.args
+    positional = args.posonlyargs + args.args
+    start = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[start:], start=start - bound):
+        yield callee, arg.arg, index, func.lineno
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield callee, arg.arg, None, func.lineno
+
+
+def _called_name(func) -> str:
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else ""
+
+
+def calls(tree: ast.Module):
+    """(callee, positional count, keyword names, unpacks) of each call in
+    ``tree``, with ``import … as`` aliases resolved to their targets and
+    ``functools.partial(f, …)`` counted as a call of f."""
+    aliases = {alias.asname: alias.name.rsplit(".", 1)[-1]
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if alias.asname}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _called_name(node.func), node.args
+        if name == "partial" and args:
+            name, args = _called_name(args[0]), args[1:]
+        unpacks = (any(isinstance(a, ast.Starred) for a in args)
+                   or any(k.arg is None for k in node.keywords))
+        yield (aliases.get(name, name), len(args),
+               {k.arg for k in node.keywords}, unpacks)
+
+
+def test_every_optional_parameter_is_passed_outside_tests():
+    seen = [call for path in production_sources()
+            for call in calls(ast.parse(path.read_text(encoding="utf-8")))]
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for callee, param, index, lineno in optional_parameters(tree):
+            if (callee, param) in OPTIONAL_ALLOWED:
+                continue
+            if not any(name == callee and (
+                    param in keywords or unpacks
+                    or (index is not None and n_args > index))
+                    for name, n_args, keywords, unpacks in seen):
+                unpassed.append(f"{path.name}:{lineno} {callee}({param})")
+    assert not unpassed, ("parameters only tests pass: "
+                          + ", ".join(unpassed))

@@ -8,7 +8,7 @@ from gptlab.annotation import LexTag
 from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.corpus import TokenSequence
 from gptlab.errors import CheckpointError, ConfigError, GptLabError, ShapeError
-from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, KVCache, ModelConfig,
+from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, ModelConfig,
                           _embed_rows, batch_loss, forward, forward_batch,
                           generate, init_parameters, lm_loss, load_checkpoint,
                           parameter_count, parameter_shapes, save_checkpoint,
@@ -333,7 +333,7 @@ def test_lm_loss_batch_mean_invariance():
     single = float(lm_loss(seq, params, cfg).data)
     ad.reset_tape()
     pair = ad.mul(ad.add(lm_loss(seq, params, cfg),
-                         lm_loss(seq, params, cfg)), 0.5)
+                         lm_loss(seq, params, cfg)), Tensor(np.float32(0.5)))
     assert abs(float(pair.data) - single) < 1e-12
 
 
@@ -341,8 +341,8 @@ def test_float32_lm_loss_keeps_every_tape_output_float32():
     cfg = tiny_config(n_layers=2, hidden=8, n_heads=2, dropout=0.1)
     params = init_parameters(cfg, seed=20)
     prompts = init_prompts(2, cfg.hidden, seed=21).matrix
-    loss = lm_loss(make_seq([1, 2, 3, 4, 5]), params, cfg, prompts=prompts,
-                   train=True, rng=np.random.default_rng(0))
+    loss = batch_loss([make_seq([1, 2, 3, 4, 5])], params, cfg,
+                      prompts=prompts, rng=np.random.default_rng(0))
     assert loss.dtype == np.float32
     dtypes = {out.dtype for out, _, _ in ad.active_tape().entries}
     assert dtypes == {np.dtype(np.float32)}
@@ -374,7 +374,7 @@ def test_batched_step_equals_mean_of_per_sequence_steps(n_prompt):
     mean_grads = {n: np.zeros_like(t.data) for n, t in tensors.items()}
     for seq in seqs:
         ad.reset_tape()
-        loss = lm_loss(seq, params, cfg, prompts=prompts, train=True, rng=rng)
+        loss = batch_loss([seq], params, cfg, prompts=prompts, rng=rng)
         ad.backward(loss)
         mean_loss += float(loss.data) / len(seqs)
         for n, t in tensors.items():
@@ -383,8 +383,7 @@ def test_batched_step_equals_mean_of_per_sequence_steps(n_prompt):
 
     batch_rng = np.random.default_rng(24)
     ad.reset_tape()
-    loss = batch_loss(seqs, params, cfg, prompts=prompts, train=True,
-                      rng=batch_rng)
+    loss = batch_loss(seqs, params, cfg, prompts=prompts, rng=batch_rng)
     ad.backward(loss)
     assert batch_rng.bit_generator.state == rng.bit_generator.state
     assert abs(float(loss.data) - mean_loss) <= 1e-12 * abs(mean_loss)
@@ -393,12 +392,11 @@ def test_batched_step_equals_mean_of_per_sequence_steps(n_prompt):
         assert np.max(np.abs(t.grad - mean_grads[n])) <= 1e-12 * scale, n
 
 
-def full_row_loss(seqs, params, cfg, prompts=None, train=False, rng=None):
+def full_row_loss(seqs, params, cfg, prompts=None, rng=None):
     """batch_loss without row pruning: every row runs through the whole
     model and the unscored rows are masked out of the cross-entropy."""
     n_prompt = prompts.shape[0] if prompts is not None else 0
-    logits = forward_batch(seqs, params, cfg, prompts=prompts, train=train,
-                           rng=rng)
+    logits = forward_batch(seqs, params, cfg, prompts=prompts, rng=rng)
     targets, masks, weights = [], [], []
     for seq in seqs:
         t, m = shifted_targets(seq, n_prompt)
@@ -429,7 +427,7 @@ def test_pruned_batch_loss_matches_full_rows_float64():
     for loss_fn in (batch_loss, full_row_loss):
         rng = np.random.default_rng(32)
         ad.reset_tape()
-        loss = loss_fn(seqs, params, cfg, prompts=prompts, train=True, rng=rng)
+        loss = loss_fn(seqs, params, cfg, prompts=prompts, rng=rng)
         ad.backward(loss)
         runs.append((float(loss.data), {n: t.grad for n, t in tensors.items()},
                      rng.bit_generator.state))
@@ -474,8 +472,7 @@ def test_pruned_prompt_grad_and_ppl_bit_equal_float32():
     for loss_fn in (batch_loss, full_row_loss):
         rng = np.random.default_rng(36)
         ad.reset_tape()
-        loss = loss_fn(seqs, params, cfg, prompts=prompts.matrix, train=True,
-                       rng=rng)
+        loss = loss_fn(seqs, params, cfg, prompts=prompts.matrix, rng=rng)
         ad.backward(loss)
         runs.append((loss.data.copy(), prompts.matrix.grad))
         prompts.matrix.zero_grad()
@@ -498,7 +495,7 @@ def test_dropout_consumes_rng_per_sequence_in_site_order():
     seqs = unequal_batch()
     rng = np.random.default_rng(26)
     batch_loss(seqs, params, cfg, prompts=init_prompts(3, 8, seed=1).matrix,
-               train=True, rng=rng)
+               rng=rng)
     # embedding, then attention and FFW of each layer, sequence by sequence
     ref = np.random.default_rng(26)
     for seq in seqs:
@@ -599,6 +596,12 @@ def annotated_seq(n, vocab_size, seed):
         loss_mask=[False] * n, position_ids=list(range(n)))
 
 
+def kv_slots(cfg, n_prompt=0):
+    """A float64 key/value cache as generate builds it: one slot per layer."""
+    return [ad.KVSlot(cfg.n_heads, n_prompt + cfg.max_len, cfg.head_dim,
+                      np.float64) for _ in range(cfg.n_layers)]
+
+
 def extended(seq, new_ids):
     """History plus decoded tokens, annotated as generate annotates them."""
     n, k = len(seq), len(new_ids)
@@ -623,12 +626,13 @@ def test_cached_decode_matches_full_forward_float64(n_prompt, channels,
                       max_len=max_len, dropout=0.0, **channels)
     params, prompts = sharp_model(cfg, 41, n_prompt, np.float64)
     history = annotated_seq(n_hist, cfg.vocab_size, 3)
-    cache = KVCache(cfg, n_prompt, np.float64)
+    cache = kv_slots(cfg, n_prompt)
     step, new_ids = history, []
     with ad.no_grad():
         while len(new_ids) < max_new and len(history) + len(new_ids) < max_len:
-            cached = forward(step, params, cfg, cache=cache,
-                             prompts=prompts if step is history else None)
+            cached = forward_batch(
+                [step], params, cfg, cache=cache,
+                prompts=prompts if step is history else None)
             full = forward(extended(history, new_ids), params, cfg,
                            prompts=prompts).data[-cached.shape[0]:]
             assert cached.shape[0] == len(step) + (
@@ -648,9 +652,9 @@ def test_cached_decode_matches_full_forward_float64(n_prompt, channels,
 def test_kv_cache_misuse_raises():
     cfg = tiny_config(hidden=8, n_heads=2)
     params = params64(cfg)
-    cache = KVCache(cfg, dtype=np.float64)
+    cache = kv_slots(cfg)
     with pytest.raises(GptLabError):  # grad recording on
-        forward(make_seq([1, 2, 3]), params, cfg, cache=cache)
+        forward_batch([make_seq([1, 2, 3])], params, cfg, cache=cache)
     with ad.no_grad(), pytest.raises(GptLabError):  # two sequences
         forward_batch([make_seq([1, 2]), make_seq([3])], params, cfg,
                       cache=cache)
