@@ -1,9 +1,9 @@
 """Dense 2-D/3-D real tensors with tape-based reverse-mode differentiation.
 
-Every tensor wraps a numpy float array. Operations executed while grad
-recording is on append one entry to the thread-local tape; ``backward``
-replays the tape once in reverse, accumulating gradients additively into
-every tensor that ``requires_grad``.
+Every tensor wraps the numpy float array it is given. Operations executed
+while grad recording is on append one entry to the thread-local tape;
+``backward`` replays the tape once in reverse, accumulating gradients
+additively into every tensor that ``requires_grad``.
 
 Verification suites run in float64, training runs in float32; the dtype
 of a result follows numpy promotion of its tensor inputs, so a graph stays
@@ -43,16 +43,12 @@ _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 class Tensor:
     """A dense real tensor, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
-        arr = np.asarray(data)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float64)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.name = name
 
     @property
     def shape(self):
@@ -76,8 +72,7 @@ class Tensor:
             self.grad += g
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
 class Tape:
@@ -113,10 +108,6 @@ def reset_tape() -> Tape:
     """Install and return a fresh tape for the current thread."""
     _tls.tape = Tape()
     return _tls.tape
-
-
-def grad_enabled() -> bool:
-    return _tls.grad_enabled
 
 
 class no_grad:

@@ -1,9 +1,13 @@
 """Command-line surface: reproducible experiments driven by config files.
 
-Every command takes --config/--out (--seed overrides the config seed) and
-writes its artifacts into the output directory, refusing to reuse a
-non-empty one without --force. Exit codes: 0 success, 2 config error,
-3 data error, 4 numeric divergence.
+Every command takes --config/--out (--seed overrides the config seed; --force
+allows a non-empty output directory). ``main`` loads the config, makes the
+output directory, resolves the seed, runs the command and writes
+``config.kv`` (the config with that seed) last, so a failed command leaves
+no ``config.kv``: a config or data error leaves a fresh output directory
+empty and the corrected rerun needs no --force, and a run that diverges
+keeps its metrics.csv. Exit codes: 0 success, 2 config error, 3 data error,
+4 numeric divergence.
 """
 from __future__ import annotations
 
@@ -42,40 +46,31 @@ ABLATION_VARIANTS = (
 
 
 def prepare_out_dir(out, force: bool) -> Path:
+    """Make ``out`` if it is missing; refuse a path that is not a
+    directory, and a non-empty directory without ``force``."""
     out = Path(out)
-    if out.exists() and any(out.iterdir()) and not force:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        reused = any(out.iterdir())
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the output directory "
+                          f"({exc.strerror})") from exc
+    if reused and not force:
         raise ConfigError(
             f"output directory {out} is not empty (pass --force to reuse)")
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _echo_config(kv: KV, out: Path, seed) -> None:
-    table = dict(kv.table)
-    if seed is not None:
-        table["seed"] = str(seed)
-    write_kv(out / "config.kv", table)
+def _out_file(kv: KV, key: str, default: str, out: Path) -> Path:
+    """The file that ``key`` names directly inside ``out``."""
+    name = kv.str_(key, default)
+    if "\0" in name or Path(name).name != name or (out / name).is_dir():
+        raise ConfigError(f"key {key!r}: {name!r} is not a file name "
+                          f"inside the output directory")
+    return out / name
 
 
-def _seed(kv: KV, args) -> int:
-    seed = args.seed if args.seed is not None else kv.int_("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _write_table(path: Path, header: str, rows) -> None:
-    """A two-column CSV, the value column as repr, written atomically."""
-    with atomic_write(path) as fh:
-        fh.write(header + "\n")
-        for key, value in rows:
-            fh.write(f"{key},{value!r}\n")
-
-
-def cmd_gen_synthetic(args) -> int:
-    kv = KV.load(args.config)
-    out = prepare_out_dir(args.out, args.force)
-    seed = _seed(kv, args)
+def cmd_gen_synthetic(kv: KV, out: Path, seed: int) -> None:
     spec = SyntheticSpec(
         symptoms=read_lexicon(kv.path_("lexicon.symptoms")),
         diseases=read_lexicon(kv.path_("lexicon.diseases")),
@@ -86,41 +81,30 @@ def cmd_gen_synthetic(args) -> int:
                       ("corpus.style", "style", KV.str_),
                       ("corpus.mentions", "n_mentions", KV.int_))),
     )
+    path = _out_file(kv, "corpus.out", "corpus.jsonl", out)
     corpus = generate_synthetic(spec, seed)
-    path = out / kv.str_("corpus.out", "corpus.jsonl")
     save_corpus(corpus, path)
-    _echo_config(kv, out, seed)
     print(f"wrote {len(corpus)} dialogues to {path}")
-    return EXIT_OK
 
 
-def cmd_build_vocab(args) -> int:
-    kv = KV.load(args.config)
-    out = prepare_out_dir(args.out, args.force)
+def cmd_build_vocab(kv: KV, out: Path, seed: None) -> None:
     corpus_paths = kv.paths_("data.corpus")
     if not corpus_paths:
         raise ConfigError("build-vocab needs data.corpus")
+    path = _out_file(kv, "vocab.out", "vocab.txt", out)
     dialogues = []
     for p in corpus_paths:
         dialogues.extend(load_corpus(p))
     vocab = build_vocab(dialogues)
-    path = out / kv.str_("vocab.out", "vocab.txt")
     save_vocab(vocab, path)
-    _echo_config(kv, out, None)
     print(f"wrote vocabulary of size {len(vocab)} to {path}")
-    return EXIT_OK
 
 
-def _cmd_train(mode: str, args) -> int:
-    kv = KV.load(args.config)
-    out = prepare_out_dir(args.out, args.force)
-    run = load_run_config(kv, mode, out, seed_override=args.seed)
-    _echo_config(kv, out, run.seed)
-    result = train(run)
+def _cmd_train(mode: str, kv: KV, out: Path, seed: int) -> None:
+    result = train(load_run_config(kv, mode, out, seed))
     print(f"{mode}: {len(result.metrics.rows)} steps, "
           f"final eval ppl {result.final_eval_ppl:.4f}, "
           f"checkpoint {result.checkpoint_path}")
-    return EXIT_OK
 
 
 cmd_pretrain = functools.partial(_cmd_train, "pretrain")
@@ -139,10 +123,7 @@ def _load_eval_pieces(kv: KV, ckpt_key: str):
     return config, backbone, prompts, vocab, tagger
 
 
-def cmd_eval(args) -> int:
-    kv = KV.load(args.config)
-    out = prepare_out_dir(args.out, args.force)
-    seed = _seed(kv, args)
+def cmd_eval(kv: KV, out: Path, seed: int) -> None:
     config, backbone, prompts, vocab, tagger = _load_eval_pieces(
         kv, "eval.checkpoint")
     corpus = load_corpus(kv.path_("data.corpus"))
@@ -159,15 +140,10 @@ def cmd_eval(args) -> int:
                              kv.bool_("splice", False), tagger)
     ppl = evaluate_ppl(backbone, config, seqs, prompts=prompts)
     write_kv(out / "eval.txt", {"ppl": repr(ppl)})
-    _echo_config(kv, out, seed)
     print(f"eval ppl {ppl:.6f} over {len(seqs)} dialogues ({part})")
-    return EXIT_OK
 
 
-def cmd_generate(args) -> int:
-    kv = KV.load(args.config)
-    out = prepare_out_dir(args.out, args.force)
-    seed = _seed(kv, args)
+def cmd_generate(kv: KV, out: Path, seed: int) -> None:
     config, backbone, prompts, vocab, tagger = _load_eval_pieces(
         kv, "generate.checkpoint")
     corpus = load_corpus(kv.path_("data.corpus"))
@@ -195,18 +171,14 @@ def cmd_generate(args) -> int:
     ]
     with atomic_write(out / "generation.txt") as fh:
         fh.write("\n".join(lines) + "\n")
-    _echo_config(kv, out, seed)
     print(lines[-1])
-    return EXIT_OK
 
 
-def _cmd_variants(column: str, args) -> int:
+def _cmd_variants(column: str, kv: KV, out: Path, seed: int) -> None:
     """p-tune one variant of the config per table row: each prompt count of
     ``sweep.counts`` (column ``v_p``) or each ablation variant (column
     ``variant``)."""
-    kv = KV.load(args.config)
-    out = prepare_out_dir(args.out, args.force)
-    base = load_run_config(kv, "ptune", out, seed_override=args.seed)
+    base = load_run_config(kv, "ptune", out, seed)
     if column == "v_p":
         keys = parse_counts(kv.str_("sweep.counts", "1,25,50,75,100"))
         variants = [(f"vp{n}", {"v_p": n}) for n in keys]
@@ -216,11 +188,11 @@ def _cmd_variants(column: str, args) -> int:
         variants = ABLATION_VARIANTS
         table = "ablation.csv"
     rows = list(zip(keys, train_variants(base, variants)))
-    _write_table(out / table, f"{column},ppl", rows)
-    _echo_config(kv, out, base.seed)
+    with atomic_write(out / table) as fh:
+        fh.write(f"{column},ppl\n")
+        fh.writelines(f"{key},{ppl!r}\n" for key, ppl in rows)
     for key, ppl in rows:
         print(f"{column}={key}  test ppl {ppl:.4f}")
-    return EXIT_OK
 
 
 cmd_sweep_prompts = functools.partial(_cmd_variants, "v_p")
@@ -260,7 +232,18 @@ def main(argv=None) -> int:
     try:
         # a non-finite result is a NumericError, not a stream of warnings
         with np.errstate(all="ignore"):
-            return args.func(args)
+            kv = KV.load(args.config)
+            out = prepare_out_dir(args.out, args.force)
+            echo = dict(kv.table)
+            seed = None  # build-vocab draws nothing at random
+            if args.command != "build-vocab":
+                seed = args.seed if args.seed is not None else kv.int_("seed", 0)
+                if seed < 0:
+                    raise ConfigError(f"seed must be >= 0, got {seed}")
+                echo["seed"] = str(seed)
+            args.func(kv, out, seed)
+            write_kv(out / "config.kv", echo)
+            return EXIT_OK
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
     except DataError as exc:

@@ -155,6 +155,8 @@ def parse_counts(raw: str) -> list[int]:
         raise ConfigError(f"counts must be integers, got {raw!r}") from exc
     if not counts:
         raise ConfigError("empty counts list")
+    if len(set(counts)) != len(counts):
+        raise ConfigError(f"counts must not repeat, got {raw!r}")
     return counts
 
 
@@ -169,8 +171,7 @@ SCHEDULE_KEYS = (("lr.peak", "peak_lr", KV.float_),
                  ("lr.min", "min_lr", KV.float_),
                  ("lr.warmup_steps", "warmup_steps", KV.int_),
                  ("lr.decay_end_step", "decay_end_step", KV.int_))
-RUN_KEYS = (("seed", "seed", KV.int_),
-            ("data.split", "split_ratio",
+RUN_KEYS = (("data.split", "split_ratio",
              lambda kv, key: parse_ratio(kv.str_(key))),
             ("train.batch_size", "batch_size", KV.int_),
             ("train.epochs", "epochs", KV.int_),
@@ -182,9 +183,9 @@ RUN_KEYS = (("seed", "seed", KV.int_),
             ("tagger.verbs", "verb_lexicons", KV.paths_))
 
 
-def load_run_config(kv: KV, mode: str, out_dir,
-                    seed_override: Optional[int] = None) -> RunConfig:
-    """Build a RunConfig for one of the training subcommands."""
+def load_run_config(kv: KV, mode: str, out_dir, seed: int) -> RunConfig:
+    """Build a RunConfig for one of the training subcommands, run under the
+    seed the command line resolved."""
     if kv.has("mode") and kv.str_("mode") != mode:
         raise ConfigError(
             f"config declares mode {kv.str_('mode')!r} but the "
@@ -194,11 +195,10 @@ def load_run_config(kv: KV, mode: str, out_dir,
         corpus_path=kv.path_("data.corpus"),
         vocab_path=kv.path_("data.vocab"),
         out_dir=Path(out_dir),
+        seed=seed,
         **kv.present(RUN_KEYS),
     )
     run.sched = replace(run.sched, **kv.present(SCHEDULE_KEYS))
-    if seed_override is not None:
-        run.seed = seed_override
     if mode == "pretrain":
         run.model = ModelConfig(
             n_layers=kv.int_("model.layers"),

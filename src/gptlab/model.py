@@ -108,7 +108,7 @@ def init_parameters(config: ModelConfig, seed: int,
             data = np.zeros(shape, dtype=dtype)
         else:
             data = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
-        params[name] = Tensor(data, requires_grad=True, name=name)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -463,7 +463,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
                 f"{path}: tensor {name} runs past the end of the data")
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
         tensors[name] = Tensor(arr.reshape(shape).astype(np.float32),
-                               requires_grad=True, name=name)
+                               requires_grad=True)
     missing = [n for n in expected if n not in tensors]
     if missing:
         raise CheckpointError(f"{path}: missing tensors {missing[:3]}")

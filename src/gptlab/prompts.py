@@ -28,8 +28,7 @@ def init_prompts(v_p: int, hidden: int, seed: int,
         raise ConfigError(f"prompt token count must be >= 1, got {v_p}")
     rng = np.random.Generator(np.random.PCG64(seed))
     data = rng.normal(0.0, INIT_STD, size=(v_p, hidden)).astype(dtype)
-    return PromptEmbeddings(Tensor(data, requires_grad=True,
-                                   name=PROMPT_PARAM_NAME))
+    return PromptEmbeddings(Tensor(data, requires_grad=True))
 
 
 def apply_freeze(params: dict[str, Tensor],

@@ -469,6 +469,8 @@ def train_variants(base: RunConfig, variants) -> list[float]:
     """One complete run per ``(subdir, overrides)`` of ``variants``: base
     with the overrides, trained into ``base.out_dir / subdir``. Returns the
     final eval perplexities in order."""
-    return [train(replace(base, out_dir=Path(base.out_dir) / subdir,
-                          **overrides)).final_eval_ppl
+    runs = [replace(base, out_dir=Path(base.out_dir) / subdir, **overrides)
             for subdir, overrides in variants]
+    for run in runs:  # a bad variant stops the set before any trains
+        run.validate()
+    return [train(run).final_eval_ppl for run in runs]

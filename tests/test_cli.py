@@ -235,6 +235,37 @@ def test_out_dir_protection_and_force(workspace):
     assert run("gen-synthetic", "gen_a.kv", "a", "--force") == EXIT_OK
 
 
+def test_failed_run_leaves_a_fresh_out_dir_empty(workspace, capsys):
+    """A data error writes nothing, config.kv included, so the run with the
+    corrected corpus needs no --force."""
+    root, run = workspace
+    corpus = root / "runs" / "fixable.jsonl"
+    corpus.write_text('{"id": "x"}\n', encoding="utf-8")
+    (root / "pretrain-fixable.kv").write_text(
+        TRAIN.format(mode="pretrain", corpus="runs/fixable.jsonl",
+                     split="4:1", epochs=1, extra=MODEL_BLOCK),
+        encoding="utf-8")
+    capsys.readouterr()
+    assert run("pretrain", "pretrain-fixable.kv", "fixable") == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: data:"), err
+    assert list((root / "runs" / "fixable").iterdir()) == []
+    corpus.write_bytes((root / "runs" / "a" / "corpus.jsonl").read_bytes())
+    assert run("pretrain", "pretrain-fixable.kv", "fixable") == EXIT_OK
+    assert read_kv(root / "runs" / "fixable" / "config.kv")["seed"] == "1"
+
+
+def test_diverged_run_keeps_metrics_but_writes_no_config(workspace):
+    root, run = workspace
+    (root / "pretrain-diverge.kv").write_text(
+        TRAIN.format(mode="pretrain", corpus="runs/a/corpus.jsonl",
+                     split="4:1", epochs=1, extra=MODEL_BLOCK).replace(
+            "lr.peak = 2e-3", "lr.peak = 1e30"), encoding="utf-8")
+    assert run("pretrain", "pretrain-diverge.kv", "diverge") == EXIT_NUMERIC
+    assert sorted(p.name for p in (root / "runs" / "diverge").iterdir()) == [
+        "metrics.csv"]
+
+
 def test_missing_config_is_config_error(workspace, capsys):
     root, run = workspace
     assert run("pretrain", "nope.kv", "x1") == EXIT_CONFIG
@@ -512,6 +543,30 @@ INPUT_ESCAPES = {
     "config-sweep-no-counts": (
         "esc-sweep.kv", (PTUNE + "sweep.counts = ,\n").encode(),
         "sweep-prompts"),
+    "config-sweep-zero-count": (
+        "esc-sweep-zero.kv", (PTUNE + "sweep.counts = 1, 0\n").encode(),
+        "sweep-prompts"),
+    "config-sweep-repeated-count": (
+        "esc-sweep-repeat.kv", (PTUNE + "sweep.counts = 1, 1\n").encode(),
+        "sweep-prompts"),
+    "config-corpus-out-in-subdir": ("esc-corpus-out.kv", (
+        GEN.format(style="clinic", count=4, seed=1)
+        + "corpus.out = sub/c.jsonl\n").encode(), "gen-synthetic"),
+    "config-vocab-out-in-subdir": ("esc-vocab-out.kv", (
+        b"data.corpus = runs/a/corpus.jsonl\nvocab.out = sub/v.txt\n"),
+        "build-vocab"),
+    "config-vocab-out-is-dot": ("esc-vocab-dot.kv", (
+        b"data.corpus = runs/a/corpus.jsonl\nvocab.out = .\n"),
+        "build-vocab"),
+    "config-vocab-out-is-parent": ("esc-vocab-parent.kv", (
+        b"data.corpus = runs/a/corpus.jsonl\nvocab.out = ..\n"),
+        "build-vocab"),
+    "config-vocab-out-has-nul": ("esc-vocab-nul.kv", (
+        b"data.corpus = runs/a/corpus.jsonl\nvocab.out = v\x00.txt\n"),
+        "build-vocab"),
+    # the file sits where the command's output directory would go
+    "config-out-is-a-file": ("runs/x-esc-config-out-is-a-file", b"file\n",
+                             "build-vocab"),
     "config-not-utf8": ("esc.kv", b"seed = \xff\n", "build-vocab"),
     "vocab-not-utf8": ("runs/esc-vocab.txt", b"<PAD>\n\xff\n", "eval"),
     "lexicon-not-utf8": ("lex/esc.txt", b"fever\n\xfe\n", "gen-synthetic"),
@@ -565,6 +620,8 @@ def test_malformed_input_is_one_error_line(workspace, capsys, case):
     assert run(command, config, f"x-esc-{case}") == want
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {category}:"), err
+    out = root / "runs" / f"x-esc-{case}"
+    assert not out.is_dir() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command,config", [

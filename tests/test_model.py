@@ -759,4 +759,4 @@ def test_parameter_shapes_cover_count():
     params = init_parameters(cfg, seed=19)
     total = parameter_count(params)
     assert total == sum(np.prod(s) for s in parameter_shapes(cfg).values())
-    assert all(t.name for t in params.values())
+    assert set(params) == set(parameter_shapes(cfg))

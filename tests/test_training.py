@@ -110,7 +110,7 @@ def test_clip_never_increases_norm_and_is_idempotent(values, threshold):
 
 def test_adamw_hand_trace():
     # m_hat=0.5, v_hat=0.25 -> adam term 0.1; decay 0.1*0.1*1 = 0.01
-    w = Tensor(np.array([1.0]), requires_grad=True, name="w")
+    w = Tensor(np.array([1.0]), requires_grad=True)
     state = OptimizerState()
     adamw_step({"w": w}, {"w": np.array([0.5])}, state, lr=0.1,
                beta1=0.9, beta2=0.95, eps=1e-15, weight_decay=0.1)
@@ -119,22 +119,22 @@ def test_adamw_hand_trace():
 
 
 def test_adamw_zero_grad_no_decay_is_identity():
-    w = Tensor(np.array([2.0]), requires_grad=True, name="w")
+    w = Tensor(np.array([2.0]), requires_grad=True)
     adamw_step({"w": w}, {"w": np.array([0.0])}, OptimizerState(), lr=0.1,
                weight_decay=0.0)
     assert w.data[0] == 2.0
 
 
 def test_adamw_decoupled_decay_with_zero_grad():
-    w = Tensor(np.array([2.0]), requires_grad=True, name="w")
+    w = Tensor(np.array([2.0]), requires_grad=True)
     adamw_step({"w": w}, {"w": np.array([0.0])}, OptimizerState(), lr=0.1,
                weight_decay=0.1)
     assert abs(w.data[0] - (2.0 - 0.1 * 0.1 * 2.0)) < 1e-12
 
 
 def test_adamw_skips_missing_grads_and_exempts_norm_params():
-    w = Tensor(np.array([1.0]), requires_grad=True, name="w")
-    gamma = Tensor(np.array([1.0]), requires_grad=True, name="ln.gamma")
+    w = Tensor(np.array([1.0]), requires_grad=True)
+    gamma = Tensor(np.array([1.0]), requires_grad=True)
     state = OptimizerState()
     adamw_step({"w": w, "ln.gamma": gamma},
                {"ln.gamma": np.array([0.0])}, state, lr=0.1, weight_decay=0.1)
@@ -446,14 +446,14 @@ def test_run_config_from_required_keys_keeps_every_default(tmp_path, mode):
         required["backbone"] = "b.ckpt"
     path = tmp_path / "run.kv"
     write_kv(path, required)
-    run = load_run_config(KV.load(path), mode, tmp_path / "out")
+    run = load_run_config(KV.load(path), mode, tmp_path / "out", 0)
     assert run == make_run_config(
         mode, corpus_path=run.corpus_path, vocab_path=run.vocab_path,
         out_dir=run.out_dir, backbone_path=run.backbone_path, model=model)
     for key in required:
         write_kv(path, {k: v for k, v in required.items() if k != key})
         with pytest.raises(ConfigError, match="missing required config key"):
-            load_run_config(KV.load(path), mode, tmp_path / "out")
+            load_run_config(KV.load(path), mode, tmp_path / "out", 0)
 
 
 def test_run_config_validation(tmp_path):
