@@ -82,7 +82,9 @@ def clip_grad_norm(grads: dict[str, np.ndarray], threshold: float) -> float:
             raise NumericError("non-finite gradient; aborting step")
         sq += float((g.astype(np.float64) ** 2).sum())
     norm = math.sqrt(sq)
-    if norm <= threshold:
+    # a norm that an earlier clip left a few ulps above threshold is
+    # already clipped; rescaling it again would move it by rounding alone
+    if norm <= threshold * (1.0 + 1e-12):
         return 1.0
     scale = threshold / norm
     for g in grads.values():
