@@ -1,13 +1,14 @@
-"""Per-token lexical tags, entity flags, and the discrete splicing baseline."""
+"""Per-token lexical tags and entity flags: the tagger that assigns a
+lexical class to each character, and the 0/1 flags of entity spans.
+``corpus.linearize`` places both, and the entity-splicing baseline's tail,
+into the model input."""
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from enum import IntEnum
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigError, SpanOutOfBoundsError
-from .vocab import Vocab, encode
 
 Tagger = Callable[[str], list[int]]
 
@@ -67,26 +68,3 @@ def dictionary_tagger(nouns: Sequence[str], adjectives: Sequence[str],
         return tags
 
     return tag_text
-
-
-def splice_entities(seq, entity_texts: Sequence[str], vocab: Vocab,
-                    max_len: int):
-    """Discrete-append baseline: original sequence, a separator marker,
-    then the concatenated entity mentions; ``seq`` itself when there are
-    no mentions.
-
-    Appended tokens are OTHER/0, excluded from the loss, and the result is
-    re-truncated to the most recent max_len tokens. PAD doubles as the
-    separator: sequences are never padded, so the id is free.
-    """
-    if not entity_texts:
-        return seq
-    appended = [vocab.pad_id]
-    for text in entity_texts:
-        appended.extend(encode(text, vocab))
-    n = len(appended)
-    return replace(seq, ids=seq.ids + appended,
-                   lexical_tags=seq.lexical_tags + [int(LexTag.OTHER)] * n,
-                   entity_flags=seq.entity_flags + [0] * n,
-                   loss_mask=seq.loss_mask + [False] * n,
-                   position_ids=list(range(len(seq) + n))).tail(max_len)

@@ -1,7 +1,8 @@
 """Dense 2-D/3-D real tensors with tape-based reverse-mode differentiation.
 
 Every tensor wraps the numpy float array it is given. Operations executed
-while grad recording is on append one entry to the thread-local tape;
+while grad recording is on append one entry to the module's tape (the
+library is single-threaded);
 ``backward`` replays the tape once in reverse, accumulating gradients
 additively into every tensor that ``requires_grad``.
 
@@ -23,7 +24,6 @@ keeps them bit-identical whatever the BLAS thread count.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -89,47 +89,43 @@ class Tape:
         self.entries.append((out, inputs, vjp))
 
 
-class _ThreadState(threading.local):
-    """Each thread starts with its own empty tape and grad recording on."""
-
-    def __init__(self):
-        self.tape = Tape()
-        self.grad_enabled = True
-
-
-_tls = _ThreadState()
+_tape = Tape()
+_grad_enabled = True
 
 
 def active_tape() -> Tape:
-    return _tls.tape
+    return _tape
 
 
 def reset_tape() -> Tape:
-    """Install and return a fresh tape for the current thread."""
-    _tls.tape = Tape()
-    return _tls.tape
+    """Install and return a fresh tape."""
+    global _tape
+    _tape = Tape()
+    return _tape
 
 
 class no_grad:
     """Context manager that suspends tape recording (pure evaluation)."""
 
     def __enter__(self):
-        self._prev = _tls.grad_enabled
-        _tls.grad_enabled = False
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        _tls.grad_enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
         return False
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-    if out.requires_grad and _tls.grad_enabled:
-        _tls.tape.record(out, inputs, vjp)
+    if out.requires_grad and _grad_enabled:
+        _tape.record(out, inputs, vjp)
 
 
 def _wants_grad(*tensors: Tensor) -> bool:
-    return _tls.grad_enabled and any(t.requires_grad for t in tensors)
+    return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
 def backward(loss: Tensor) -> None:
@@ -361,7 +357,7 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
                          f"sequences of lengths {lengths}")
     past = 0
     if cache is not None:
-        if _tls.grad_enabled or n_seq != 1:
+        if _grad_enabled or n_seq != 1:
             raise GptLabError("a key/value cache serves one sequence with "
                               "grad recording off")
         past = cache.length
@@ -499,39 +495,27 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, targets, loss_mask,
-                  weights=None) -> Tensor:
-    """Weighted sum of -log softmax(logits)[target] over unmasked rows.
-
-    By default each unmasked row weighs 1/n, which is the mean over them;
-    ``weights`` gives one weight per row instead (masked rows never count).
-    """
+def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
+    """Weighted sum of -log softmax(logits)[target], one weight per row; a
+    row of weight 0 carries no loss and its target is not read."""
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy needs 2-D logits, got {logits.shape}")
     n_rows, vocab = logits.shape
     targets = np.asarray(targets, dtype=np.int64)
-    mask = np.asarray(loss_mask, dtype=bool)
-    if targets.shape != (n_rows,) or mask.shape != (n_rows,):
+    w = np.asarray(weights, dtype=np.float64)
+    if targets.shape != (n_rows,) or w.shape != (n_rows,):
         raise ShapeError(
-            f"targets/loss_mask must have length {n_rows}, got "
-            f"{targets.shape}/{mask.shape}")
-    if not mask.any():
-        raise EmptyLossError("all positions masked out of the loss")
-    live = targets[mask]
+            f"targets/weights must have length {n_rows}, got "
+            f"{targets.shape}/{w.shape}")
+    rows = np.flatnonzero(w)
+    if not rows.size:
+        raise EmptyLossError("no row carries loss weight")
+    live = targets[rows]
     if live.min() < 0 or live.max() >= vocab:
         raise VocabError(
             f"target id out of range for vocab size {vocab}")
     x = logits.data
-    if weights is None:
-        w = np.full(live.size, 1.0 / live.size)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n_rows,):
-            raise ShapeError(
-                f"weights must have length {n_rows}, got {w.shape}")
-        w = w[mask]
-    w = w.astype(x.dtype)
-    rows = np.flatnonzero(mask)
+    w = w[rows].astype(x.dtype)
     live_x = x[rows]
     row_max = live_x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(live_x - row_max).sum(axis=1, keepdims=True)) + row_max

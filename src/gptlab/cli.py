@@ -1,8 +1,9 @@
 """Command-line surface: reproducible experiments driven by config files.
 
-Every command takes --config/--out (--seed overrides the config seed; --force
-allows a non-empty output directory). ``main`` loads the config, makes the
-output directory, resolves the seed, runs the command and writes
+Every command takes --config/--out (--force allows a non-empty output
+directory), and every one but build-vocab, which draws nothing at random,
+takes --seed to override the config seed. ``main`` loads the config, makes
+the output directory, resolves the seed, runs the command and writes
 ``config.kv`` (the config with that seed) last, so a failed command leaves
 no ``config.kv``: a config or data error leaves a fresh output directory
 empty and the corrected rerun needs no --force, and a run that diverges
@@ -27,7 +28,7 @@ from .model import generate as model_generate
 from .training import (build_tagger_from_files, evaluate_ppl, load_backbone,
                        prepare_sequences, read_lexicon, split_corpus, train,
                        train_variants)
-from .vocab import build_vocab, decode, load_vocab, save_vocab
+from .vocab import EOS_ID, build_vocab, decode, load_vocab, save_vocab
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -162,7 +163,7 @@ def cmd_generate(kv: KV, out: Path, seed: int) -> None:
     new_ids = model_generate(
         history_seq, backbone, config, seed=seed,
         prompts=prompts.matrix if prompts is not None else None,
-        eos_id=vocab.eos_id, **kv.present(DECODE_KEYS))
+        eos_id=EOS_ID, **kv.present(DECODE_KEYS))
     lines = [
         f"dialogue = {dlg.id}",
         f"history = {decode(history_seq.ids, vocab)}",
@@ -219,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if name != "build-vocab":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
         p.add_argument("--force", action="store_true",
                        help="allow writing into a non-empty output directory")
         p.set_defaults(func=func)
@@ -235,7 +237,7 @@ def main(argv=None) -> int:
             kv = KV.load(args.config)
             out = prepare_out_dir(args.out, args.force)
             echo = dict(kv.table)
-            seed = None  # build-vocab draws nothing at random
+            seed = None
             if args.command != "build-vocab":
                 seed = args.seed if args.seed is not None else kv.int_("seed", 0)
                 if seed < 0:

@@ -1,19 +1,22 @@
 """Dialogue dataset schema, loading, splitting, linearization, synthesis.
 
 Corpus files are line-delimited JSON, one dialogue per line, offsets in
-characters. The synthetic generator produces annotated consultations in
-which the doctor's diagnosis is a deterministic function of the flagged
-symptom mention, so the entity channel carries real predictive signal.
+characters. ``linearize`` is the one way from a dialogue to model input:
+it lays out every token's id, lexical tag, entity flag, loss bit and
+position, the discrete entity-splicing baseline's tail included. The
+synthetic generator produces annotated consultations in which the
+doctor's diagnosis is a deterministic function of the flagged symptom
+mention, so the entity channel carries real predictive signal.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .annotation import LexTag, entity_flags
+from .annotation import LexTag, Tagger, entity_flags
 from .atomic import atomic_write, read_lines
 from .errors import (
     ConfigError,
@@ -22,12 +25,15 @@ from .errors import (
     OverlappingSpanError,
     SpanOutOfBoundsError,
 )
-from .vocab import Vocab, encode
+from .vocab import (BOS_ID, DOCTOR_ID, EOS_ID, PAD_ID, PATIENT_ID, Vocab,
+                    encode)
 
 PATIENT = "patient"
 DOCTOR = "doctor"
 
 MIN_SEQ_LEN = 8
+# loss-mask policies: loss on every token, or on the final doctor turn only
+LOSS_MASK_POLICIES = ("all", "response")
 
 
 @dataclass(frozen=True)
@@ -75,15 +81,6 @@ class TokenSequence:
             raise DataError("TokenSequence field lengths disagree")
         if not set(self.entity_flags) <= {0, 1}:
             raise DataError("entity flags must be 0/1")
-
-    def tail(self, n: int) -> "TokenSequence":
-        """The last ``n`` tokens, every field sliced alike and positions
-        renumbered from 0; the sequence itself when it is no longer."""
-        if len(self) <= n:
-            return self
-        kept = {f.name: getattr(self, f.name)[-n:] for f in fields(self)}
-        kept["position_ids"] = list(range(n))
-        return TokenSequence(**kept)
 
 
 def validate_dialogue(dlg: Dialogue) -> None:
@@ -189,53 +186,68 @@ def split(corpus: list[Dialogue], ratio: tuple[int, int],
     return train, test
 
 
-def linearize(dialogue: Dialogue, vocab: Vocab, max_len: int,
-              mode: str = "pretrain",
-              tagger: Optional[Callable[[str], list[int]]] = None,
-              ) -> TokenSequence:
-    """Flatten a dialogue into BOS, (speaker-marker + chars)*, EOS.
+def linearize(dialogue: Dialogue, vocab: Vocab, max_len: int, policy: str,
+              tagger: Optional[Tagger], splice: bool) -> TokenSequence:
+    """The model input of a dialogue: BOS, each turn as its speaker marker
+    and characters, EOS, then with ``splice`` a PAD separator and the
+    entity mentions of the history turns.
 
-    mode "pretrain" puts loss on every token except BOS; mode "tune" puts
-    it only on the final doctor turn's text and the closing EOS. On
-    overflow the most recent max_len tokens are kept.
+    Turn characters carry the tagger's lexical tags (OTHER without one)
+    and flag 1 inside an entity span; every other token is OTHER/0.
+    Policy "all" puts loss on every token after BOS, "response" only on
+    the final turn's text and EOS; the splice tail carries none. A longer
+    sequence keeps its last max_len tokens. Positions count from 0.
     """
     if max_len < MIN_SEQ_LEN:
         raise ConfigError(f"max_len must be >= {MIN_SEQ_LEN}, got {max_len}")
-    if mode not in ("pretrain", "tune"):
-        raise ConfigError(f"unknown linearization mode {mode!r}")
+    if policy not in LOSS_MASK_POLICIES:
+        raise ConfigError(f"unknown loss-mask policy {policy!r}")
     validate_dialogue(dialogue)
 
     other = int(LexTag.OTHER)
-    ids = [vocab.bos_id]
+    every = policy == "all"
+    ids = [BOS_ID]
     tags = [other]
     flags = [0]
     mask = [False]
+    mentions = []
     last = len(dialogue.turns) - 1
     for t_idx, turn in enumerate(dialogue.turns):
-        marker = vocab.patient_id if turn.speaker == PATIENT else vocab.doctor_id
-        ids.append(marker)
+        text = turn.text
+        ids.append(PATIENT_ID if turn.speaker == PATIENT else DOCTOR_ID)
         tags.append(other)
         flags.append(0)
-        mask.append(mode == "pretrain")
-        text_ids = encode(turn.text, vocab)
-        turn_tags = tagger(turn.text) if tagger else [other] * len(turn.text)
-        if len(turn_tags) != len(turn.text):
+        mask.append(every)
+        turn_tags = tagger(text) if tagger else [other] * len(text)
+        if len(turn_tags) != len(text):
             raise DataError(
                 f"tagger returned {len(turn_tags)} tags for "
-                f"{len(turn.text)} characters")
-        in_loss = mode == "pretrain" or t_idx == last
-        ids.extend(text_ids)
+                f"{len(text)} characters")
+        spans = [(span.start, span.end) for span in turn.entities]
+        ids.extend(encode(text, vocab))
         tags.extend(turn_tags)
-        flags.extend(entity_flags(len(turn.text), (
-            (span.start, span.end) for span in turn.entities)))
-        mask.extend([in_loss] * len(text_ids))
-    ids.append(vocab.eos_id)
+        flags.extend(entity_flags(len(text), spans))
+        mask.extend([every or t_idx == last] * len(text))
+        if splice and t_idx < last:
+            mentions.extend(text[start:end] for start, end in spans)
+    ids.append(EOS_ID)
     tags.append(other)
     flags.append(0)
     mask.append(True)  # EOS is always a prediction target
+    if mentions:
+        # PAD separates: sequences are never padded, so the id is free
+        tail = [PAD_ID]
+        for mention in mentions:
+            tail.extend(encode(mention, vocab))
+        ids.extend(tail)
+        tags.extend([other] * len(tail))
+        flags.extend([0] * len(tail))
+        mask.extend([False] * len(tail))
+    if len(ids) > max_len:
+        ids, tags, flags, mask = (ids[-max_len:], tags[-max_len:],
+                                  flags[-max_len:], mask[-max_len:])
     return TokenSequence(ids=ids, lexical_tags=tags, entity_flags=flags,
-                         loss_mask=mask, position_ids=list(range(len(ids)))
-                         ).tail(max_len)
+                         loss_mask=mask, position_ids=list(range(len(ids))))
 
 
 # --- synthetic annotated consultations ---
@@ -279,6 +291,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> list[Dialogue]:
     drug at the annotated symptom's lexicon index. Flags, not surface
     text, decide which mention counts.
     """
+    if spec.n_dialogues < 1:
+        raise ConfigError(
+            f"corpus needs at least 1 dialogue, got {spec.n_dialogues}")
     for name, lex in (("symptoms", spec.symptoms), ("diseases", spec.diseases),
                       ("drugs", spec.drugs)):
         if not lex:

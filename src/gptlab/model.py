@@ -270,11 +270,12 @@ def shifted_targets(seq: TokenSequence, n_prompt: int = 0
 
 
 def _loss_rows(seqs: list[TokenSequence], n_prompt: int):
-    """Each sequence's first loss row, and the packed targets, loss mask
-    and weights of the rows from there on. A loss row of sequence b weighs
-    1/(B * n_b), so the weighted NLL sum is the mean over sequences of each
-    sequence's mean next-token NLL over its unmasked positions."""
-    first, targets, masks, weights = [], [], [], []
+    """Each sequence's first loss row, and the packed targets and weights
+    of the rows from there on. A loss row of sequence b weighs
+    1/(B * n_b) and every other row 0, so the weighted NLL sum is the mean
+    over sequences of each sequence's mean next-token NLL over its
+    unmasked positions."""
+    first, targets, weights = [], [], []
     for seq in seqs:
         t, m = shifted_targets(seq, n_prompt)
         n_live = int(m.sum())
@@ -283,10 +284,8 @@ def _loss_rows(seqs: list[TokenSequence], n_prompt: int):
         f = int(np.argmax(m))
         first.append(f)
         targets.append(t[f:])
-        masks.append(m[f:])
         weights.append(m[f:] / (len(seqs) * n_live))
-    return (first, np.concatenate(targets), np.concatenate(masks),
-            np.concatenate(weights))
+    return first, np.concatenate(targets), np.concatenate(weights)
 
 
 def batch_loss(seqs: list[TokenSequence], params: dict[str, Tensor],
@@ -296,10 +295,10 @@ def batch_loss(seqs: list[TokenSequence], params: dict[str, Tensor],
     dropout when ``rng`` is given; the last block and the LM head run only
     from each first loss row on."""
     n_prompt = prompts.shape[0] if prompts is not None else 0
-    first, targets, mask, weights = _loss_rows(seqs, n_prompt)
+    first, targets, weights = _loss_rows(seqs, n_prompt)
     logits = forward_batch(seqs, params, config, prompts=prompts, rng=rng,
                            first=first)
-    return ad.cross_entropy(logits, targets, mask, weights)
+    return ad.cross_entropy(logits, targets, weights)
 
 
 def lm_loss(seq: TokenSequence, params: dict[str, Tensor],

@@ -16,10 +16,11 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .annotation import dictionary_tagger, splice_entities
+from .annotation import dictionary_tagger
 from .atomic import atomic_write, read_lines
 from .autodiff import Tensor
-from .corpus import Dialogue, TokenSequence, linearize, load_corpus, split
+from .corpus import (LOSS_MASK_POLICIES, Dialogue, TokenSequence, linearize,
+                     load_corpus, split)
 from .errors import ConfigError, DataError, EmptyLossError, NumericError
 from .model import (ModelConfig, batch_loss, init_parameters, lm_loss,
                     load_checkpoint, save_checkpoint)
@@ -29,9 +30,6 @@ from .vocab import load_vocab
 
 MODES = ("pretrain", "finetune", "ptune")
 CLIP = 0.5  # global gradient-norm threshold of the reference regimen
-# loss-mask policy -> linearization mode: every token, or the final
-# doctor turn only
-LOSS_MASK_POLICIES = {"all": "pretrain", "response": "tune"}
 
 
 @dataclass
@@ -232,15 +230,6 @@ class TrainResult:
     final_eval_ppl: float
 
 
-def history_entity_texts(dlg: Dialogue) -> list[str]:
-    """Entity mention strings from every turn before the final one."""
-    out = []
-    for turn in dlg.turns[:-1]:
-        for span in turn.entities:
-            out.append(turn.text[span.start:span.end])
-    return out
-
-
 def read_lexicon(path) -> list[str]:
     """One term per line; blanks ignored."""
     return [t.strip() for t in read_lines(path, DataError, "lexicon")
@@ -261,11 +250,6 @@ def build_tagger_from_files(noun_paths, adj_paths, verb_paths):
                              read_terms(verb_paths))
 
 
-def _build_tagger(run: RunConfig):
-    return build_tagger_from_files(run.noun_lexicons, run.adj_lexicons,
-                                   run.verb_lexicons)
-
-
 def spawn_seeds(seed: int) -> tuple[int, int, int, int, int]:
     """init, split, shuffle, dropout, prompt sub-seeds for one run seed."""
     children = np.random.SeedSequence(seed).spawn(5)
@@ -280,17 +264,8 @@ def split_corpus(corpus: list[Dialogue], ratio: tuple[int, int], seed: int
 
 def prepare_sequences(dialogues, vocab, max_len: int, policy: str,
                       splice: bool, tagger) -> list[TokenSequence]:
-    if policy not in LOSS_MASK_POLICIES:
-        raise ConfigError(f"unknown loss-mask policy {policy!r}")
-    mode = LOSS_MASK_POLICIES[policy]
-    seqs = []
-    for dlg in dialogues:
-        seq = linearize(dlg, vocab, max_len, mode=mode, tagger=tagger)
-        if splice:
-            seq = splice_entities(seq, history_entity_texts(dlg), vocab,
-                                  max_len)
-        seqs.append(seq)
-    return seqs
+    return [linearize(dlg, vocab, max_len, policy, tagger, splice)
+            for dlg in dialogues]
 
 
 def split_loaded_tensors(tensors: dict[str, Tensor]
@@ -407,7 +382,8 @@ def train(run: RunConfig) -> TrainResult:
             run.backbone_path, len(vocab), use_lexical=run.use_lexical,
             use_entity=run.use_entity, dropout=run.dropout)
 
-    tagger = _build_tagger(run)
+    tagger = build_tagger_from_files(run.noun_lexicons, run.adj_lexicons,
+                                     run.verb_lexicons)
     train_seqs = prepare_sequences(train_dlgs, vocab, config.max_len,
                                    run.loss_mask_policy, run.splice, tagger)
     test_seqs = prepare_sequences(test_dlgs, vocab, config.max_len,

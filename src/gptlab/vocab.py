@@ -19,6 +19,8 @@ DOCTOR = "<DOC>"
 UNK = "<UNK>"
 
 SPECIALS = (PAD, BOS, EOS, PATIENT, DOCTOR, UNK)
+# every vocabulary file holds the specials at these ids (load_vocab checks)
+PAD_ID, BOS_ID, EOS_ID, PATIENT_ID, DOCTOR_ID, UNK_ID = range(len(SPECIALS))
 
 # line-file escapes so one symbol always fits one line
 _ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -37,30 +39,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.symbol_to_id)
-
-    @property
-    def pad_id(self) -> int:
-        return self.symbol_to_id[PAD]
-
-    @property
-    def bos_id(self) -> int:
-        return self.symbol_to_id[BOS]
-
-    @property
-    def eos_id(self) -> int:
-        return self.symbol_to_id[EOS]
-
-    @property
-    def patient_id(self) -> int:
-        return self.symbol_to_id[PATIENT]
-
-    @property
-    def doctor_id(self) -> int:
-        return self.symbol_to_id[DOCTOR]
-
-    @property
-    def unk_id(self) -> int:
-        return self.symbol_to_id[UNK]
 
 
 def build_vocab(corpus) -> Vocab:
@@ -83,8 +61,7 @@ def build_vocab(corpus) -> Vocab:
 
 def encode(text: str, vocab: Vocab) -> list[int]:
     """One id per character; unknown characters map to UNK."""
-    unk = vocab.unk_id
-    return [vocab.symbol_to_id.get(ch, unk) for ch in text]
+    return [vocab.symbol_to_id.get(ch, UNK_ID) for ch in text]
 
 
 def decode(ids, vocab: Vocab) -> str:

@@ -20,8 +20,9 @@ from gptlab.corpus import (SyntheticSpec, generate_synthetic, load_corpus,
                            save_corpus, split)
 from gptlab.model import (ModelConfig, forward, init_parameters, lm_loss,
                           load_checkpoint, parameter_count)
-from gptlab.training import (ScheduleConfig, evaluate_ppl, lr_at,
-                             make_run_config, prepare_sequences, read_lexicon,
+from gptlab.training import (ScheduleConfig, build_tagger_from_files,
+                             evaluate_ppl, lr_at, make_run_config,
+                             prepare_sequences, read_lexicon,
                              spawn_seeds, split_loaded_tensors, train,
                              train_variants)
 from gptlab.vocab import build_vocab, save_vocab
@@ -112,10 +113,11 @@ def pipeline(tmp_path_factory):
     # frozen-baseline PPL on the tuning test split, response policy
     _, test_dlgs = split(load_corpus(pt.corpus_path), pt.split_ratio,
                          spawn_seeds(pt.seed)[1])
-    from gptlab.training import _build_tagger
+    tagger = build_tagger_from_files(pt.noun_lexicons, pt.adj_lexicons,
+                                     pt.verb_lexicons)
     test_seqs = prepare_sequences(test_dlgs, vocab,
                                   pre_result.config.max_len, "response",
-                                  False, _build_tagger(pt))
+                                  False, tagger)
     baseline_ppl = evaluate_ppl(pre_result.params, pre_result.config,
                                 test_seqs)
 
@@ -175,7 +177,8 @@ def test_criterion_02_causality_bit_level():
 
 def test_criterion_03_analytic_oracles():
     # cross-entropy of uniform logits
-    loss = ad.cross_entropy(ad.Tensor(np.zeros((6, 32))), [3] * 6, [True] * 6)
+    loss = ad.cross_entropy(ad.Tensor(np.zeros((6, 32))), [3] * 6,
+                            [1 / 6] * 6)
     assert abs(float(loss.data) - math.log(32)) < 1e-9
 
     # uniform model evaluates to PPL = V
@@ -328,9 +331,10 @@ def test_criterion_10_persistence(pipeline, tmp_path):
     run = pipeline["pt_run"]
     _, test_dlgs = split(load_corpus(run.corpus_path), run.split_ratio,
                          spawn_seeds(run.seed)[1])
-    from gptlab.training import _build_tagger
+    tagger = build_tagger_from_files(run.noun_lexicons, run.adj_lexicons,
+                                     run.verb_lexicons)
     seqs = prepare_sequences(test_dlgs, pipeline["vocab"], cfg.max_len,
-                             "response", False, _build_tagger(run))
+                             "response", False, tagger)
     assert evaluate_ppl(backbone, cfg, seqs, prompts=prompts) \
         == ft.final_eval_ppl
 

@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptlab.annotation import (LexTag, dictionary_tagger, entity_flags,
-                               splice_entities)
-from gptlab.corpus import Dialogue, Turn, linearize
+from gptlab.annotation import LexTag, dictionary_tagger, entity_flags
+from gptlab.corpus import Dialogue, EntitySpan, Turn, linearize
 from gptlab.errors import ConfigError, SpanOutOfBoundsError
-from gptlab.vocab import build_vocab, encode
+from gptlab.vocab import PAD_ID, build_vocab, encode
 
 
 def test_entity_flags_basic():
@@ -56,17 +55,27 @@ def test_dictionary_tagger_duplicate_term_rejected():
         dictionary_tagger(["rest"], [], ["rest"])
 
 
-def make_seq():
-    dlg = Dialogue(id="d", turns=(Turn("patient", "xy"),
+def make_seq(history="xy", mentioned=True):
+    """The vocabulary of a patient turn answered by "ok", and a function
+    that linearizes that dialogue under the response policy, with or
+    without the splice tail; the whole patient turn is one entity mention
+    when ``mentioned``."""
+    spans = (EntitySpan(0, len(history), "symptom"),) if mentioned else ()
+    dlg = Dialogue(id="d", turns=(Turn("patient", history, spans),
                                   Turn("doctor", "ok")))
     vocab = build_vocab(dlg for dlg in [dlg])
-    return dlg, vocab, linearize(dlg, vocab, 64, mode="tune")
+
+    def lin(splice, max_len=64):
+        return linearize(dlg, vocab, max_len, policy="response", tagger=None,
+                         splice=splice)
+
+    return vocab, lin
 
 
 def test_splice_appends_separator_then_mentions():
-    dlg, vocab, seq = make_seq()
-    out = splice_entities(seq, ["xy"], vocab, max_len=64)
-    assert out.ids == seq.ids + [vocab.pad_id] + encode("xy", vocab)
+    vocab, lin = make_seq()
+    seq, out = lin(False), lin(True)
+    assert out.ids == seq.ids + [PAD_ID] + encode("xy", vocab)
     n_extra = len(out) - len(seq)
     assert out.lexical_tags[-n_extra:] == [LexTag.OTHER] * n_extra
     assert out.entity_flags[-n_extra:] == [0] * n_extra
@@ -75,14 +84,13 @@ def test_splice_appends_separator_then_mentions():
 
 
 def test_splice_without_entities_is_identity():
-    dlg, vocab, seq = make_seq()
-    out = splice_entities(seq, [], vocab, max_len=64)
-    assert out is seq
+    vocab, lin = make_seq(mentioned=False)
+    assert lin(True) == lin(False)
 
 
 def test_splice_preserves_surviving_original_annotations():
-    dlg, vocab, seq = make_seq()
-    out = splice_entities(seq, ["ok"], vocab, max_len=64)
+    vocab, lin = make_seq("ok")
+    seq, out = lin(False), lin(True)
     n = len(seq)
     assert out.lexical_tags[:n] == seq.lexical_tags
     assert out.entity_flags[:n] == seq.entity_flags
@@ -90,8 +98,9 @@ def test_splice_preserves_surviving_original_annotations():
 
 
 def test_splice_overflow_truncates_to_max_len():
-    dlg, vocab, seq = make_seq()
-    out = splice_entities(seq, ["xy" * 20], vocab, max_len=len(seq) + 4)
+    vocab, lin = make_seq("xy" * 20)
+    seq = lin(False)
+    out = lin(True, max_len=len(seq) + 4)
     assert len(out) == len(seq) + 4
     # keep-most-recent truncation: appended ids survive at the tail
     assert out.ids[-1] == vocab.symbol_to_id["y"]

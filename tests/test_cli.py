@@ -549,6 +549,8 @@ INPUT_ESCAPES = {
     "config-sweep-repeated-count": (
         "esc-sweep-repeat.kv", (PTUNE + "sweep.counts = 1, 1\n").encode(),
         "sweep-prompts"),
+    "config-corpus-count": ("esc-corpus-count.kv", GEN.format(
+        style="clinic", count=0, seed=1).encode(), "gen-synthetic"),
     "config-corpus-out-in-subdir": ("esc-corpus-out.kv", (
         GEN.format(style="clinic", count=4, seed=1)
         + "corpus.out = sub/c.jsonl\n").encode(), "gen-synthetic"),
@@ -633,6 +635,19 @@ def test_negative_seed_is_config_error(workspace, capsys, command, config):
         EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: config:"), err
+
+
+@pytest.mark.parametrize("seed", ["7", "-1"])
+def test_build_vocab_takes_no_seed(workspace, capsys, seed):
+    """build-vocab draws nothing at random, so --seed is a usage error
+    rather than an option it ignores."""
+    root, run = workspace
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("build-vocab", "vocab.kv", f"x-vocab-seed{seed}", "--seed", seed)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (root / "runs" / f"x-vocab-seed{seed}").exists()
 
 
 def _first_dialogues(root, n: int) -> bytes:

@@ -394,17 +394,16 @@ def test_batched_step_equals_mean_of_per_sequence_steps(n_prompt):
 
 def full_row_loss(seqs, params, cfg, prompts=None, rng=None):
     """batch_loss without row pruning: every row runs through the whole
-    model and the unscored rows are masked out of the cross-entropy."""
+    model and the unscored rows weigh 0 in the cross-entropy."""
     n_prompt = prompts.shape[0] if prompts is not None else 0
     logits = forward_batch(seqs, params, cfg, prompts=prompts, rng=rng)
-    targets, masks, weights = [], [], []
+    targets, weights = [], []
     for seq in seqs:
         t, m = shifted_targets(seq, n_prompt)
         targets.append(t)
-        masks.append(m)
         weights.append(m / (len(seqs) * m.sum()))
     return ad.cross_entropy(logits, np.concatenate(targets),
-                            np.concatenate(masks), np.concatenate(weights))
+                            np.concatenate(weights))
 
 
 def response_batch():

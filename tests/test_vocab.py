@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from gptlab.corpus import Dialogue, Turn
 from gptlab.errors import DataError, VocabError
-from gptlab.vocab import (SPECIALS, Vocab, build_vocab, decode, encode,
+from gptlab.vocab import (BOS_ID, DOCTOR_ID, EOS_ID, PAD_ID, PATIENT_ID,
+                          SPECIALS, UNK_ID, Vocab, build_vocab, decode, encode,
                           load_vocab, save_vocab)
 
 
@@ -41,14 +42,16 @@ def test_specials_occupy_lowest_ids():
     v = build_vocab([dialogue("xy", "z")])
     for i, sym in enumerate(SPECIALS):
         assert v.symbol_to_id[sym] == i
-    assert v.pad_id == 0 and v.unk_id == 5
+    assert PAD_ID == 0 and UNK_ID == 5
+    assert [v.symbol_to_id[s] for s in SPECIALS] == [
+        PAD_ID, BOS_ID, EOS_ID, PATIENT_ID, DOCTOR_ID, UNK_ID]
 
 
 def test_encode_basics():
     v = build_vocab([dialogue("aba", "b")])
     assert encode("", v) == []
     assert encode("ab", v) == [6, 7]
-    assert encode("Q", v) == [v.unk_id]
+    assert encode("Q", v) == [UNK_ID]
 
 
 def test_decode_basics():
@@ -61,7 +64,7 @@ def test_decode_basics():
 
 def test_decode_renders_special_tags():
     v = build_vocab([dialogue("a", "a")])
-    assert decode([v.bos_id, 6, v.eos_id], v) == "<BOS>a<EOS>"
+    assert decode([BOS_ID, 6, EOS_ID], v) == "<BOS>a<EOS>"
 
 
 @settings(deadline=None, max_examples=200)
