@@ -463,8 +463,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Elementwise GELU, tanh approximation (fixed for reproducibility)."""
     d = x.data
-    d2 = d * d
-    t = d2 * GELU_COEF  # becomes tanh(c * (d + a * d^3)) in place
+    t = d * d  # becomes tanh(c * (d + a * d^3)) in place
+    t *= GELU_COEF
     t += 1.0
     t *= d
     t *= _SQRT_2_OVER_PI
@@ -476,8 +476,8 @@ def gelu(x: Tensor) -> Tensor:
 
     def vjp(g):
         # dy/dd = 0.5 (1 + t) (1 + (1 - t) d c (1 + 3 a d^2)), computed in
-        # the buffers of d2 and t: a tape runs backward only once
-        dy = d2
+        # a fresh d^2 and the buffer of t: a tape runs backward only once
+        dy = d * d
         dy *= 3.0 * GELU_COEF
         dy += 1.0
         dy *= _SQRT_2_OVER_PI

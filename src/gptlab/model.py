@@ -270,42 +270,45 @@ def shifted_targets(seq: TokenSequence, n_prompt: int = 0
 
 
 def _loss_rows(seqs: list[TokenSequence], n_prompt: int):
-    """Each sequence's first loss row, and the packed targets and weights
-    of the rows from there on. A loss row of sequence b weighs
-    1/(B * n_b) and every other row 0, so the weighted NLL sum is the mean
-    over sequences of each sequence's mean next-token NLL over its
-    unmasked positions."""
-    first, targets, weights = [], [], []
+    """Each sequence's first loss row, the packed targets of the rows from
+    there on, and each sequence's loss bits over those rows."""
+    first, targets, live = [], [], []
     for seq in seqs:
         t, m = shifted_targets(seq, n_prompt)
-        n_live = int(m.sum())
-        if n_live == 0:
+        if not m.any():
             raise EmptyLossError("all positions masked out of the loss")
         f = int(np.argmax(m))
         first.append(f)
         targets.append(t[f:])
-        weights.append(m[f:] / (len(seqs) * n_live))
-    return first, np.concatenate(targets), np.concatenate(weights)
+        live.append(m[f:])
+    return first, np.concatenate(targets), live
 
 
 def batch_loss(seqs: list[TokenSequence], params: dict[str, Tensor],
                config: ModelConfig, prompts: Optional[Tensor] = None,
                rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Mean over the batch of each sequence's lm_loss, in one graph, with
-    dropout when ``rng`` is given; the last block and the LM head run only
-    from each first loss row on."""
+    """Mean over the batch of each sequence's mean next-token NLL over its
+    unmasked positions, in one graph, with dropout when ``rng`` is given: a
+    loss row of sequence b weighs 1/(B * n_b). The last block and the LM
+    head run only from each first loss row on."""
     n_prompt = prompts.shape[0] if prompts is not None else 0
-    first, targets, weights = _loss_rows(seqs, n_prompt)
+    first, targets, live = _loss_rows(seqs, n_prompt)
+    weights = np.concatenate([m / (len(seqs) * int(m.sum())) for m in live])
     logits = forward_batch(seqs, params, config, prompts=prompts, rng=rng,
                            first=first)
     return ad.cross_entropy(logits, targets, weights)
 
 
-def lm_loss(seq: TokenSequence, params: dict[str, Tensor],
-            config: ModelConfig, prompts: Optional[Tensor] = None) -> Tensor:
-    """Mean next-token NLL over the sequence's unmasked positions, without
-    dropout: ``batch_loss`` of a batch of one."""
-    return batch_loss([seq], params, config, prompts=prompts)
+def token_nll(seqs: list[TokenSequence], params: dict[str, Tensor],
+              config: ModelConfig, prompts: Optional[Tensor] = None) -> Tensor:
+    """Sum of the next-token NLL over every unmasked position of ``seqs``,
+    each weighing 1, without dropout; the last block and the LM head run
+    only from each first loss row on."""
+    n_prompt = prompts.shape[0] if prompts is not None else 0
+    first, targets, live = _loss_rows(seqs, n_prompt)
+    logits = forward_batch(seqs, params, config, prompts=prompts,
+                           first=first)
+    return ad.cross_entropy(logits, targets, np.concatenate(live))
 
 
 def generate(history: TokenSequence, params: dict[str, Tensor],

@@ -18,7 +18,7 @@ from gptlab import autodiff as ad
 from gptlab.cli import main as cli_main
 from gptlab.corpus import (SyntheticSpec, generate_synthetic, load_corpus,
                            save_corpus, split)
-from gptlab.model import (ModelConfig, forward, init_parameters, lm_loss,
+from gptlab.model import (ModelConfig, batch_loss, forward, init_parameters,
                           load_checkpoint, parameter_count)
 from gptlab.training import (ScheduleConfig, build_tagger_from_files,
                              evaluate_ppl, lr_at, make_run_config,
@@ -140,7 +140,7 @@ def test_criterion_01_gradient_fidelity():
     seq = random_seq(rng, cfg.vocab_size, 8)
 
     def loss_fn():
-        return lm_loss(seq, params, cfg)
+        return batch_loss([seq], params, cfg)
 
     ad.backward(loss_fn())
     worst = 0.0

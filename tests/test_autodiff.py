@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptlab import autodiff as ad
-from gptlab.autodiff import Tensor
+from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.errors import (DoubleBackwardError, EmptyLossError, ShapeError,
                            VocabError)
 
@@ -497,6 +497,52 @@ def test_layer_norm_bit_equal_to_mean_var_formula(n_rows, dtype, seed):
     want = _layer_norm_reference(x, gamma, beta, 1e-5, g)
     for got, ref in zip((out.data, tx.grad, tgamma.grad, tbeta.grad), want):
         assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+def _gelu_reference(x, g):
+    """The gelu and vjp that kept x * x alive from forward to backward."""
+    c = math.sqrt(2.0 / math.pi)
+    x2 = x * x
+    t = x2 * GELU_COEF
+    t += 1.0
+    t *= x
+    t *= c
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    dy = x2
+    dy *= 3.0 * GELU_COEF
+    dy += 1.0
+    dy *= c
+    dy *= x
+    np.subtract(1.0, t, out=t)
+    dy *= t
+    dy += 1.0
+    np.subtract(2.0, t, out=t)
+    dy *= t
+    dy *= 0.5
+    dy *= g
+    return y, dy
+
+
+@settings(deadline=None, max_examples=30)
+@example(n_rows=1, dtype=np.float32, seed=0)
+@example(n_rows=2100, dtype=np.float32, seed=0)
+@given(n_rows=st.integers(1, 2100),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2 ** 16))
+def test_gelu_bit_equal_to_formula_with_kept_square(n_rows, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x, g = (rng.normal(0.0, 3.0, size=(n_rows, 32)).astype(dtype)
+            for _ in range(2))
+    ad.reset_tape()
+    tx = Tensor(x.copy(), requires_grad=True)
+    out = ad.gelu(tx)
+    ad.backward(total(ad.mul(out, Tensor(g))))
+    for got, ref in zip((out.data, tx.grad), _gelu_reference(x, g)):
+        assert got.dtype == ref.dtype == dtype
         assert np.array_equal(got, ref)
 
 

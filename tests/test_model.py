@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from gptlab import autodiff as ad
+from gptlab import model
 from gptlab.annotation import LexTag
 from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.corpus import TokenSequence
 from gptlab.errors import CheckpointError, ConfigError, GptLabError, ShapeError
 from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, ModelConfig,
                           _embed_rows, batch_loss, forward, forward_batch,
-                          generate, init_parameters, lm_loss, load_checkpoint,
+                          generate, init_parameters, load_checkpoint,
                           parameter_count, parameter_shapes, save_checkpoint,
                           shifted_targets)
 from gptlab.prompts import init_prompts
@@ -293,7 +294,7 @@ def test_lm_loss_uniform_head_gives_log_vocab():
     params = params64(cfg)
     params["tok_emb"].data[:] = 0.0  # tied head -> all-zero logits
     seq = make_seq([1, 2, 3, 4])
-    loss = lm_loss(seq, params, cfg)
+    loss = batch_loss([seq], params, cfg)
     assert abs(float(loss.data) - math.log(cfg.vocab_size)) < 1e-12
 
 
@@ -302,7 +303,7 @@ def test_lm_loss_single_position_oracle():
     params = params64(cfg, seed=11)
     ids = [1, 2, 3, 4]
     seq = make_seq(ids, mask=[False, False, True, False])
-    loss = lm_loss(seq, params, cfg)
+    loss = batch_loss([seq], params, cfg)
     logits = straight_line_forward(seq, params, cfg)
     row = logits[1]  # predicts token at position 2
     p = np.exp(row - row.max()) / np.exp(row - row.max()).sum()
@@ -316,7 +317,7 @@ def test_lm_loss_gradcheck_tiny_model():
     seq = make_seq([1, 5, 3, 0, 2])
 
     def loss_fn():
-        return lm_loss(seq, params, cfg)
+        return batch_loss([seq], params, cfg)
 
     ad.backward(loss_fn())
     worst = 0.0
@@ -330,10 +331,11 @@ def test_lm_loss_batch_mean_invariance():
     cfg = tiny_config(hidden=8, n_heads=2)
     params = init_parameters(cfg, seed=13)
     seq = make_seq([1, 2, 3, 4, 5])
-    single = float(lm_loss(seq, params, cfg).data)
+    single = float(batch_loss([seq], params, cfg).data)
     ad.reset_tape()
-    pair = ad.mul(ad.add(lm_loss(seq, params, cfg),
-                         lm_loss(seq, params, cfg)), Tensor(np.float32(0.5)))
+    pair = ad.mul(ad.add(batch_loss([seq], params, cfg),
+                         batch_loss([seq], params, cfg)),
+                  Tensor(np.float32(0.5)))
     assert abs(float(pair.data) - single) < 1e-12
 
 
@@ -456,7 +458,7 @@ def random_response_seqs(rng, n, vocab_size, lo, hi):
     return seqs
 
 
-def test_pruned_prompt_grad_and_ppl_bit_equal_float32():
+def test_pruned_prompt_grad_and_ppl_bit_equal_float32(monkeypatch):
     """Against a frozen backbone the pruned rows change no bit of the loss,
     the prompt gradient or the perplexity."""
     cfg = ModelConfig(n_layers=2, n_heads=4, hidden=32, vocab_size=40,
@@ -478,14 +480,16 @@ def test_pruned_prompt_grad_and_ppl_bit_equal_float32():
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
 
-    total, count = 0.0, 0
-    with ad.no_grad():
-        for seq in seqs:
-            n = sum(seq.loss_mask[1:])
-            total += float(full_row_loss([seq], params, cfg,
-                                         prompts=prompts.matrix).data) * n
-            count += n
-    assert evaluate_ppl(params, cfg, seqs, prompts) == math.exp(total / count)
+    pruned = evaluate_ppl(params, cfg, seqs, prompts)
+
+    def every_row(seqs, params, config, prompts=None, first=None):
+        """forward_batch over every row, then the rows ``first`` keeps."""
+        logits = forward_batch(seqs, params, config, prompts=prompts)
+        lengths = [prompts.shape[0] + len(s) for s in seqs]
+        return ad.take_rows(logits, ad.suffix_rows(lengths, first))
+
+    monkeypatch.setattr(model, "forward_batch", every_row)
+    assert evaluate_ppl(params, cfg, seqs, prompts) == pruned
 
 
 def test_dropout_consumes_rng_per_sequence_in_site_order():
@@ -525,7 +529,7 @@ def overfit_one_sequence(cfg, seq, steps=300, lr=3e-3, seed=0):
     state = OptimizerState()
     for _ in range(steps):
         ad.reset_tape()
-        loss = lm_loss(seq, params, cfg)
+        loss = batch_loss([seq], params, cfg)
         ad.backward(loss)
         grads = {n: t.grad for n, t in params.items() if t.grad is not None}
         clip_grad_norm(grads, 1.0)

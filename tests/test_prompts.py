@@ -6,7 +6,7 @@ import pytest
 from gptlab import autodiff as ad
 from gptlab.autodiff import Tensor
 from gptlab.errors import ConfigError
-from gptlab.model import (ModelConfig, forward, init_parameters, lm_loss,
+from gptlab.model import (ModelConfig, batch_loss, forward, init_parameters,
                           shifted_targets)
 from gptlab.prompts import PROMPT_PARAM_NAME, apply_freeze, init_prompts
 from gptlab.training import OptimizerState, adamw_step
@@ -126,8 +126,8 @@ def run_steps(cfg, params, prompts, trainable, n_steps):
     seq = make_seq([1, 2, 3, 4, 5])
     for _ in range(n_steps):
         ad.reset_tape()
-        loss = lm_loss(seq, params, cfg,
-                       prompts=prompts.matrix if prompts else None)
+        loss = batch_loss([seq], params, cfg,
+                          prompts=prompts.matrix if prompts else None)
         if loss.requires_grad:  # with everything frozen there is no graph
             ad.backward(loss)
         grads = {n: t.grad for n, t in trainable.items() if t.grad is not None}

@@ -9,14 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptlab import autodiff as ad
+from gptlab import training
 from gptlab.autodiff import Tensor
 from gptlab.config import KV, load_run_config, write_kv
 from gptlab.corpus import (Dialogue, SyntheticSpec, Turn, generate_synthetic,
                            linearize, save_corpus)
 from gptlab.errors import ConfigError, EmptyLossError, NumericError
-from gptlab.model import (ModelConfig, init_parameters, load_checkpoint,
-                          save_checkpoint)
-from gptlab.prompts import PROMPT_PARAM_NAME
+from gptlab.model import (ModelConfig, batch_loss, init_parameters,
+                          load_checkpoint, save_checkpoint, token_nll)
+from gptlab.prompts import PROMPT_PARAM_NAME, init_prompts
 from gptlab.training import (CLIP, METRICS_HEADER, MetricsLog, MetricsRow,
                              OptimizerState, RunConfig, ScheduleConfig,
                              adamw_step, clip_grad_norm, evaluate_ppl, lr_at,
@@ -259,21 +260,73 @@ def test_evaluate_ppl_empty_mask_rejected():
 def test_evaluate_ppl_weights_every_token_equally():
     cfg = ModelConfig(n_layers=1, n_heads=2, hidden=8, vocab_size=16,
                       max_len=16, dropout=0.0)
-    params = init_parameters(cfg, seed=3)
+    params = init_parameters(cfg, seed=3, dtype=np.float64)
     seqs = [make_seq([1, 2, 3, 4, 5, 6]), make_seq([7, 8])]
-    from gptlab.model import lm_loss
 
     losses = []
     counts = []
     for s in seqs:
         ad.reset_tape()
-        losses.append(float(lm_loss(s, params, cfg).data))
+        losses.append(float(batch_loss([s], params, cfg).data))
         counts.append(sum(s.loss_mask[1:]))
     by_dialogue = math.exp(sum(losses) / 2)
     by_token = math.exp(
         sum(l * n for l, n in zip(losses, counts)) / sum(counts))
     assert rel_close(evaluate_ppl(params, cfg, seqs), by_token, 1e-12)
     assert not rel_close(by_dialogue, by_token, 1e-6)  # genuinely different
+
+
+def per_sequence_ppl(params, cfg, seqs, prompts):
+    """The token-weighted loop over sequences, one batch_loss per sequence,
+    that evaluate_ppl's length-sorted groups replace."""
+    total, count = 0.0, 0
+    with ad.no_grad():
+        for seq in seqs:
+            n = sum(seq.loss_mask[1:])
+            if n:
+                total += float(batch_loss([seq], params, cfg,
+                                          prompts=prompts).data) * n
+                count += n
+    return math.exp(total / count)
+
+
+@settings(deadline=None, max_examples=12)
+@given(short=st.lists(st.integers(2, 127), min_size=1, max_size=5),
+       long=st.lists(st.integers(129, 200), min_size=7, max_size=7),
+       n_prompt=st.sampled_from([0, 3]), seed=st.integers(0, 2 ** 16))
+def test_evaluate_ppl_groups_equal_per_sequence_loop_float64(
+        short, long, n_prompt, seed):
+    """Lengths on both sides of 128 rows, with and without prompt rows,
+    whole and response-only loss masks and a sequence with no loss token;
+    seven sequences past 128 rows need at least three groups."""
+    cfg = ModelConfig(n_layers=2, n_heads=2, hidden=8, vocab_size=16,
+                      max_len=200, dropout=0.0)
+    params = init_parameters(cfg, seed=seed, dtype=np.float64)
+    prompts = (init_prompts(n_prompt, cfg.hidden, seed=seed + 1,
+                            dtype=np.float64) if n_prompt else None)
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for n in rng.permutation(short + long + [int(rng.integers(2, 200))]):
+        start = int(rng.integers(1, n)) if rng.random() < 0.5 else 1
+        mask = [False] * start + [True] * (n - start)
+        seqs.append(make_seq(rng.integers(0, cfg.vocab_size, n).tolist(),
+                             tags=rng.integers(0, 4, n).tolist(),
+                             flags=rng.integers(0, 2, n).tolist(), mask=mask))
+    seqs[-1].loss_mask[:] = [False] * len(seqs[-1])  # carries no loss
+
+    groups = []
+
+    def counted(group, *args, **kwargs):
+        groups.append(len(group))
+        return token_nll(group, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "token_nll", counted)
+        got = evaluate_ppl(params, cfg, seqs, prompts)
+    want = per_sequence_ppl(params, cfg, seqs,
+                            prompts.matrix if prompts else None)
+    assert rel_close(got, want, 1e-12)
+    assert len(groups) >= 3 and sum(groups) == len(seqs) - 1
 
 
 @pytest.mark.parametrize("scale", [1e6, float("nan")])
