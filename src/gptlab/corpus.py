@@ -99,6 +99,11 @@ def validate_dialogue(dlg: Dialogue) -> None:
         if not isinstance(turn.text, str) or not turn.text:
             raise MalformedRecordError(
                 f"dialogue {dlg.id!r}: turn {t_idx} has no text string")
+        if not all(type(s.start) is int and type(s.end) is int
+                   and isinstance(s.label, str) for s in turn.entities):
+            raise MalformedRecordError(
+                f"dialogue {dlg.id!r}: turn {t_idx} has a span without "
+                f"integer offsets and a string label")
         spans = sorted(turn.entities, key=lambda s: (s.start, s.end))
         prev_end = -1
         for span in spans:
@@ -125,12 +130,12 @@ def _dialogue_from_record(rec: dict, lineno: int) -> Dialogue:
                 speaker=t["speaker"],
                 text=t["text"],
                 entities=tuple(
-                    EntitySpan(int(e["start"]), int(e["end"]), e["label"])
+                    EntitySpan(e["start"], e["end"], e["label"])
                     for e in t.get("entities", ())),
             )
             for t in rec["turns"])
         dlg = Dialogue(id=str(rec["id"]), turns=turns)
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MalformedRecordError(
             f"line {lineno}: missing or malformed field ({exc})") from exc
     return dlg

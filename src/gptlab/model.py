@@ -48,6 +48,10 @@ class ModelConfig:
     entity_table_size: int = ENTITY_TABLE_SIZE
 
     def __post_init__(self):
+        sizes = (self.n_layers, self.n_heads, self.hidden, self.vocab_size,
+                 self.max_len, self.lex_table_size, self.entity_table_size)
+        if not all(type(n) is int and n >= 0 for n in sizes):
+            raise ConfigError(f"model sizes {sizes} must be integers >= 0")
         if min(self.n_layers, self.n_heads, self.hidden) < 1:
             raise ConfigError(f"n_layers={self.n_layers}, n_heads="
                               f"{self.n_heads} and hidden={self.hidden} "
@@ -365,43 +369,44 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
 
 # --- checkpoint container ---
 
-def save_checkpoint(path, config: ModelConfig,
-                    tensors: dict[str, Tensor]) -> None:
-    """Self-describing container: JSON header + raw little-endian float32,
-    written atomically."""
+def _header(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> bytes:
+    """The JSON header of a container holding float32 tensors of ``shapes``,
+    laid back to back from offset 0 in that order."""
     entries = []
     offset = 0
-    for name, t in tensors.items():
-        nbytes = 4 * t.size
-        entries.append({"name": name, "shape": list(t.shape),
+    for name, shape in shapes.items():
+        nbytes = 4 * math.prod(shape)
+        entries.append({"name": name, "shape": list(shape),
                         "dtype": "<f4", "offset": offset, "nbytes": nbytes})
         offset += nbytes
-    header = json.dumps({
+    return json.dumps({
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
         "tensors": entries,
     }, sort_keys=True).encode("utf-8")
+
+
+def save_checkpoint(path, config: ModelConfig,
+                    tensors: dict[str, Tensor]) -> None:
+    """Self-describing container, written atomically: magic, version and
+    header length, the ``_header`` of the given tensors' shapes, then each
+    tensor's raw little-endian float32 data in the same order."""
+    header = _header(config, {name: t.shape for name, t in tensors.items()})
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
+        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header)))
         fh.write(header)
         for t in tensors.values():
             fh.write(t.data.astype("<f4").tobytes())
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
-    """Load a container, verifying its framing, header, tensor table and
-    every shape against the config; a malformed file raises CheckpointError.
-    Tensors lie back to back from offset 0 in header order, as
-    ``save_checkpoint`` writes them.
-
-    Besides the backbone, the only tensor a container may hold is a prompt
-    matrix under PROMPT_PARAM_NAME, one row of width ``hidden`` per prompt.
+    """Load a container as ``save_checkpoint`` writes it for the backbone
+    of its config, optionally followed by a prompt matrix under
+    PROMPT_PARAM_NAME of one row of width ``hidden`` per prompt. The header
+    must equal, byte for byte, the ``_header`` of that config and prompt
+    count, and the body must hold exactly the bytes it lists; any other
+    file raises CheckpointError.
     """
     try:
         with open(path, "rb") as fh:
@@ -419,54 +424,31 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
             f"{path}: unsupported container version {version}")
     if len(blob) < preamble + hlen:
         raise CheckpointError(f"{path}: truncated header")
+    stored = blob[preamble:preamble + hlen]
     try:
-        header = json.loads(blob[preamble:preamble + hlen].decode("utf-8"))
+        header = json.loads(stored.decode("utf-8"))
         config = ModelConfig(**header["config"])
-        entries = [(e["name"], e["shape"], e["dtype"], e["offset"],
-                    e["nbytes"]) for e in header["tensors"]]
-        expected = parameter_shapes(config)
-    except (ValueError, KeyError, TypeError, ArithmeticError,
-            ConfigError) as exc:
+        shapes = parameter_shapes(config)
+        if len(header["tensors"]) == len(shapes) + 1:  # prompts come last
+            rows = header["tensors"][-1]["shape"][0]
+            if type(rows) is not int or rows < 1:
+                raise ValueError(f"{PROMPT_PARAM_NAME} has {rows!r} rows")
+            shapes[PROMPT_PARAM_NAME] = (rows, config.hidden)
+    except (ValueError, LookupError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+    if _header(config, shapes) != stored:
+        raise CheckpointError(
+            f"{path}: tensor table is not the layout its config implies")
+    counts = [math.prod(shape) for shape in shapes.values()]
     body = memoryview(blob)[preamble + hlen:]
+    if len(body) != 4 * sum(counts):
+        raise CheckpointError(f"{path}: {len(body)} bytes of tensor data, "
+                              f"the header lists {4 * sum(counts)}")
     tensors: dict[str, Tensor] = {}
-    end = 0  # where the previous tensor's bytes stop
-    for name, shape, dtype, offset, nbytes in entries:
-        if not (isinstance(name, str) and isinstance(shape, list)
-                and all(map(_is_count, shape))
-                and _is_count(offset) and _is_count(nbytes)):
-            raise CheckpointError(f"{path}: malformed entry for {name!r}")
-        shape = tuple(shape)
-        if name in tensors:
-            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-        if name == PROMPT_PARAM_NAME:
-            if len(shape) != 2 or shape[0] < 1 or shape[1] != config.hidden:
-                raise CheckpointError(
-                    f"{path}: {name} has shape {shape}, config implies "
-                    f"rows of width {config.hidden}")
-        elif name not in expected:
-            raise CheckpointError(f"{path}: unknown tensor {name!r}")
-        elif expected[name] != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {shape}, "
-                f"config implies {expected[name]}")
-        count = math.prod(shape)
-        if dtype != "<f4" or nbytes != 4 * count:
-            raise CheckpointError(
-                f"{path}: tensor {name} stores {nbytes} bytes of {dtype!r}, "
-                f"shape {shape} needs {4 * count} of '<f4'")
-        if offset != end:
-            raise CheckpointError(
-                f"{path}: tensor {name} starts at byte {offset}, the "
-                f"previous one ends at {end}")
-        end = offset + nbytes
-        if end > len(body):
-            raise CheckpointError(
-                f"{path}: tensor {name} runs past the end of the data")
+    offset = 0
+    for (name, shape), count in zip(shapes.items(), counts):
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
         tensors[name] = Tensor(arr.reshape(shape).astype(np.float32),
                                requires_grad=True)
-    missing = [n for n in expected if n not in tensors]
-    if missing:
-        raise CheckpointError(f"{path}: missing tensors {missing[:3]}")
+        offset += 4 * count
     return config, tensors

@@ -24,7 +24,8 @@ from gptlab.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                           PROMPT_PARAM_NAME, generate, load_checkpoint,
                           save_checkpoint)
 from gptlab.prompts import init_prompts
-from gptlab.training import METRICS_HEADER, prepare_sequences, spawn_seeds
+from gptlab.training import (METRICS_HEADER, evaluate_ppl, load_backbone,
+                             prepare_sequences, spawn_seeds, split_corpus)
 from gptlab.vocab import build_vocab, load_vocab, save_vocab
 
 from .util import DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS
@@ -140,6 +141,22 @@ def test_ptune_then_eval_and_generate(workspace):
         encoding="utf-8").splitlines()
     key, value = line.split(" = ")
     assert key == "ppl" and float(value) > 1.0
+
+    # eval.part = train scores the dialogues the split trains on
+    (root / "eval-train.kv").write_text(
+        (root / "eval.kv").read_text(encoding="utf-8").replace(
+            "eval.part = test", "eval.part = train"), encoding="utf-8")
+    assert run("eval", "eval-train.kv", "eval-train") == EXIT_OK
+    vocab = load_vocab(root / "runs" / "vocab" / "vocab.txt")
+    config, backbone, prompts = load_backbone(
+        root / "runs" / "ptune" / "final.ckpt", len(vocab))
+    train_dlgs, _ = split_corpus(
+        load_corpus(root / "runs" / "b" / "corpus.jsonl"), (8, 2), 1)
+    seqs = prepare_sequences(train_dlgs, vocab, config.max_len, "response",
+                             False, None)
+    ppl = evaluate_ppl(backbone, config, seqs, prompts=prompts)
+    assert (root / "runs" / "eval-train" / "eval.txt").read_text(
+        encoding="utf-8") == f"ppl = {ppl!r}\n"
 
     (root / "generate.kv").write_text(
         "generate.checkpoint = runs/ptune/final.ckpt\n"
@@ -398,6 +415,37 @@ def _with_wide_prompts(raw: bytes) -> bytes:
     return _container(header, body + bytes(8 * (hidden + 1)))
 
 
+def _with_prompt_rows(raw: bytes, rows: int) -> bytes:
+    """A prompt matrix of ``rows`` zero rows appended as ``save_checkpoint``
+    lays it out: last, keys sorted, back to back."""
+    header, body = _container_parts(raw)
+    hidden = header["config"]["hidden"]
+    nbytes = 4 * rows * hidden
+    header["tensors"].append({
+        "dtype": "<f4", "name": "prompt.emb", "nbytes": nbytes,
+        "offset": len(body), "shape": [rows, hidden]})
+    return _container(header, body + bytes(nbytes))
+
+
+def _with_negative_lex_table(raw: bytes) -> bytes:
+    """lex_table_size = -1, with the table and body laid out to agree."""
+    header, body = _container_parts(raw)
+    hidden = header["config"]["hidden"]
+    header["config"]["lex_table_size"] = -1
+    table = header["tensors"]
+    at = next(i for i, e in enumerate(table) if e["name"] == "lex_emb")
+    shrink = table[at]["nbytes"] + 4 * hidden
+    table[at].update(shape=[-1, hidden], nbytes=-4 * hidden)
+    for entry in table[at + 1:]:
+        entry["offset"] -= shrink
+    return _container(header, body[:len(body) - shrink])
+
+
+def _swap_names(table, first: str, second: str) -> None:
+    a, b = (next(e for e in table if e["name"] == n) for n in (first, second))
+    a["name"], b["name"] = b["name"], a["name"]
+
+
 MALFORMED_CHECKPOINTS = {
     "short-magic": lambda raw: raw[:2],
     "short-version": lambda raw: raw[:6],
@@ -414,6 +462,12 @@ MALFORMED_CHECKPOINTS = {
     "prompt-width": _with_wide_prompts,
     "heads-negative": lambda raw: _edited(
         raw, "config", lambda c: c.update(n_heads=-2)),
+    "trailing-byte": lambda raw: raw + b"\x00",
+    "entries-reordered": lambda raw: _edited(
+        raw, "tensors",
+        lambda t: _swap_names(t, "layer0.ln1.gamma", "layer0.ln1.beta")),
+    "prompt-rows-zero": lambda raw: _with_prompt_rows(raw, 0),
+    "lex-table-negative": _with_negative_lex_table,
 }
 
 
@@ -518,13 +572,23 @@ def _reply_dialogue(n_chars: int) -> bytes:
         {"speaker": "doctor", "text": reply}]}).encode()
 
 
+def _span_escape(**fields):
+    """A corpus of one dialogue whose one span, [0, 1) labelled symptom,
+    has ``fields`` replaced; read by build-vocab."""
+    span = {"start": 0, "end": 1, "label": "symptom", **fields}
+    return ("runs/esc.jsonl", json.dumps(
+        {"id": "s", "turns": [
+            {"speaker": "patient", "text": "ab", "entities": [span]},
+            {"speaker": "doctor", "text": "ba"}]}).encode(), "build-vocab")
+
+
 INPUT_ESCAPES = {
     # case: (file it writes, its bytes, the command that reads it)
-    "span-start-not-a-number": ("runs/esc.jsonl", json.dumps(
-        {"id": "s", "turns": [
-            {"speaker": "patient", "text": "ab",
-             "entities": [{"start": "x", "end": 1, "label": "symptom"}]},
-            {"speaker": "doctor", "text": "ba"}]}).encode(), "build-vocab"),
+    "span-start-not-a-number": _span_escape(start="x"),
+    "span-start-a-float": _span_escape(start=0.9),
+    "span-end-a-bool": _span_escape(end=True),
+    "span-start-a-numeric-string": _span_escape(start="1", end=2),
+    "span-label-not-a-string": _span_escape(label=5),
     "text-not-a-string": ("runs/esc.jsonl", json.dumps(
         {"id": "t", "turns": [{"speaker": "patient", "text": 5},
                               {"speaker": "doctor", "text": "ba"}]}).encode(),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptlab import autodiff as ad
 from gptlab import model
@@ -9,7 +11,8 @@ from gptlab.annotation import LexTag
 from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.corpus import TokenSequence
 from gptlab.errors import CheckpointError, ConfigError, GptLabError, ShapeError
-from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, ModelConfig,
+from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, PROMPT_PARAM_NAME,
+                          ModelConfig,
                           _embed_rows, batch_loss, forward, forward_batch,
                           generate, init_parameters, load_checkpoint,
                           parameter_count, parameter_shapes, save_checkpoint,
@@ -54,6 +57,10 @@ def params64(config, seed=0):
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(n_layers=1, n_heads=3, hidden=4, vocab_size=5, max_len=8)
+    for bad in (dict(vocab_size=2.5), dict(max_len="8"), dict(hidden=True),
+                dict(lex_table_size=-1)):
+        with pytest.raises(ConfigError):
+            tiny_config(**bad)
     cfg = tiny_config(hidden=8, n_heads=2)
     assert cfg.head_dim == 4 and cfg.ffw_dim == 32
 
@@ -698,16 +705,38 @@ def test_top_k_output_is_unchanged_by_the_cache():
         4, 10]
 
 
-def test_checkpoint_round_trip(tmp_path):
-    cfg = tiny_config(hidden=8, n_heads=2)
-    params = init_parameters(cfg, seed=16)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, cfg, params)
+@settings(max_examples=25, deadline=None)
+@given(n_layers=st.integers(1, 3), n_heads=st.integers(1, 4),
+       head_dim=st.integers(1, 4), vocab_size=st.integers(1, 12),
+       max_len=st.integers(1, 12),
+       dropout=st.floats(0.0, 1.0, exclude_max=True),
+       use_lexical=st.booleans(), use_entity=st.booleans(),
+       prompt_rows=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip(tmp_path_factory, n_layers, n_heads, head_dim,
+                               vocab_size, max_len, dropout, use_lexical,
+                               use_entity, prompt_rows, seed):
+    """Any config, with 0-3 prompt rows saved last, loads back equal and
+    bit for bit, and re-saving what was loaded rewrites the same bytes."""
+    cfg = ModelConfig(n_layers=n_layers, n_heads=n_heads,
+                      hidden=n_heads * head_dim, vocab_size=vocab_size,
+                      max_len=max_len, dropout=dropout,
+                      use_lexical=use_lexical, use_entity=use_entity)
+    tensors = init_parameters(cfg, seed=seed)
+    if prompt_rows:
+        tensors[PROMPT_PARAM_NAME] = init_prompts(
+            prompt_rows, cfg.hidden, seed=seed).matrix
+    path = tmp_path_factory.mktemp("round-trip") / "model.ckpt"
+    save_checkpoint(path, cfg, tensors)
     loaded_cfg, loaded = load_checkpoint(path)
     assert loaded_cfg == cfg
-    assert set(loaded) == set(params)
-    for name in params:
-        assert np.array_equal(loaded[name].data, params[name].data)
+    assert list(loaded) == list(tensors)
+    for name, t in tensors.items():
+        assert loaded[name].data.dtype == np.float32
+        assert loaded[name].shape == t.shape
+        assert loaded[name].data.tobytes() == t.data.tobytes()
+    again = path.with_name("again.ckpt")
+    save_checkpoint(again, loaded_cfg, loaded)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_byte_identical_rewrite(tmp_path):
