@@ -1,10 +1,10 @@
 """Dense 2-D/3-D real tensors with tape-based reverse-mode differentiation.
 
 Every tensor wraps the numpy float array it is given. Operations executed
-while grad recording is on append one entry to the module's tape (the
-library is single-threaded);
-``backward`` replays the tape once in reverse, accumulating gradients
-additively into every tensor that ``requires_grad``.
+while grad recording is on append one entry to the module's tape (one
+tape, driven from one thread); ``backward`` replays the tape once in
+reverse, accumulating gradients additively into every tensor that
+``requires_grad``.
 
 Verification suites run in float64, training runs in float32; the dtype
 of a result follows numpy promotion of its tensor inputs, so a graph stays
@@ -20,10 +20,19 @@ A vjp returns None for every input that does not require grad, so frozen
 weights cost no gradient work. Weight gradients that reduce over the row
 axis are summed over fixed 128-row blocks (see ``_rows_t_matmul``), which
 keeps them bit-identical whatever the BLAS thread count.
+
+Attention, matmul, layer norm and GELU split their rows (attention: its
+sequences) across the CPUs of the process's affinity mask (see
+``_split``); each row is computed as in one whole-array call, so the
+bytes are identical whatever the CPU count and the BLAS thread count.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -156,6 +165,79 @@ def backward(loss: Tensor) -> None:
                 t.accumulate_grad(g)
 
 
+# --- row ranges across CPUs ---
+
+SPLIT_ROWS = 512  # fewest rows of work one range is worth a thread for
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)  # macOS has no affinity mask
+_pool: Optional[queue.SimpleQueue] = None  # tasks for _CPUS - 1 threads
+
+
+def _drop_pool() -> None:  # a forked child has none of its parent's threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:  # run each task, then reply with its exception or None
+        replies, run, args = tasks.get()
+        try:
+            run(*args)
+            replies.put(None)
+        except BaseException as exc:  # the caller re-raises it
+            replies.put(exc)
+
+
+def _split(kernel: Callable, sliced: tuple, shared: tuple = (),
+           rows: Optional[int] = None):
+    """``kernel(*sliced, *shared, None)``: the output arrays of a kernel
+    whose last argument, ``out``, is None or a tuple of arrays to write
+    them into. With SPLIT_ROWS of ``rows`` (default: the first axis's
+    length) for each of two or more CPUs it runs instead on contiguous
+    ranges of the first axis, one per CPU, into outputs allocated here
+    like those of a call on no rows. The caller runs the first range and
+    pool threads the others, each in a copy of the caller's context (so
+    under its numpy error state). A range writes only its own rows, so the
+    result is the whole call's, bit for bit. An exception is re-raised
+    once every range has finished. Forward ops, which decoding runs on one
+    row at a time, call their kernel directly below 2 * SPLIT_ROWS rows:
+    entering this function costs about a microsecond.
+    """
+    n = len(sliced[0])
+    parts = min((n if rows is None else rows) // SPLIT_ROWS, _CPUS, n)
+    if parts < 2:
+        return kernel(*sliced, *shared, None)
+    global _pool
+    if _pool is None:
+        _pool = queue.SimpleQueue()
+        for _ in range(_CPUS - 1):
+            threading.Thread(target=_serve, args=(_pool,), daemon=True).start()
+    probe = kernel(*(a[:0] for a in sliced), *shared, None)
+    outs = tuple(np.empty((n,) + o.shape[1:], o.dtype) for o in
+                 (probe if isinstance(probe, tuple) else (probe,)))
+
+    def part(lo, hi):  # the kernel's arguments for rows lo:hi
+        return (*(a[lo:hi] for a in sliced), *shared,
+                tuple(o[lo:hi] for o in outs))
+
+    cuts = [n * i // parts for i in range(parts + 1)]
+    replies = queue.SimpleQueue()
+    for lo, hi in zip(cuts[1:-1], cuts[2:]):
+        _pool.put((replies, contextvars.copy_context().run,
+                   (kernel, *part(lo, hi))))
+    try:
+        kernel(*part(0, cuts[1]))
+    finally:
+        errors = [replies.get() for _ in cuts[2:]]
+    for exc in filter(None, errors):
+        raise exc
+    return outs if isinstance(probe, tuple) else outs[0]
+
+
 # --- operations ---
 
 def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -207,11 +289,28 @@ def _rows_t_matmul(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     if not full:
         return a.T @ g
     a_blocks = a[:full].reshape(-1, ROW_BLOCK, a.shape[1]).transpose(0, 2, 1)
-    acc = np.matmul(a_blocks, g[:full].reshape(-1, ROW_BLOCK, g.shape[1]))
-    acc = acc.sum(axis=0)
+    acc = _split(_matmul_rows, (a_blocks, g[:full].reshape(
+        -1, ROW_BLOCK, g.shape[1])), (None,), rows=full).sum(axis=0)
     if full < a.shape[0]:
         acc += a[full:].T @ g[full:]
     return acc
+
+
+def _matmul_rows(a, b, bias, out):
+    out = np.matmul(a, b, out=out)
+    if bias is not None:
+        out += bias
+    return out
+
+
+def _gemm_rows(a: np.ndarray, b: np.ndarray) -> int:
+    """Rows of a·b that ``_split`` may cut: all of a float32 product doing
+    over 100³ multiply-adds per SPLIT_ROWS rows, else none. On OpenBLAS
+    such rows equal the whole product's bit for bit (measured); smaller
+    products take its small-matrix kernel, and float64 rounds edge tiles
+    differently."""
+    big = SPLIT_ROWS * a.shape[1] * b.shape[1] > 100 ** 3
+    return len(a) if big and a.dtype == b.dtype == np.float32 else 0
 
 
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -223,21 +322,25 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    y = a.data @ b.data
     inputs = (a, b)
     if bias is not None:
         if bias.shape != (b.shape[1],):
             raise ShapeError(f"matmul bias must have shape ({b.shape[1]},), "
                              f"got {bias.shape}")
-        y += bias.data
         inputs = (a, b, bias)
+    bias_data = None if bias is None else bias.data
+    y = (_matmul_rows(a.data, b.data, bias_data, None)
+         if len(a.data) < 2 * SPLIT_ROWS else _split(
+             _matmul_rows, (a.data,), (b.data, bias_data),
+             _gemm_rows(a.data, b.data)))
     out = Tensor(y, requires_grad=_wants_grad(*inputs))
     a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
     need_bias = bias is not None and bias.requires_grad
 
     def vjp(g):
-        return (g @ b_data.T if need_a else None,
+        return (_split(_matmul_rows, (g,), (b_data.T, None),
+                       _gemm_rows(g, b_data.T)) if need_a else None,
                 _rows_t_matmul(a_data, g) if need_b else None,
                 g.sum(axis=0) if need_bias else None)
 
@@ -314,6 +417,24 @@ def _padding(counts: list[int]):
         return out
 
     return pad, lambda padded: padded[seq_idx, pos_idx]
+
+
+def _attend(q, k, v, keep, out):
+    """Masked softmax(q·kᵀ) and its product with v, in the padded layout."""
+    probs, heads = out or (None, None)
+    probs = _masked_softmax(
+        np.matmul(q, k.transpose(0, 1, 3, 2), out=probs), keep)
+    return probs, np.matmul(probs, v, out=heads)
+
+
+def _attend_vjp(d_out, q, k, v, probs, scale, out):
+    """The gradients of ``_attend`` w.r.t. the unscaled query, k and v."""
+    d_q, d_k, d_v = out or (None, None, None)
+    d_scores = _softmax_vjp(probs, np.matmul(d_out, v.transpose(0, 1, 3, 2)))
+    d_q = np.matmul(d_scores, k, out=d_q)
+    d_q *= scale
+    return (d_q, np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=d_k),
+            np.matmul(probs.transpose(0, 1, 3, 2), d_out, out=d_v))
 
 
 def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
@@ -396,21 +517,19 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     if min(lengths) != t_max:
         keep = keep & (np.arange(t_max) < np.asarray(lengths)[:, None]
                        )[:, None, None]
-    probs = _masked_softmax(np.matmul(q, k.transpose(0, 1, 3, 2)), keep)
-    out = Tensor(unpad_q(merge_heads(np.matmul(probs, v))),
-                 requires_grad=_wants_grad(qkv))
+    # split by sequence; a mask without a sequence axis is shared
+    per_seq = keep.ndim == 4
+    probs, heads = (_attend(q, k, v, keep, None) if n_rows < 2 * SPLIT_ROWS
+                    else _split(_attend, (q, k, v, keep) if per_seq else
+                                (q, k, v), () if per_seq else (keep,), n_rows))
+    out = Tensor(unpad_q(merge_heads(heads)), requires_grad=_wants_grad(qkv))
 
     def vjp(g):
         d_out = split_heads(pad_q(g))
-        d_scores = _softmax_vjp(probs, np.matmul(d_out, v.transpose(0, 1, 3, 2)))
-        d_q = np.matmul(d_scores, k)
-        d_q *= scale
-        d_qkv = np.empty((n_seq, t_max, 3, n_heads, dk), dtype=g.dtype)
-        d_qkv[:, :, 0] = 0.0 if rows is not None else d_q.transpose(0, 2, 1, 3)
-        d_qkv[:, :, 1] = np.matmul(d_scores.transpose(0, 1, 3, 2),
-                                   q).transpose(0, 2, 1, 3)
-        d_qkv[:, :, 2] = np.matmul(probs.transpose(0, 1, 3, 2),
-                                   d_out).transpose(0, 2, 1, 3)
+        d_q, d_k, d_v = _split(_attend_vjp, (d_out, q, k, v, probs), (scale,),
+                               rows=n_rows)
+        d_qkv = np.stack([d.transpose(0, 2, 1, 3) for d in (
+            d_q if rows is None else np.zeros_like(d_k), d_k, d_v)], axis=2)
         grad = unpad(d_qkv.reshape(n_seq, t_max, h3))
         if rows is not None:  # the query rows get their gradient back
             grad[rows, :h] = unpad_q(merge_heads(d_q))
@@ -418,6 +537,34 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
 
     _record(out, (qkv,), vjp)
     return out
+
+
+def _layer_norm_rows(x, gamma, beta, eps, out):
+    # the row mean and the population variance as np.mean/np.var compute
+    # them (sum, then divide by the count), without their call overhead
+    h = x.shape[1]
+    xhat, inv_std, y = out or (None, None, None)
+    xhat = np.subtract(x, np.add.reduce(x, axis=1, keepdims=True) / h,
+                       out=xhat)
+    y = np.multiply(xhat, xhat, out=y)
+    inv_std = np.divide(1.0, np.sqrt(
+        np.add.reduce(y, axis=1, keepdims=True) / h + eps), out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, gamma, out=y)
+    y += beta
+    return xhat, inv_std, y
+
+
+def _layer_norm_vjp_rows(g, xhat, inv_std, gamma, out):
+    # inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in the
+    # buffers of dxhat and xhat: a tape runs backward only once
+    h = g.shape[1]
+    dx = np.multiply(g, gamma, out=out)
+    m2 = np.add.reduce(dx * xhat, axis=1, keepdims=True) / h
+    dx -= np.add.reduce(dx, axis=1, keepdims=True) / h
+    dx -= np.multiply(xhat, m2, out=xhat)
+    dx *= inv_std
+    return dx
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -430,14 +577,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     if gamma.shape != (h,) or beta.shape != (h,):
         raise ShapeError(
             f"gamma/beta must have shape ({h},), got {gamma.shape}/{beta.shape}")
-    # the row mean and the population variance as np.mean/np.var compute
-    # them (sum, then divide by the count), without their call overhead
-    xhat = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / h
-    y = xhat * xhat
-    inv_std = 1.0 / np.sqrt(np.add.reduce(y, axis=1, keepdims=True) / h + eps)
-    xhat *= inv_std
-    np.multiply(xhat, gamma.data, out=y)
-    y += beta.data
+    xhat, inv_std, y = (
+        _layer_norm_rows(x.data, gamma.data, beta.data, eps, None)
+        if len(x.data) < 2 * SPLIT_ROWS else _split(
+            _layer_norm_rows, (x.data,), (gamma.data, beta.data, eps)))
     out = Tensor(y, requires_grad=_wants_grad(x, gamma, beta))
     gamma_data = gamma.data
     need_x, need_gamma, need_beta = (
@@ -447,49 +590,55 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         d_gamma = (g * xhat).sum(axis=0) if need_gamma else None
         dx = None
         if need_x:
-            # inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
-            # in the buffers of dxhat and xhat: a tape runs backward once
-            dx = g * gamma_data
-            m2 = np.add.reduce(dx * xhat, axis=1, keepdims=True) / h
-            dx -= np.add.reduce(dx, axis=1, keepdims=True) / h
-            dx -= np.multiply(xhat, m2, out=xhat)
-            dx *= inv_std
+            dx = _split(_layer_norm_vjp_rows, (g, xhat, inv_std),
+                        (gamma_data,))
         return (dx, d_gamma, g.sum(axis=0) if need_beta else None)
 
     _record(out, (x, gamma, beta), vjp)
     return out
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Elementwise GELU, tanh approximation (fixed for reproducibility)."""
-    d = x.data
-    t = d * d  # becomes tanh(c * (d + a * d^3)) in place
+def _gelu_rows(d, out):
+    t, y = out or (None, None)
+    t = np.multiply(d, d, out=t)  # becomes tanh(c * (d + a * d^3)) in place
     t *= GELU_COEF
     t += 1.0
     t *= d
     t *= _SQRT_2_OVER_PI
     np.tanh(t, out=t)
-    y = t + 1.0
+    y = np.add(t, 1.0, out=y)
     y *= d
     y *= 0.5
+    return t, y
+
+
+def _gelu_vjp_rows(d, t, g, out):
+    # dy/dd = 0.5 (1 + t) (1 + (1 - t) d c (1 + 3 a d^2)), computed in a
+    # fresh d^2 and the buffer of t: a tape runs backward only once
+    dy = np.multiply(d, d, out=out)
+    dy *= 3.0 * GELU_COEF
+    dy += 1.0
+    dy *= _SQRT_2_OVER_PI
+    dy *= d
+    np.subtract(1.0, t, out=t)
+    dy *= t
+    dy += 1.0
+    np.subtract(2.0, t, out=t)
+    dy *= t
+    dy *= 0.5
+    dy *= g
+    return dy
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Elementwise GELU, tanh approximation (fixed for reproducibility)."""
+    d = x.data
+    t, y = (_gelu_rows(d, None) if len(d) < 2 * SPLIT_ROWS
+            else _split(_gelu_rows, (d,)))
     out = Tensor(y, requires_grad=_wants_grad(x))
 
     def vjp(g):
-        # dy/dd = 0.5 (1 + t) (1 + (1 - t) d c (1 + 3 a d^2)), computed in
-        # a fresh d^2 and the buffer of t: a tape runs backward only once
-        dy = d * d
-        dy *= 3.0 * GELU_COEF
-        dy += 1.0
-        dy *= _SQRT_2_OVER_PI
-        dy *= d
-        np.subtract(1.0, t, out=t)
-        dy *= t
-        dy += 1.0
-        np.subtract(2.0, t, out=t)
-        dy *= t
-        dy *= 0.5
-        dy *= g
-        return (dy,)
+        return (_split(_gelu_vjp_rows, (d, t, g)),)
 
     _record(out, (x,), vjp)
     return out

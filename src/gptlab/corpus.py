@@ -84,8 +84,9 @@ class TokenSequence:
 
 
 def validate_dialogue(dlg: Dialogue) -> None:
-    if not dlg.id:
-        raise MalformedRecordError("dialogue with empty id")
+    if type(dlg.id) is not str or not dlg.id:
+        raise MalformedRecordError(f"dialogue id {dlg.id!r} is not a "
+                                   f"non-empty string")
     if len(dlg.turns) < 2:
         raise MalformedRecordError(
             f"dialogue {dlg.id!r}: needs at least two turns")
@@ -134,7 +135,7 @@ def _dialogue_from_record(rec: dict, lineno: int) -> Dialogue:
                     for e in t.get("entities", ())),
             )
             for t in rec["turns"])
-        dlg = Dialogue(id=str(rec["id"]), turns=turns)
+        dlg = Dialogue(id=rec["id"], turns=turns)
     except (KeyError, TypeError) as exc:
         raise MalformedRecordError(
             f"line {lineno}: missing or malformed field ({exc})") from exc

@@ -56,6 +56,9 @@ class ModelConfig:
             raise ConfigError(f"n_layers={self.n_layers}, n_heads="
                               f"{self.n_heads} and hidden={self.hidden} "
                               f"must be >= 1")
+        if not type(self.use_lexical) is type(self.use_entity) is bool:
+            raise ConfigError(f"use_lexical={self.use_lexical!r} and use_entity"
+                              f"={self.use_entity!r} must be booleans")
         if self.hidden % self.n_heads != 0:
             raise ConfigError(
                 f"hidden={self.hidden} not divisible by n_heads={self.n_heads}")

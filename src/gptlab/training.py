@@ -2,8 +2,10 @@
 warmup-cosine learning rate, epoch scheduling, checkpoints, PPL eval.
 
 Everything is deterministic under RunConfig.seed: initialization, data
-order, dropout and prompt init all derive from spawned sub-seeds, and the
-loop is strictly single-threaded.
+order, dropout and prompt init all derive from spawned sub-seeds. The
+autodiff kernels split their rows across the CPUs of the affinity mask,
+and the bytes are identical whatever the CPU count and the BLAS thread
+count.
 """
 from __future__ import annotations
 

@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.errors import (DoubleBackwardError, EmptyLossError, ShapeError,
                            VocabError)
 
-from .util import fd_grad, max_rel_err, total
+from .util import cpus, fd_grad, max_rel_err, total
 
 
 @pytest.fixture(autouse=True)
@@ -586,3 +591,239 @@ def test_tensor_keeps_the_float_dtype_it_is_given():
     assert Tensor(single).dtype == np.float32
     assert Tensor(single).data is single
     assert Tensor(3.5).dtype == np.float64
+
+
+# --- kernel rows split across CPUs ---
+
+SPLIT = ad.SPLIT_ROWS
+# row counts from 1 to about 2600, crowding where 2 and 3 ranges begin
+ROWS = st.one_of(st.integers(1, 2600), st.integers(2 * SPLIT - 2, 2 * SPLIT + 2),
+                 st.integers(3 * SPLIT - 2, 3 * SPLIT + 2))
+DTYPES = st.sampled_from([np.float32, np.float64])
+WIDTHS = st.sampled_from([2, 3, 16, 31, 64, 100, 192, 256])
+
+
+def _at_every_cpu_count(op, arrays, needs, seed):
+    """Run ``op`` on fresh tensors of ``arrays`` at 1 to 4 CPUs and its
+    vjp on one upstream gradient; require the outputs and gradients of
+    every count to equal those of 1 CPU (one whole-array kernel call) bit
+    for bit. Returns, per CPU count, one list per split kernel call: the
+    (ndim, first-axis length) of each range it ran on, probes left out."""
+    real, ranges, results = ad._split, {}, {}
+
+    def spy(kernel, *args, **kw):
+        call = []
+        ranges[n].append(call)
+
+        def counted(*part):
+            if len(part[0]):
+                call.append((part[0].ndim, len(part[0])))
+            return kernel(*part)
+        return real(counted, *args, **kw)
+
+    ad._split = spy
+    try:
+        for n in (1, 2, 3, 4):
+            ranges[n] = []
+            with cpus(n):
+                ad.reset_tape()
+                out = op(*(Tensor(a.copy(), requires_grad=need)
+                           for a, need in zip(arrays, needs)))
+                grads = ()
+                if out.requires_grad:
+                    g = np.random.default_rng(seed).normal(size=out.shape)
+                    grads = ad.active_tape().entries[-1][2](g.astype(out.dtype))
+                results[n] = (out.data, *grads)
+    finally:
+        ad._split = real
+    for n in (2, 3, 4):
+        for got, want in zip(results[n], results[1]):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), n
+    return ranges
+
+
+def _check_row_ranges(ranges, products=True):
+    """A row kernel splits exactly when there are SPLIT_ROWS rows or more
+    per range (a weight gradient's 128-row blocks count as their rows);
+    with ``products`` False, 2-D matrix products stay whole."""
+    for n, calls in ranges.items():
+        for call in calls:
+            rows = [length * (ad.ROW_BLOCK if ndim == 3 else 1)
+                    for ndim, length in call]
+            parts = min(n, sum(rows) // SPLIT)
+            if not products and call[0][0] == 2:
+                parts = 1
+            assert len(call) == max(parts, 1), (n, rows)
+            assert len(call) == 1 or min(rows) >= SPLIT, (n, rows)
+
+
+@settings(deadline=None, max_examples=40)
+@example(n_rows=2 * SPLIT, k=64, m=256, dtype=np.float32, frozen=(),
+         bias=True, seed=0)  # ranges of exactly SPLIT_ROWS rows
+@example(n_rows=2 * SPLIT, k=31, m=64, dtype=np.float32, frozen=(),
+         bias=False, seed=1)  # just past 100³ multiply-adds per range
+@example(n_rows=2 * SPLIT + 2 * ad.ROW_BLOCK - 1, k=256, m=64,
+         dtype=np.float64, frozen=(), bias=True, seed=2)
+@given(n_rows=ROWS, k=WIDTHS, m=WIDTHS, dtype=DTYPES,
+       frozen=st.sets(st.sampled_from(["a", "b", "bias"])),
+       bias=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_split_matmul_equals_one_whole_call(n_rows, k, m, dtype, frozen,
+                                            bias, seed):
+    """Products split by rows in float32 past 100³ multiply-adds per range;
+    the weight gradient's 128-row blocks split in any dtype."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=s).astype(dtype)
+              for s in ((n_rows, k), (k, m), (m,))[:3 if bias else 2]]
+    needs = [name not in frozen for name in ("a", "b", "bias")]
+    ranges = _at_every_cpu_count(ad.matmul, arrays, needs, seed)
+    _check_row_ranges(ranges, products=dtype == np.float32
+                      and SPLIT * k * m > 100 ** 3)
+
+
+@settings(deadline=None, max_examples=25)
+@example(n_rows=2 * SPLIT, h=64, dtype=np.float32, frozen=(), seed=0)
+@given(n_rows=ROWS, h=WIDTHS, dtype=DTYPES,
+       frozen=st.sets(st.sampled_from(["x", "gamma", "beta"])),
+       seed=st.integers(0, 2 ** 16))
+def test_split_layer_norm_equals_one_whole_call(n_rows, h, dtype, frozen,
+                                                seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(1.0, 3.0, size=s).astype(dtype)
+              for s in ((n_rows, h), (h,), (h,))]
+    needs = [name not in frozen for name in ("x", "gamma", "beta")]
+    ranges = _at_every_cpu_count(
+        lambda x, gamma, beta: ad.layer_norm(x, gamma, beta, 1e-5),
+        arrays, needs, seed)
+    _check_row_ranges(ranges)
+
+
+@settings(deadline=None, max_examples=25)
+@example(n_rows=2 * SPLIT, f=256, dtype=np.float32, frozen=False, seed=0)
+@given(n_rows=ROWS, f=WIDTHS, dtype=DTYPES, frozen=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_split_gelu_equals_one_whole_call(n_rows, f, dtype, frozen, seed):
+    x = np.random.default_rng(seed).normal(0.0, 3.0, size=(n_rows, f))
+    ranges = _at_every_cpu_count(ad.gelu, [x.astype(dtype)], [not frozen],
+                                 seed)
+    _check_row_ranges(ranges)
+
+
+@settings(deadline=None, max_examples=25)
+@example(lengths=[SPLIT] * 2, heads=2, dk=32, dtype=np.float32,
+         frozen=False, data=None)
+@given(lengths=st.lists(st.integers(1, 240), min_size=1, max_size=14),
+       heads=st.sampled_from([1, 2]), dk=st.sampled_from([1, 4, 32]),
+       dtype=DTYPES, frozen=st.booleans(), data=st.data())
+def test_split_attention_equals_one_whole_call(lengths, heads, dk, dtype,
+                                               frozen, data):
+    """Ragged sequences, with and without ``first``, split by sequence."""
+    first = None
+    if data is not None and data.draw(st.booleans()):
+        first = [data.draw(st.integers(0, n - 1)) for n in lengths]
+    qkv = np.random.default_rng(len(lengths)).normal(
+        size=(sum(lengths), 3 * heads * dk)).astype(dtype)
+    ranges = _at_every_cpu_count(
+        lambda t: ad.attention(t, heads, lengths, first=first), [qkv],
+        [not frozen], 0)
+    parts = min(len(lengths), sum(lengths) // SPLIT)
+    for n, calls in ranges.items():
+        if parts > 1:  # smaller forwards call their kernel directly
+            assert len(calls) == (1 if frozen else 2)  # forward, vjp
+        for call in calls:
+            assert sum(length for _, length in call) == len(lengths)
+            assert len(call) == max(min(n, parts), 1)
+
+
+def test_attention_after_a_cache_offset_at_every_cpu_count():
+    """A cached call (one sequence) never splits; it gives the same
+    bytes at any CPU count."""
+    rows = np.random.default_rng(14).normal(size=(3 * SPLIT, 12))
+    outs = []
+    for n in (1, 2, 3):
+        slot = ad.KVSlot(2, 3 * SPLIT, 2, np.float64)
+        with cpus(n), ad.no_grad():
+            ad.attention(Tensor(rows[:SPLIT]), 2, [SPLIT], cache=slot)
+            outs.append(ad.attention(Tensor(rows[SPLIT:]), 2, [2 * SPLIT],
+                                     cache=slot, first=[1]).data)
+    assert all(np.array_equal(o, outs[0]) for o in outs)
+
+
+def test_split_ops_under_thread_switches_every_microsecond():
+    """More ranges than CPUs, threads switching as often as they can: every
+    repeat still writes the whole-call bytes."""
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(5 * SPLIT + 3, 64)).astype(np.float32)
+    w = rng.normal(size=(64, 64)).astype(np.float32)
+    ones, zeros = np.ones(64, np.float32), np.zeros(64, np.float32)
+
+    def run():
+        with ad.no_grad():
+            h = ad.layer_norm(Tensor(x), Tensor(ones), Tensor(zeros), 1e-5)
+            return ad.gelu(ad.matmul(h, Tensor(w))).data
+
+    with cpus(1):
+        want = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with cpus(4):
+            assert all(np.array_equal(run(), want) for _ in range(20))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_split_ranges_run_under_the_callers_numpy_error_state():
+    x = np.ones((2 * SPLIT, 4), dtype=np.float32)
+    x[-1] = 1e30  # x * x overflows in the last range, a pool thread's
+    with cpus(2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            ad.gelu(Tensor(x))
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad.gelu(Tensor(x))
+
+
+@pytest.mark.parametrize("failing", ["caller", "pool"])
+def test_split_reraises_once_every_range_has_finished(failing):
+    """No range writes into the op's buffers after the op has raised."""
+    rows = np.arange(2 * SPLIT)
+    done = np.zeros(2 * SPLIT)
+
+    def kernel(idx, seen, out):
+        if idx.size and (idx[0] == 0) == (failing == "caller"):
+            raise ValueError(failing)
+        time.sleep(0.05)
+        seen[:] = 1.0
+        return np.multiply(idx, 1.0, out=out)
+
+    with cpus(2), pytest.raises(ValueError, match=failing):
+        ad._split(kernel, (rows, done))
+    assert done.sum() == SPLIT  # the range that did not fail finished
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_pool():
+    x = np.random.default_rng(15).normal(size=(2 * SPLIT, 8))
+    with cpus(2):
+        want = ad.gelu(Tensor(x)).data  # the parent's pool is running
+        pid = os.fork()
+        if pid == 0:  # the child: its parent's pool threads do not exist
+            code = 1
+            try:
+                code = 0 if np.array_equal(ad.gelu(Tensor(x)).data, want) else 2
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child waited on its parent's pool")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -468,6 +468,8 @@ MALFORMED_CHECKPOINTS = {
         lambda t: _swap_names(t, "layer0.ln1.gamma", "layer0.ln1.beta")),
     "prompt-rows-zero": lambda raw: _with_prompt_rows(raw, 0),
     "lex-table-negative": _with_negative_lex_table,
+    "use-lexical-not-a-bool": lambda raw: _edited(
+        raw, "config", lambda c: c.update(use_lexical="no")),
 }
 
 
@@ -589,6 +591,14 @@ INPUT_ESCAPES = {
     "span-end-a-bool": _span_escape(end=True),
     "span-start-a-numeric-string": _span_escape(start="1", end=2),
     "span-label-not-a-string": _span_escape(label=5),
+    "id-a-number": ("runs/esc.jsonl", json.dumps(
+        {"id": 5, "turns": [{"speaker": "patient", "text": "ab"},
+                            {"speaker": "doctor", "text": "ba"}]}).encode(),
+        "build-vocab"),
+    "id-a-bool": ("runs/esc.jsonl", json.dumps(
+        {"id": True, "turns": [{"speaker": "patient", "text": "ab"},
+                               {"speaker": "doctor", "text": "ba"}]}).encode(),
+        "build-vocab"),
     "text-not-a-string": ("runs/esc.jsonl", json.dumps(
         {"id": "t", "turns": [{"speaker": "patient", "text": 5},
                               {"speaker": "doctor", "text": "ba"}]}).encode(),

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import inspect
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from gptlab.training import (CLIP, METRICS_HEADER, MetricsLog, MetricsRow,
 from gptlab.vocab import build_vocab, save_vocab
 
 from .test_model import make_seq
-from .util import DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS
+from .util import DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS, cpus
 
 PAPER_SCHED = ScheduleConfig(peak_lr=1e-4, min_lr=5e-6, warmup_steps=2000,
                              decay_end_step=100_000)
@@ -382,6 +383,31 @@ def test_train_deterministic_under_seed(tmp_path):
     m1 = (run1.out_dir / "metrics.csv").read_bytes()
     m2 = (run2.out_dir / "metrics.csv").read_bytes()
     assert m1 == m2
+
+
+def test_train_writes_the_same_bytes_at_any_cpu_count(tmp_path, monkeypatch):
+    """Batches of 16 dialogues pack over 2 * SPLIT_ROWS rows, so their
+    kernels split; pool threads run ranges at 2 and 3 CPUs only."""
+    threads, real = {}, ad._split
+
+    def spy(kernel, *args, **kw):
+        def recorded(*part):
+            threads[n].add(threading.get_ident())
+            return kernel(*part)
+        return real(recorded, *args, **kw)
+
+    monkeypatch.setattr(ad, "_split", spy)
+    files = {}
+    for n in (1, 2, 3):
+        threads[n] = set()
+        run = fast_run(tmp_path, out=f"cpus{n}", batch_size=16)
+        with cpus(n):
+            train(run)
+        files[n] = [(run.out_dir / name).read_bytes()
+                    for name in ("metrics.csv", "final.ckpt")]
+    assert files[1] == files[2] == files[3]
+    assert threads[1] == {threading.get_ident()}
+    assert len(threads[2]) > 1 and len(threads[3]) > 1
 
 
 def test_train_single_batch_overfit(tmp_path):

@@ -1,9 +1,12 @@
 """Shared test oracles: central finite differences, error metrics and a
-scalar sum for gradchecks; small lexicons for synthetic corpora.
+scalar sum for gradchecks; small lexicons for synthetic corpora; a CPU
+count to split kernel rows over.
 
 The finite-difference path only ever calls forward evaluation under
 no_grad, so it stays independent of the reverse-mode code it checks.
 """
+import contextlib
+
 import numpy as np
 
 from gptlab import autodiff as ad
@@ -54,3 +57,14 @@ def max_rel_err(analytic, numeric, floor=REL_FLOOR):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(floor, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+@contextlib.contextmanager
+def cpus(n):
+    """Split kernel rows as if the process could run on ``n`` CPUs."""
+    saved = ad._CPUS
+    ad._CPUS = n
+    try:
+        yield
+    finally:
+        ad._CPUS = saved
