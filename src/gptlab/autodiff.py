@@ -3,8 +3,13 @@
 Every tensor wraps the numpy float array it is given. Operations executed
 while grad recording is on append one entry to the module's tape (one
 tape, driven from one thread); ``backward`` replays the tape once in
-reverse, accumulating gradients additively into every tensor that
-``requires_grad``.
+reverse. The first gradient array a tensor receives becomes its ``.grad``
+(cast if its dtype differs) and later ones are added into it. So for each
+input that needs one, a vjp returns an array no other input's gradient
+holds: a fresh array, its incoming gradient, or disjoint views of it
+(``backward`` never reads an incoming gradient again); ``add`` gives its
+second input a copy. After ``backward`` only leaves have a defined
+``.grad``: an intermediate tensor's is scratch.
 
 Verification suites run in float64, training runs in float32; the dtype
 of a result follows numpy promotion of its tensor inputs, so a graph stays
@@ -74,12 +79,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad += g
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
@@ -92,10 +91,6 @@ class Tape:
     def __init__(self):
         self.entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self.consumed = False
-
-    def record(self, out: Tensor, inputs: tuple[Tensor, ...],
-               vjp: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> None:
-        self.entries.append((out, inputs, vjp))
 
 
 _tape = Tape()
@@ -129,8 +124,8 @@ class no_grad:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-    if out.requires_grad and _grad_enabled:
-        _tape.record(out, inputs, vjp)
+    if out.requires_grad:  # set by _wants_grad, so only in grad mode
+        _tape.entries.append((out, inputs, vjp))
 
 
 def _wants_grad(*tensors: Tensor) -> bool:
@@ -138,7 +133,7 @@ def _wants_grad(*tensors: Tensor) -> bool:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor reachable from ``loss``.
+    """Populate the grads of the requires_grad leaves reachable from ``loss``.
 
     Replays the active tape in reverse exactly once; a tensor consumed by
     k operations receives the sum of the k contributions. A second call
@@ -155,14 +150,16 @@ def backward(loss: Tensor) -> None:
     if not any(out is loss for out, _, _ in tape.entries):
         raise GptLabError("loss was not produced by the active tape")
     tape.consumed = True
-    loss.accumulate_grad(np.ones_like(loss.data))
+    loss.grad = np.ones_like(loss.data)
     for out, inputs, vjp in reversed(tape.entries):
         if out.grad is None:
             continue  # not on the path from loss
-        grads = vjp(out.grad)
-        for t, g in zip(inputs, grads):
+        for t, g in zip(inputs, vjp(out.grad)):
             if g is not None and t.requires_grad:
-                t.accumulate_grad(g)
+                if t.grad is None:  # g is t's own: see the module docstring
+                    t.grad = g.astype(t.data.dtype, copy=False)
+                else:
+                    t.grad += g
 
 
 # --- row ranges across CPUs ---
@@ -252,8 +249,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
     need_a, need_b = a.requires_grad, b.requires_grad
 
-    def vjp(g):
-        return (g if need_a else None, g if need_b else None)
+    def vjp(g):  # one array must not become two tensors' gradients
+        return (g if need_a else None,
+                (g.copy() if need_a else g) if need_b else None)
 
     _record(out, (a, b), vjp)
     return out
@@ -351,6 +349,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
+    # a copy: products with a transposed view differ from it in the last bits
     out = Tensor(a.data.T.copy(), requires_grad=_wants_grad(a))
     _record(out, (a,), lambda g: (g.T,))
     return out

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import signal
@@ -245,6 +246,129 @@ def test_fanout_accumulates_additively():
     z = ad.add(y, ad.mul(x, Tensor([[3.0]])))  # and a third time
     ad.backward(total(z))
     assert np.allclose(x.grad, [[5.0]])
+
+
+def test_add_gives_its_inputs_separate_gradients():
+    # m is recorded first, so backward runs its vjp last, adding 3 into
+    # a's gradient after add has handed out its incoming gradient
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    m = ad.mul(a, Tensor(np.full((2, 3), 3.0)))
+    y = ad.add(a, b)
+    ad.backward(total(ad.add(y, m)))
+    assert np.array_equal(a.grad, np.full((2, 3), 4.0))
+    assert np.array_equal(b.grad, np.ones((2, 3)))
+
+
+def test_float32_leaves_keep_float32_grads_in_a_float64_graph():
+    c = Tensor(np.full((2, 3), 3.0))  # float64: m and the loss are float64
+    for m_first in (True, False):
+        ad.reset_tape()
+        a, b = (Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+                for _ in range(2))
+        if m_first:  # a's first gradient is float32, from y
+            m = ad.mul(a, c)
+            y = ad.add(a, b)
+        else:  # a's first gradient is float64, from m, and is cast
+            y = ad.add(a, b)
+            m = ad.mul(a, c)
+        ad.backward(total(ad.add(y, m)))
+        for t, want in ((a, 4.0), (b, 1.0)):
+            assert t.grad.dtype == np.float32, m_first
+            assert np.array_equal(t.grad, np.full((2, 3), want)), m_first
+
+
+# for each two-operand op: may tensor t be its second operand next to a?
+SECOND_OPERAND = {
+    "add": lambda a, t: t.shape == a.shape,
+    "mul": lambda a, t: t.shape == a.shape,
+    "matmul": lambda a, t: t.shape[0] == a.shape[1],
+    "concat_rows": lambda a, t: t.shape[1] == a.shape[1],
+}
+GRAPH_OPS = (*SECOND_OPERAND, "transpose", "take_rows")
+
+
+def _random_graph(steps, seed):
+    """Three float64 n x n leaves (the last frozen), then per step one op
+    on tensors consumed fewer than 3 times; every tensor that no op
+    consumed is summed into the loss. Returns (leaves, loss). Entries of
+    at most 1/n keep 12 steps of products far from overflow."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    leaves = [Tensor(rng.uniform(-1, 1, size=(n, n)) / n, requires_grad=need)
+              for need in (True, True, False)]
+    pool, uses = list(leaves), [0, 0, 0]
+
+    def pick(k, fits=lambda t: True, taken=None):  # taken: the first operand
+        free = [x for x, t in enumerate(pool)
+                if fits(t) and uses[x] + (x == taken) < 3]
+        return free[k % len(free)] if free else None
+
+    for op, i, j, k in steps:
+        i = pick(i)
+        if i is None:
+            break
+        a, ins = pool[i], [i]
+        if op in SECOND_OPERAND:
+            j = pick(j, lambda t: SECOND_OPERAND[op](a, t), taken=i)
+            if j is None:
+                continue
+            ins.append(j)
+        if op == "concat_rows":
+            out = ad.concat_rows([pool[x] for x in ins])
+        elif op == "take_rows":
+            out = ad.take_rows(a, np.random.default_rng(k).integers(
+                0, len(a.data), size=1 + k % 5))
+        else:
+            out = getattr(ad, op)(*(pool[x] for x in ins))
+        for x in ins:
+            uses[x] += 1
+        pool.append(out)
+        uses.append(0)
+    loss = None
+    for t, used in zip(pool, uses):
+        if not used:
+            loss = total(t) if loss is None else ad.add(loss, total(t))
+    return leaves, loss
+
+
+def _copying_backward(loss):
+    """The reverse pass that copies every first gradient a tensor
+    receives, so no two tensors ever share a gradient array."""
+    loss.grad = np.ones_like(loss.data)
+    for out, inputs, vjp in reversed(ad.active_tape().entries):
+        if out.grad is not None:
+            for t, g in zip(inputs, vjp(out.grad)):
+                if g is not None and t.requires_grad:
+                    if t.grad is None:
+                        t.grad = np.array(g, dtype=t.dtype, copy=True)
+                    else:
+                        t.grad += g
+
+
+STEP = st.tuples(st.sampled_from(GRAPH_OPS), st.integers(0, 50),
+                 st.integers(0, 50), st.integers(0, 50))
+
+
+@settings(deadline=None, max_examples=80)
+@example(steps=[("mul", 0, 1, 0), ("add", 0, 1, 0)], seed=0)
+@example(steps=[("concat_rows", 0, 0, 0), ("take_rows", 3, 0, 7),
+                ("matmul", 0, 3, 0), ("transpose", 0, 0, 0),
+                ("add", 1, 3, 0)], seed=1)
+@given(steps=st.lists(STEP, min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_backward_equals_a_pass_that_copies_every_first_gradient(steps, seed):
+    ad.reset_tape()
+    leaves, loss = _random_graph(steps, seed)
+    ad.backward(loss)
+    ad.reset_tape()  # a tape runs backward once: build the graph again
+    ref_leaves, ref_loss = _random_graph(steps, seed)
+    _copying_backward(ref_loss)
+    for got, want in zip(leaves, ref_leaves):
+        assert (got.grad is None) == (want.grad is None)
+        if want.grad is not None:
+            assert got.grad.dtype == want.grad.dtype
+            assert np.array_equal(got.grad, want.grad)
 
 
 def test_accumulation_order_independent():
@@ -807,15 +931,20 @@ def test_split_reraises_once_every_range_has_finished(failing):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_pool():
     x = np.random.default_rng(15).normal(size=(2 * SPLIT, 8))
+    # from Python 3.12 on, fork() in a process that runs threads warns
+    forks = (pytest.warns(DeprecationWarning, match="fork")
+             if sys.version_info >= (3, 12) else contextlib.nullcontext())
     with cpus(2):
         want = ad.gelu(Tensor(x)).data  # the parent's pool is running
-        pid = os.fork()
-        if pid == 0:  # the child: its parent's pool threads do not exist
-            code = 1
-            try:
-                code = 0 if np.array_equal(ad.gelu(Tensor(x)).data, want) else 2
-            finally:
-                os._exit(code)
+        with forks:  # which the child leaves only through os._exit
+            pid = os.fork()
+            if pid == 0:  # the child: its parent's pool threads do not exist
+                code = 1
+                try:
+                    code = 0 if np.array_equal(ad.gelu(Tensor(x)).data,
+                                               want) else 2
+                finally:
+                    os._exit(code)
     deadline = time.monotonic() + 60
     while True:
         done, status = os.waitpid(pid, os.WNOHANG)
