@@ -400,7 +400,8 @@ def suffix_rows(lengths: Sequence[int], first: Sequence[int]) -> np.ndarray:
 
 def _padding(counts: list[int]):
     """(pad, unpad) between packed rows, ``counts[b]`` rows per sequence,
-    and a zero-padded [B, T, C] layout; equal counts pad by a reshape."""
+    and a zero-padded [B, T, C] layout; equal counts pad by a reshape,
+    as each one-row decode call does (a scatter made it 36% slower)."""
     n_seq, t = len(counts), max(counts)
     if min(counts) == t:
         return (lambda rows: rows.reshape(n_seq, t, rows.shape[1]),
@@ -486,6 +487,9 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
                              f"cache of {cache.keys.shape[1]}")
     scale = 1.0 / math.sqrt(dk)
     pad, unpad = _padding(lengths)
+    # no ``first``: queries are a view of the padded rows (2-vCPU Xeon, one
+    # BLAS thread, same bits: the gather path made a 16-sequence fwd + vjp
+    # 8% and a one-row cached decode 44% slower)
     rows = suffix_rows(lengths, firsts) if any(firsts) else None
     n_queries = [n - f for n, f in zip(lengths, firsts)]
     pad_q, unpad_q = (pad, unpad) if rows is None else _padding(n_queries)
@@ -510,6 +514,7 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
         v = cache.values[None, :, :cache.length]
     # query j of sequence b sits at key position past + first[b] + j; the
     # mask is [T_q, T_k] when every sequence starts its queries at one row
+    # (a [B, 1, T_q, T_k] one made that fwd + vjp 8% and decode 4% slower)
     at = past + (firsts[0] if len(set(firsts)) == 1
                  else np.asarray(firsts)[:, None, None, None])
     keep = np.arange(past + t_max) <= at + np.arange(t_q)[:, None]

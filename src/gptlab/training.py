@@ -24,10 +24,9 @@ from .autodiff import Tensor
 from .corpus import (LOSS_MASK_POLICIES, Dialogue, TokenSequence, linearize,
                      load_corpus, split)
 from .errors import ConfigError, DataError, EmptyLossError, NumericError
-from .model import (ModelConfig, batch_loss, init_parameters, load_checkpoint,
-                    save_checkpoint, token_nll)
-from .prompts import (PROMPT_PARAM_NAME, PromptEmbeddings, apply_freeze,
-                      init_prompts)
+from .model import (INIT_STD, PROMPT_PARAM_NAME, ModelConfig, batch_loss,
+                    init_parameters, load_checkpoint, save_checkpoint,
+                    token_nll)
 from .vocab import load_vocab
 
 MODES = ("pretrain", "finetune", "ptune")
@@ -223,6 +222,24 @@ def save_metrics(log: MetricsLog, path) -> None:
 
 
 @dataclass
+class PromptEmbeddings:
+    """The [V_p x H] prompt matrix ptune trains, saved as PROMPT_PARAM_NAME.
+    The wrapper stays only because the benchmark reads ``.matrix`` of
+    ``split_loaded_tensors(...)[1]`` and passes it to ``evaluate_ppl``."""
+    matrix: Tensor
+
+
+def init_prompts(v_p: int, hidden: int, seed: int,
+                 dtype=np.float32) -> PromptEmbeddings:
+    """normal(0, 0.02) prompt rows, deterministic under seed."""
+    if v_p < 1:
+        raise ConfigError(f"prompt token count must be >= 1, got {v_p}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    data = rng.normal(0.0, INIT_STD, size=(v_p, hidden)).astype(dtype)
+    return PromptEmbeddings(Tensor(data, requires_grad=True))
+
+
+@dataclass
 class TrainResult:
     config: ModelConfig
     params: dict[str, Tensor]
@@ -273,14 +290,9 @@ def prepare_sequences(dialogues, vocab, max_len: int, policy: str,
 def split_loaded_tensors(tensors: dict[str, Tensor]
                          ) -> tuple[dict[str, Tensor], Optional[PromptEmbeddings]]:
     """Separate a loaded checkpoint into backbone and optional prompts."""
-    prompts = None
-    backbone = {}
-    for name, t in tensors.items():
-        if name == PROMPT_PARAM_NAME:
-            prompts = PromptEmbeddings(t)
-        else:
-            backbone[name] = t
-    return backbone, prompts
+    backbone = {n: t for n, t in tensors.items() if n != PROMPT_PARAM_NAME}
+    prompt = tensors.get(PROMPT_PARAM_NAME)
+    return backbone, None if prompt is None else PromptEmbeddings(prompt)
 
 
 def load_backbone(path, vocab_size: int, **overrides
@@ -414,11 +426,12 @@ def train(run: RunConfig) -> TrainResult:
     test_seqs = prepare_sequences(test_dlgs, vocab, config.max_len,
                                   run.loss_mask_policy, run.splice, tagger)
 
-    prompts = None
+    prompts, trainable = None, params
     if run.mode == "ptune":
         prompts = init_prompts(run.v_p, config.hidden, prompt_seed)
-    trainable = apply_freeze(params, prompts, set(params) if prompts is None
-                             else {PROMPT_PARAM_NAME})
+        for t in params.values():
+            t.requires_grad = False
+        trainable = {PROMPT_PARAM_NAME: prompts.matrix}
     prompt_matrix = prompts.matrix if prompts is not None else None
 
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seed))
@@ -459,10 +472,7 @@ def train(run: RunConfig) -> TrainResult:
     if metrics.rows:
         metrics.rows[-1].eval_ppl = final_ppl
     save_metrics(metrics, out_dir / "metrics.csv")
-    tensors = dict(params)
-    if prompts is not None:
-        tensors[PROMPT_PARAM_NAME] = prompts.matrix
-    save_checkpoint(ckpt_path, config, tensors)
+    save_checkpoint(ckpt_path, config, {**params, **trainable})
     return TrainResult(config=config, params=params, prompts=prompts,
                        metrics=metrics, checkpoint_path=ckpt_path,
                        final_eval_ppl=final_ppl)

@@ -23,9 +23,9 @@ from gptlab.corpus import (SyntheticSpec, generate_synthetic, load_corpus,
 from gptlab.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                           PROMPT_PARAM_NAME, generate, load_checkpoint,
                           save_checkpoint)
-from gptlab.prompts import init_prompts
-from gptlab.training import (METRICS_HEADER, evaluate_ppl, load_backbone,
-                             prepare_sequences, spawn_seeds, split_corpus)
+from gptlab.training import (METRICS_HEADER, evaluate_ppl, init_prompts,
+                             load_backbone, prepare_sequences, spawn_seeds,
+                             split_corpus)
 from gptlab.vocab import build_vocab, load_vocab, save_vocab
 
 from .util import DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS

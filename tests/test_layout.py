@@ -9,7 +9,7 @@ must be passed by some call in ``src/gptlab`` or ``perfbench/``. Every
 config key that the reader accepts must be quoted somewhere in
 ``src/gptlab`` outside the set that lists the accepted keys.
 Imports sit at module level, so the import graph of the package is the one
-its module headers show.
+its module headers show. The README names only modules that exist.
 """
 import ast
 import re
@@ -203,3 +203,14 @@ def test_every_optional_parameter_is_passed_outside_tests():
                 unpassed.append(f"{path.name}:{lineno} {callee}({param})")
     assert not unpassed, ("parameters only tests pass: "
                           + ", ".join(unpassed))
+
+
+def test_readme_names_only_existing_modules():
+    """Each `gptlab.<name>` the README names is a module of the package."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`gptlab\.(\w+)", readme))
+    missing = sorted(name for name in named
+                     if not (PACKAGE / f"{name}.py").is_file())
+    assert named, "the README names no module"
+    assert not missing, "README names missing modules: " + ", ".join(
+        f"gptlab.{name}" for name in missing)

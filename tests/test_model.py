@@ -9,17 +9,17 @@ from gptlab import autodiff as ad
 from gptlab import model
 from gptlab.annotation import LexTag
 from gptlab.autodiff import GELU_COEF, Tensor
-from gptlab.corpus import TokenSequence
+from gptlab.corpus import Dialogue, EntitySpan, TokenSequence, Turn, linearize
 from gptlab.errors import CheckpointError, ConfigError, GptLabError, ShapeError
 from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, PROMPT_PARAM_NAME,
                           ModelConfig,
                           _embed_rows, batch_loss, forward, forward_batch,
                           generate, init_parameters, load_checkpoint,
                           parameter_count, parameter_shapes, save_checkpoint,
-                          shifted_targets)
-from gptlab.prompts import init_prompts
+                          shifted_targets, token_nll)
 from gptlab.training import (OptimizerState, adamw_step, clip_grad_norm,
-                             evaluate_ppl)
+                             evaluate_ppl, init_prompts)
+from gptlab.vocab import build_vocab
 
 from .util import fd_grad, max_rel_err
 
@@ -497,6 +497,27 @@ def test_pruned_prompt_grad_and_ppl_bit_equal_float32(monkeypatch):
 
     monkeypatch.setattr(model, "forward_batch", every_row)
     assert evaluate_ppl(params, cfg, seqs, prompts) == pruned
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="splice tail follows `<EOS>`; ROADMAP item 5")
+def test_splice_tail_changes_the_reply_loss():
+    """The spliced history mentions are there for the reply to read, so
+    the scored loss must depend on them by more than rounding."""
+    history = "I have a cough and a fever"
+    dlg = Dialogue(id="d", turns=(
+        Turn("patient", history, (EntitySpan(9, 14, "symptom"),)),
+        Turn("doctor", "rest and fluids")))
+    vocab = build_vocab([dlg])
+    cfg = ModelConfig(n_layers=2, n_heads=2, hidden=8,
+                      vocab_size=len(vocab), max_len=64, dropout=0.0)
+    params = init_parameters(cfg, seed=7, dtype=np.float64)
+    nll = {}
+    for splice in (False, True):
+        seq = linearize(dlg, vocab, cfg.max_len, "response", None, splice)
+        with ad.no_grad():
+            nll[splice] = float(token_nll([seq], params, cfg).data)
+    assert abs(nll[True] - nll[False]) > 1e-9 * abs(nll[False])
 
 
 def test_dropout_consumes_rng_per_sequence_in_site_order():

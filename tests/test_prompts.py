@@ -1,15 +1,11 @@
-import hashlib
-
 import numpy as np
 import pytest
 
 from gptlab import autodiff as ad
-from gptlab.autodiff import Tensor
 from gptlab.errors import ConfigError
-from gptlab.model import (ModelConfig, batch_loss, forward, init_parameters,
+from gptlab.model import (ModelConfig, forward, init_parameters,
                           shifted_targets)
-from gptlab.prompts import PROMPT_PARAM_NAME, apply_freeze, init_prompts
-from gptlab.training import OptimizerState, adamw_step
+from gptlab.training import init_prompts
 
 from .test_model import (make_seq, straight_line_blocks, straight_line_embed,
                          tiny_config)
@@ -19,10 +15,6 @@ from .test_model import (make_seq, straight_line_blocks, straight_line_embed,
 def fresh_tape():
     ad.reset_tape()
     yield
-
-
-def digest(t: Tensor) -> str:
-    return hashlib.sha256(t.data.tobytes()).hexdigest()
 
 
 def test_init_prompts_deterministic_and_shaped():
@@ -112,65 +104,3 @@ def test_prefix_preserves_causality_over_real_tokens():
     n_prompt = 3
     assert np.array_equal(out[:n_prompt + 2], base[:n_prompt + 2])
     assert not np.array_equal(out[n_prompt + 2], base[n_prompt + 2])
-
-
-def ptune_setup(seed=0):
-    cfg = tiny_config(hidden=8, n_heads=2)
-    params = init_parameters(cfg, seed=seed)
-    prompts = init_prompts(2, cfg.hidden, seed=seed + 1)
-    return cfg, params, prompts
-
-
-def run_steps(cfg, params, prompts, trainable, n_steps):
-    state = OptimizerState()
-    seq = make_seq([1, 2, 3, 4, 5])
-    for _ in range(n_steps):
-        ad.reset_tape()
-        loss = batch_loss([seq], params, cfg,
-                          prompts=prompts.matrix if prompts else None)
-        if loss.requires_grad:  # with everything frozen there is no graph
-            ad.backward(loss)
-        grads = {n: t.grad for n, t in trainable.items() if t.grad is not None}
-        adamw_step(trainable, grads, state, lr=1e-3)
-        for t in trainable.values():
-            t.zero_grad()
-
-
-def test_ptune_freeze_keeps_backbone_bit_identical():
-    cfg, params, prompts = ptune_setup()
-    trainable = apply_freeze(params, prompts, {PROMPT_PARAM_NAME})
-    assert set(trainable) == {PROMPT_PARAM_NAME}
-    assert trainable[PROMPT_PARAM_NAME].size == 2 * cfg.hidden  # 2 prompt rows
-    before = {n: digest(t) for n, t in params.items()}
-    prompt_before = digest(prompts.matrix)
-    run_steps(cfg, params, prompts, trainable, n_steps=10)
-    after = {n: digest(t) for n, t in params.items()}
-    assert after == before
-    assert digest(prompts.matrix) != prompt_before
-
-
-def test_finetune_updates_every_backbone_tensor():
-    cfg, params, _ = ptune_setup(seed=2)
-    trainable = apply_freeze(params, None, set(params))
-    before = {n: t.data.copy() for n, t in params.items()}
-    run_steps(cfg, params, None, trainable, n_steps=1)
-    changed = [n for n, t in params.items()
-               if not np.array_equal(t.data, before[n])]
-    # every tensor that received a gradient moved; with weight decay the
-    # weight tables move even where the gradient is tiny
-    assert set(changed) == set(params)
-
-
-def test_freeze_all_makes_step_a_noop():
-    cfg, params, prompts = ptune_setup(seed=3)
-    trainable = apply_freeze(params, prompts, set())
-    assert trainable == {}
-    before = {n: digest(t) for n, t in params.items()}
-    run_steps(cfg, params, prompts, trainable, n_steps=3)
-    assert {n: digest(t) for n, t in params.items()} == before
-
-
-def test_apply_freeze_unknown_name_rejected():
-    cfg, params, prompts = ptune_setup(seed=4)
-    with pytest.raises(ConfigError):
-        apply_freeze(params, prompts, {"no.such"})

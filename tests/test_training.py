@@ -16,13 +16,14 @@ from gptlab.config import KV, load_run_config, write_kv
 from gptlab.corpus import (Dialogue, SyntheticSpec, Turn, generate_synthetic,
                            linearize, save_corpus)
 from gptlab.errors import ConfigError, EmptyLossError, NumericError
-from gptlab.model import (ModelConfig, batch_loss, init_parameters,
-                          load_checkpoint, save_checkpoint, token_nll)
-from gptlab.prompts import PROMPT_PARAM_NAME, init_prompts
+from gptlab.model import (PROMPT_PARAM_NAME, ModelConfig, batch_loss,
+                          init_parameters, load_checkpoint, save_checkpoint,
+                          token_nll)
 from gptlab.training import (CLIP, METRICS_HEADER, MetricsLog, MetricsRow,
                              OptimizerState, RunConfig, ScheduleConfig,
-                             adamw_step, clip_grad_norm, evaluate_ppl, lr_at,
-                             make_run_config, save_metrics, train)
+                             adamw_step, clip_grad_norm, evaluate_ppl,
+                             init_prompts, lr_at, make_run_config,
+                             save_metrics, train)
 from gptlab.vocab import build_vocab, save_vocab
 
 from .test_model import make_seq
@@ -466,6 +467,9 @@ def test_train_ptune_keeps_backbone_frozen(tmp_path):
     assert hashes_after == hashes_before
     assert pt_result.prompts is not None
     assert pt_result.prompts.matrix.shape == (3, 16)
+    # the prompt matrix trained away from its initial draw
+    start = init_prompts(3, 16, seed=training.spawn_seeds(pt.seed)[4])
+    assert not np.array_equal(pt_result.prompts.matrix.data, start.matrix.data)
     # the prompt matrix rides in the checkpoint under its reserved name
     _, tensors = load_checkpoint(pt_result.checkpoint_path)
     assert PROMPT_PARAM_NAME in tensors
@@ -479,9 +483,9 @@ def test_train_finetune_moves_backbone(tmp_path):
     ft_result = train(ft)
     moved = [n for n, t in ft_result.params.items()
              if not np.array_equal(t.data, pre_result.params[n].data)]
-    assert "tok_emb" in moved
-    for layer in range(ft_result.config.n_layers):
-        assert any(n.startswith(f"layer{layer}.") for n in moved)
+    # every backbone tensor trains; with weight decay the weight tables
+    # move even where the gradient is tiny
+    assert set(moved) == set(pre_result.params)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
