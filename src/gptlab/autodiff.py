@@ -1,15 +1,17 @@
 """Dense 2-D/3-D real tensors with tape-based reverse-mode differentiation.
 
-Every tensor wraps the numpy float array it is given. Operations executed
-while grad recording is on append one entry to the module's tape (one
-tape, driven from one thread); ``backward`` replays the tape once in
-reverse. The first gradient array a tensor receives becomes its ``.grad``
-(cast if its dtype differs) and later ones are added into it. So for each
-input that needs one, a vjp returns an array no other input's gradient
-holds: a fresh array, its incoming gradient, or disjoint views of it
-(``backward`` never reads an incoming gradient again); ``add`` gives its
-second input a copy. After ``backward`` only leaves have a defined
-``.grad``: an intermediate tensor's is scratch.
+Every tensor wraps the numpy float array it is given. Every op returns
+through ``_op``, which gets the op's inputs once: with grad recording on
+and one of them requiring grad, the result requires grad and the
+module's one tape, driven from one thread, gains one ``(result, inputs,
+vjp)`` entry. ``backward`` replays the tape once in reverse. The first
+gradient array a tensor receives becomes its ``.grad`` (cast if its dtype
+differs) and later ones are added into it. So for each input that needs
+one, a vjp returns an array no other input's gradient holds: a fresh
+array, its incoming gradient, or disjoint views of it (``backward`` never
+reads an incoming gradient again); ``add`` gives its second input a copy.
+After ``backward`` only leaves have a defined ``.grad``: an intermediate
+tensor's is scratch.
 
 Verification suites run in float64, training runs in float32; the dtype
 of a result follows numpy promotion of its tensor inputs, so a graph stays
@@ -123,13 +125,14 @@ class no_grad:
         return False
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-    if out.requires_grad:  # set by _wants_grad, so only in grad mode
+def _op(data, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+    """The tensor of an op's result ``data``. In grad mode, when one of
+    ``inputs`` requires grad, it requires grad too and the tape records
+    ``vjp`` for it, which maps its gradient to one per input in order."""
+    out = Tensor(data, _grad_enabled and any(t.requires_grad for t in inputs))
+    if out.requires_grad:
         _tape.entries.append((out, inputs, vjp))
-
-
-def _wants_grad(*tensors: Tensor) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in tensors)
+    return out
 
 
 def backward(loss: Tensor) -> None:
@@ -246,21 +249,18 @@ def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two tensors of one shape."""
     _same_shape("add", a, b)
-    out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):  # one array must not become two tensors' gradients
         return (g if need_a else None,
                 (g.copy() if need_a else g) if need_b else None)
 
-    _record(out, (a, b), vjp)
-    return out
+    return _op(a.data + b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two tensors of one shape."""
     _same_shape("mul", a, b)
-    out = Tensor(a.data * b.data, requires_grad=_wants_grad(a, b))
     a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
 
@@ -268,8 +268,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (g * b_data if need_a else None,
                 g * a_data if need_b else None)
 
-    _record(out, (a, b), vjp)
-    return out
+    return _op(a_data * b_data, (a, b), vjp)
 
 
 ROW_BLOCK = 128
@@ -320,19 +319,15 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    inputs = (a, b)
-    if bias is not None:
-        if bias.shape != (b.shape[1],):
-            raise ShapeError(f"matmul bias must have shape ({b.shape[1]},), "
-                             f"got {bias.shape}")
-        inputs = (a, b, bias)
-    bias_data = None if bias is None else bias.data
-    y = (_matmul_rows(a.data, b.data, bias_data, None)
-         if len(a.data) < 2 * SPLIT_ROWS else _split(
-             _matmul_rows, (a.data,), (b.data, bias_data),
-             _gemm_rows(a.data, b.data)))
-    out = Tensor(y, requires_grad=_wants_grad(*inputs))
+    if bias is not None and bias.shape != (b.shape[1],):
+        raise ShapeError(f"matmul bias must have shape ({b.shape[1]},), "
+                         f"got {bias.shape}")
     a_data, b_data = a.data, b.data
+    bias_data = None if bias is None else bias.data
+    y = (_matmul_rows(a_data, b_data, bias_data, None)
+         if len(a_data) < 2 * SPLIT_ROWS else _split(
+             _matmul_rows, (a_data,), (b_data, bias_data),
+             _gemm_rows(a_data, b_data)))
     need_a, need_b = a.requires_grad, b.requires_grad
     need_bias = bias is not None and bias.requires_grad
 
@@ -342,17 +337,14 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
                 _rows_t_matmul(a_data, g) if need_b else None,
                 g.sum(axis=0) if need_bias else None)
 
-    _record(out, inputs, vjp)
-    return out
+    return _op(y, (a, b) if bias is None else (a, b, bias), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
     # a copy: products with a transposed view differ from it in the last bits
-    out = Tensor(a.data.T.copy(), requires_grad=_wants_grad(a))
-    _record(out, (a,), lambda g: (g.T,))
-    return out
+    return _op(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def _masked_softmax(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -526,7 +518,6 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     probs, heads = (_attend(q, k, v, keep, None) if n_rows < 2 * SPLIT_ROWS
                     else _split(_attend, (q, k, v, keep) if per_seq else
                                 (q, k, v), () if per_seq else (keep,), n_rows))
-    out = Tensor(unpad_q(merge_heads(heads)), requires_grad=_wants_grad(qkv))
 
     def vjp(g):
         d_out = split_heads(pad_q(g))
@@ -539,8 +530,7 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
             grad[rows, :h] = unpad_q(merge_heads(d_q))
         return (grad,)
 
-    _record(out, (qkv,), vjp)
-    return out
+    return _op(unpad_q(merge_heads(heads)), (qkv,), vjp)
 
 
 def _layer_norm_rows(x, gamma, beta, eps, out):
@@ -585,7 +575,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         _layer_norm_rows(x.data, gamma.data, beta.data, eps, None)
         if len(x.data) < 2 * SPLIT_ROWS else _split(
             _layer_norm_rows, (x.data,), (gamma.data, beta.data, eps)))
-    out = Tensor(y, requires_grad=_wants_grad(x, gamma, beta))
     gamma_data = gamma.data
     need_x, need_gamma, need_beta = (
         x.requires_grad, gamma.requires_grad, beta.requires_grad)
@@ -598,8 +587,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
                         (gamma_data,))
         return (dx, d_gamma, g.sum(axis=0) if need_beta else None)
 
-    _record(out, (x, gamma, beta), vjp)
-    return out
+    return _op(y, (x, gamma, beta), vjp)
 
 
 def _gelu_rows(d, out):
@@ -639,13 +627,11 @@ def gelu(x: Tensor) -> Tensor:
     d = x.data
     t, y = (_gelu_rows(d, None) if len(d) < 2 * SPLIT_ROWS
             else _split(_gelu_rows, (d,)))
-    out = Tensor(y, requires_grad=_wants_grad(x))
 
     def vjp(g):
         return (_split(_gelu_vjp_rows, (d, t, g)),)
 
-    _record(out, (x,), vjp)
-    return out
+    return _op(y, (x,), vjp)
 
 
 def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
@@ -673,8 +659,6 @@ def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     row_max = live_x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(live_x - row_max).sum(axis=1, keepdims=True)) + row_max
     nll = lse[:, 0] - live_x[np.arange(rows.size), live]
-    out = Tensor(np.asarray((nll * w).sum(), dtype=x.dtype),
-                 requires_grad=_wants_grad(logits))
 
     def vjp(g):
         probs = np.exp(live_x - lse)
@@ -684,8 +668,7 @@ def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
         grad[rows] = probs
         return (grad,)
 
-    _record(out, (logits,), vjp)
-    return out
+    return _op(np.asarray((nll * w).sum(), dtype=x.dtype), (logits,), vjp)
 
 
 def take_rows(table: Tensor, ids) -> Tensor:
@@ -698,7 +681,6 @@ def take_rows(table: Tensor, ids) -> Tensor:
     n = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise VocabError(f"row id out of range for table with {n} rows")
-    out = Tensor(table.data[idx], requires_grad=_wants_grad(table))
 
     def vjp(g):
         # scatter-add as one segmented sum over the rows sorted by id
@@ -710,8 +692,7 @@ def take_rows(table: Tensor, ids) -> Tensor:
             gt[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
         return (gt,)
 
-    _record(out, (table,), vjp)
-    return out
+    return _op(table.data[idx], (table,), vjp)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -722,8 +703,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         if p.data.ndim != 2 or p.shape[1] != parts[0].shape[1]:
             raise ShapeError("concat needs 2-D tensors with one column "
                              f"count, got {[q.shape for q in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts]),
-                 requires_grad=_wants_grad(*parts))
     splits = np.cumsum([p.shape[0] for p in parts])[:-1]
     needs = [p.requires_grad for p in parts]
 
@@ -731,5 +710,4 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return tuple(part if need else None for part, need in
                      zip(np.split(g, splits), needs))
 
-    _record(out, tuple(parts), vjp)
-    return out
+    return _op(np.concatenate([p.data for p in parts]), tuple(parts), vjp)

@@ -32,6 +32,9 @@ INIT_STD = 0.02
 CHECKPOINT_MAGIC = b"GLCK"
 CHECKPOINT_VERSION = 2
 PROMPT_PARAM_NAME = "prompt.emb"
+# fixed embedding table sizes, which every checkpoint header records
+TABLE_SIZES = {"lex_table_size": LEX_TABLE_SIZE,
+               "entity_table_size": ENTITY_TABLE_SIZE}
 
 
 @dataclass
@@ -44,12 +47,10 @@ class ModelConfig:
     dropout: float = 0.1
     use_lexical: bool = True
     use_entity: bool = True
-    lex_table_size: int = LEX_TABLE_SIZE
-    entity_table_size: int = ENTITY_TABLE_SIZE
 
     def __post_init__(self):
         sizes = (self.n_layers, self.n_heads, self.hidden, self.vocab_size,
-                 self.max_len, self.lex_table_size, self.entity_table_size)
+                 self.max_len)
         if not all(type(n) is int and n >= 0 for n in sizes):
             raise ConfigError(f"model sizes {sizes} must be integers >= 0")
         if min(self.n_layers, self.n_heads, self.hidden) < 1:
@@ -82,8 +83,8 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {
         "tok_emb": (config.vocab_size, h),
         "pos_emb": (config.max_len, h),
-        "lex_emb": (config.lex_table_size, h),
-        "ent_emb": (config.entity_table_size, h),
+        "lex_emb": (LEX_TABLE_SIZE, h),
+        "ent_emb": (ENTITY_TABLE_SIZE, h),
     }
     for i in range(config.n_layers):
         p = f"layer{i}"
@@ -384,7 +385,7 @@ def _header(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> bytes:
         offset += nbytes
     return json.dumps({
         "version": CHECKPOINT_VERSION,
-        "config": asdict(config),
+        "config": {**asdict(config), **TABLE_SIZES},
         "tensors": entries,
     }, sort_keys=True).encode("utf-8")
 
@@ -430,7 +431,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
     stored = blob[preamble:preamble + hlen]
     try:
         header = json.loads(stored.decode("utf-8"))
-        config = ModelConfig(**header["config"])
+        config = ModelConfig(**{key: value for key, value in dict(
+            header["config"]).items() if key not in TABLE_SIZES})
         shapes = parameter_shapes(config)
         if len(header["tensors"]) == len(shapes) + 1:  # prompts come last
             rows = header["tensors"][-1]["shape"][0]

@@ -41,8 +41,8 @@ class ScheduleConfig:
     decay_end_step: int = 100_000
 
     def __post_init__(self):
-        if not (0 < self.min_lr <= self.peak_lr):
-            raise ConfigError("need 0 < min_lr <= peak_lr")
+        if not (0 < self.min_lr <= self.peak_lr < math.inf):
+            raise ConfigError("need 0 < min_lr <= peak_lr < inf")
         if not (0 <= self.warmup_steps < self.decay_end_step):
             raise ConfigError("need 0 <= warmup_steps < decay_end_step")
 
@@ -171,6 +171,8 @@ class RunConfig:
             raise ConfigError(f"unknown loss-mask policy {self.loss_mask_policy!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
+        if not math.isfinite(self.weight_decay):
+            raise ConfigError(f"weight_decay {self.weight_decay} is not finite")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

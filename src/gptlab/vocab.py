@@ -6,6 +6,7 @@ never produce, so round-tripping in-vocab text is exact.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .atomic import atomic_write, read_lines
@@ -24,7 +25,9 @@ PAD_ID, BOS_ID, EOS_ID, PATIENT_ID, DOCTOR_ID, UNK_ID = range(len(SPECIALS))
 
 # line-file escapes so one symbol always fits one line
 _ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
 _UNESCAPES = {v: k for k, v in _ESCAPES.items()}
+_ESCAPED = re.compile(r"\\[\\nrt]")
 
 
 @dataclass
@@ -76,40 +79,18 @@ def decode(ids, vocab: Vocab) -> str:
     return "".join(out)
 
 
-def _escape(symbol: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in symbol)
-
-
-def _unescape(line: str) -> str:
-    out = []
-    i = 0
-    while i < len(line):
-        pair = line[i:i + 2]
-        if pair in _UNESCAPES:
-            out.append(_UNESCAPES[pair])
-            i += 2
-        else:
-            out.append(line[i])
-            i += 1
-    return "".join(out)
-
-
 def save_vocab(vocab: Vocab, path) -> None:
-    """One symbol per line, line number = id; specials as literal tags;
-    written atomically."""
+    """One symbol per line, line number = id, escaped; specials hold no
+    escaped character, so they appear as literal tags; written atomically."""
     with atomic_write(path) as fh:
         for sym in vocab.id_to_symbol:
-            if sym in SPECIALS:
-                fh.write(sym + "\n")
-            else:
-                fh.write(_escape(sym) + "\n")
+            fh.write(sym.translate(_ESCAPE_TABLE) + "\n")
 
 
 def load_vocab(path) -> Vocab:
     table: dict[str, int] = {}
     for i, line in enumerate(read_lines(path, DataError, "vocab file")):
-        line = line.rstrip("\n")
-        sym = line if line in SPECIALS else _unescape(line)
+        sym = _ESCAPED.sub(lambda m: _UNESCAPES[m.group()], line.rstrip("\n"))
         if sym in table:
             raise DataError(f"duplicate symbol at line {i} of {path}")
         table[sym] = i

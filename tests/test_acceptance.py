@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gptlab import autodiff as ad
+from gptlab.cli import ABLATION_VARIANTS
 from gptlab.cli import main as cli_main
 from gptlab.corpus import (SyntheticSpec, generate_synthetic, load_corpus,
                            save_corpus, split)
@@ -269,16 +270,9 @@ def test_criterion_06_tuning_direction_and_parameter_budget(pipeline):
 
 def test_criterion_07_ablation_direction(pipeline):
     start = time.perf_counter()
-    base = pipeline["pt_run"]
-    variants = {}
-    for name, lexical, entity, splice in (
-            ("none", False, False, False), ("lexical", True, False, False),
-            ("entity", False, True, False), ("both", True, True, False),
-            ("splice", False, False, True)):
-        run = replace(base, use_lexical=lexical, use_entity=entity,
-                      splice=splice,
-                      out_dir=pipeline["root"] / "ablate" / name)
-        variants[name] = train(run).final_eval_ppl
+    base = replace(pipeline["pt_run"], out_dir=pipeline["root"] / "ablate")
+    variants = dict(zip((name for name, _ in ABLATION_VARIANTS),
+                        train_variants(base, ABLATION_VARIANTS)))
     elapsed = time.perf_counter() - start
 
     assert len(variants) == 5

@@ -454,6 +454,54 @@ def test_no_grad_suspends_recording():
     assert len(ad.active_tape().entries) == 0
 
 
+# each op, the shapes of the inputs it records, and a call on those inputs
+RECORDING_OPS = {
+    "add": ([(2, 3), (2, 3)], ad.add),
+    "mul": ([(2, 3), (2, 3)], ad.mul),
+    "matmul": ([(2, 3), (3, 4)], ad.matmul),
+    "matmul-bias": ([(2, 3), (3, 4), (4,)],
+                    lambda a, b, bias: ad.matmul(a, b, bias=bias)),
+    "transpose": ([(2, 3)], ad.transpose),
+    "attention": ([(3, 6)], lambda qkv: ad.attention(qkv, 2, [2, 1])),
+    "layer_norm": ([(2, 3), (3,), (3,)],
+                   lambda x, gamma, beta: ad.layer_norm(x, gamma, beta, 1e-5)),
+    "gelu": ([(2, 3)], ad.gelu),
+    "cross_entropy": ([(2, 3)],
+                      lambda x: ad.cross_entropy(x, [0, 2], [1.0, 0.5])),
+    "take_rows": ([(4, 3)], lambda table: ad.take_rows(table, [3, 0, 3])),
+    "concat_rows": ([(2, 3), (1, 3), (3, 3)],
+                    lambda *parts: ad.concat_rows(list(parts))),
+}
+# which recorded inputs require grad, by their count
+TRAINABLE = {
+    "all-frozen": lambda n: [False] * n,
+    "first-frozen": lambda n: [False] + [True] * (n - 1),
+    "last-trainable": lambda n: [False] * (n - 1) + [True],
+    "all-trainable": lambda n: [True] * n,
+}
+
+
+@pytest.mark.parametrize("grad_mode", [True, False])
+@pytest.mark.parametrize("trainable", sorted(TRAINABLE))
+@pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+def test_op_records_iff_grad_mode_and_an_input_requires_grad(
+        op, trainable, grad_mode):
+    shapes, call = RECORDING_OPS[op]
+    needs = TRAINABLE[trainable](len(shapes))
+    rng = np.random.default_rng(14)
+    inputs = tuple(Tensor(rng.normal(size=shape), requires_grad=need)
+                   for shape, need in zip(shapes, needs))
+    with contextlib.nullcontext() if grad_mode else ad.no_grad():
+        out = call(*inputs)
+    entries = ad.active_tape().entries
+    recorded = grad_mode and any(needs)
+    assert out.requires_grad == recorded
+    assert len(entries) == recorded
+    if recorded:
+        (result, got, _), = entries
+        assert result is out and got == inputs
+
+
 def test_backward_rejects_foreign_loss():
     x = Tensor([[1.0]], requires_grad=True)
     loss = total(x)

@@ -660,6 +660,21 @@ INPUT_ESCAPES = {
         mode="pretrain", corpus="runs/a/corpus.jsonl", split="4:1", epochs=1,
         extra=MODEL_BLOCK.replace("model.layers = 1", "model.layers = 0")
     ).encode(), "pretrain"),
+    # non-finite rates: without the check a step trains, then the update is
+    # non-finite (exit 4)
+    "config-lr-peak-inf": ("esc-lr-peak.kv", TRAIN.format(
+        mode="pretrain", corpus="runs/a/corpus.jsonl", split="4:1", epochs=1,
+        extra=MODEL_BLOCK).replace("lr.peak = 2e-3", "lr.peak = inf").encode(),
+        "pretrain"),
+    "config-lr-min-and-peak-inf": ("esc-lr-min.kv", PTUNE.replace(
+        "lr.peak = 2e-3", "lr.peak = inf").replace(
+        "lr.min = 2e-4", "lr.min = inf").encode(), "ptune"),
+    "config-weight-decay-nan": ("esc-decay-nan.kv", (
+        PTUNE + "train.weight_decay = nan\n").encode(), "ptune"),
+    "config-weight-decay-inf": ("esc-decay-inf.kv", TRAIN.format(
+        mode="pretrain", corpus="runs/a/corpus.jsonl", split="4:1", epochs=1,
+        extra=MODEL_BLOCK + "train.weight_decay = -inf\n").encode(),
+        "pretrain"),
     # a final reply of max_len - 1 (160 - 1) or more characters leaves no
     # history token before it
     "reply-fills-max-len": ("runs/esc-reply.jsonl", _reply_dialogue(159),

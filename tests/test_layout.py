@@ -214,3 +214,24 @@ def test_readme_names_only_existing_modules():
     assert named, "the README names no module"
     assert not missing, "README names missing modules: " + ", ".join(
         f"gptlab.{name}" for name in missing)
+
+
+def _builds_or_records(node) -> bool:
+    """Whether ``node`` calls ``Tensor(…)`` or ``….entries.append(…)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "Tensor") or (
+        isinstance(func, ast.Attribute) and func.attr == "append"
+        and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "entries")
+
+
+def test_autodiff_builds_and_records_tensors_in_one_helper():
+    """Every op names its inputs once: only ``_op`` makes a tensor or
+    appends to the tape, so no op can record inputs other than those its
+    result's requires_grad was decided from."""
+    tree = ast.parse((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))
+    owners = {getattr(top, "name", "<module>") for top in tree.body
+              for node in ast.walk(top) if _builds_or_records(node)}
+    assert owners == {"_op"}

@@ -57,8 +57,7 @@ def params64(config, seed=0):
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(n_layers=1, n_heads=3, hidden=4, vocab_size=5, max_len=8)
-    for bad in (dict(vocab_size=2.5), dict(max_len="8"), dict(hidden=True),
-                dict(lex_table_size=-1)):
+    for bad in (dict(vocab_size=2.5), dict(max_len="8"), dict(hidden=True)):
         with pytest.raises(ConfigError):
             tiny_config(**bad)
     cfg = tiny_config(hidden=8, n_heads=2)

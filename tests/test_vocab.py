@@ -106,3 +106,20 @@ def test_vocab_file_escapes_whitespace_symbols(tmp_path):
     loaded = load_vocab(path)
     assert "\n" in loaded.symbol_to_id
     assert loaded.symbol_to_id["\n"] == v.symbol_to_id["\n"]
+
+
+# the vocab-file escape table, kept here as the reference for the file bytes
+REFERENCE_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def test_every_one_character_symbol_round_trips(tmp_path):
+    chars = [chr(c) for c in range(0x10000) if not 0xD800 <= c < 0xE000]
+    chars += ["\U0001F600", "\U0010FFFF"]
+    assert {"\\", "\n", "\r", "\t"} <= set(chars)
+    v = Vocab({s: i for i, s in enumerate(SPECIALS + tuple(chars))})
+    path = tmp_path / "vocab.txt"
+    save_vocab(v, path)
+    assert load_vocab(path).symbol_to_id == v.symbol_to_id
+    want = "".join(s + "\n" for s in SPECIALS) + "".join(
+        REFERENCE_ESCAPES.get(ch, ch) + "\n" for ch in chars)
+    assert path.read_bytes() == want.encode("utf-8")
