@@ -29,9 +29,9 @@ axis are summed over fixed 128-row blocks (see ``_rows_t_matmul``), which
 keeps them bit-identical whatever the BLAS thread count.
 
 Attention, matmul, layer norm and GELU split their rows (attention: its
-sequences) across the CPUs of the process's affinity mask (see
-``_split``); each row is computed as in one whole-array call, so the
-bytes are identical whatever the CPU count and the BLAS thread count.
+sequences) into one range per CPU, run by ``spread`` like perplexity
+groups (a nested call runs inline; no task records on the tape). Rows are
+computed as in one whole-array call, whatever the CPU and BLAS counts.
 """
 from __future__ import annotations
 
@@ -165,12 +165,14 @@ def backward(loss: Tensor) -> None:
                     t.grad += g
 
 
-# --- row ranges across CPUs ---
+# --- tasks and row ranges across CPUs ---
 
 SPLIT_ROWS = 512  # fewest rows of work one range is worth a thread for
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)  # macOS has no affinity mask
-_pool: Optional[queue.SimpleQueue] = None  # tasks for _CPUS - 1 threads
+_pool: Optional[queue.SimpleQueue] = None  # work for _CPUS - 1 threads
+_in_task = contextvars.ContextVar("_in_task", default=False)
+_probes: dict = {}  # a kernel's outputs on no rows, by argument layout
 
 
 def _drop_pool() -> None:  # a forked child has none of its parent's threads
@@ -182,14 +184,52 @@ if hasattr(os, "register_at_fork"):  # POSIX
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _serve(tasks: queue.SimpleQueue) -> None:
-    while True:  # run each task, then reply with its exception or None
-        replies, run, args = tasks.get()
-        try:
-            run(*args)
-            replies.put(None)
-        except BaseException as exc:  # the caller re-raises it
-            replies.put(exc)
+def _serve(work: queue.SimpleQueue) -> None:
+    while True:  # run each share of a spread call, then tell its caller
+        done, run, args = work.get()
+        run(*args)  # a share keeps what its tasks raise
+        done.put(None)
+
+
+def spread(task: Callable, n: int) -> list:
+    """``[task(0), ..., task(n - 1)]``: the caller and up to ``_CPUS - 1``
+    pool threads each take the next index no one has taken yet, in a copy
+    of the caller's context (so under its numpy error state). The lowest
+    index's exception, if any, is re-raised once every task has finished.
+    From inside a task, or with one CPU, the tasks run in order on the
+    calling thread, so the pool cannot deadlock. Tasks must not record on
+    the tape, which with grad mode is one thread's module state: they run
+    under ``no_grad`` or on numpy arrays only.
+    """
+    helpers = min(n, _CPUS) - 1
+    if helpers < 1 or _in_task.get():
+        return [task(i) for i in range(n)]
+    global _pool
+    if _pool is None:
+        _pool = queue.SimpleQueue()
+        for _ in range(_CPUS - 1):
+            threading.Thread(target=_serve, args=(_pool,), daemon=True).start()
+    results, errors, indices = [None] * n, {}, iter(range(n))
+
+    def share():  # take the next index until none is left
+        for i in indices:
+            try:
+                results[i] = task(i)
+            except BaseException as exc:  # re-raised by the caller
+                errors[i] = exc
+
+    done, inline = queue.SimpleQueue(), _in_task.set(True)
+    for _ in range(helpers):  # each share's context inherits the flag
+        _pool.put((done, contextvars.copy_context().run, (share,)))
+    try:
+        share()
+    finally:
+        _in_task.reset(inline)
+        for _ in range(helpers):
+            done.get()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _split(kernel: Callable, sliced: tuple, shared: tuple = (),
@@ -197,44 +237,32 @@ def _split(kernel: Callable, sliced: tuple, shared: tuple = (),
     """``kernel(*sliced, *shared, None)``: the output arrays of a kernel
     whose last argument, ``out``, is None or a tuple of arrays to write
     them into. With SPLIT_ROWS of ``rows`` (default: the first axis's
-    length) for each of two or more CPUs it runs instead on contiguous
-    ranges of the first axis, one per CPU, into outputs allocated here
-    like those of a call on no rows. The caller runs the first range and
-    pool threads the others, each in a copy of the caller's context (so
-    under its numpy error state). A range writes only its own rows, so the
-    result is the whole call's, bit for bit. An exception is re-raised
-    once every range has finished. Forward ops, which decoding runs on one
-    row at a time, call their kernel directly below 2 * SPLIT_ROWS rows:
-    entering this function costs about a microsecond.
+    length) for each of two or more CPUs it runs instead through
+    ``spread`` on contiguous ranges of the first axis, one per CPU, sliced
+    up front (a just-woken pool thread runs Python slowly), into outputs
+    laid out like those of a call on no rows, made once per kernel and
+    argument layout (on empty arrays it took 5-25 us). A range writes only
+    its own rows, so the result is the whole call's, bit for bit. Forward
+    ops, which decoding runs on one row at a time, call their kernel
+    directly below 2 * SPLIT_ROWS rows: entering this costs about 1 us.
     """
     n = len(sliced[0])
     parts = min((n if rows is None else rows) // SPLIT_ROWS, _CPUS, n)
     if parts < 2:
         return kernel(*sliced, *shared, None)
-    global _pool
-    if _pool is None:
-        _pool = queue.SimpleQueue()
-        for _ in range(_CPUS - 1):
-            threading.Thread(target=_serve, args=(_pool,), daemon=True).start()
-    probe = kernel(*(a[:0] for a in sliced), *shared, None)
+    key = (kernel, *((a.shape[1:], a.dtype) for a in sliced), *(
+        (x.shape, x.dtype) if isinstance(x, np.ndarray) else x
+        for x in shared))
+    probe = _probes.get(key)
+    if probe is None:
+        probe = _probes[key] = kernel(*(a[:0] for a in sliced), *shared, None)
     outs = tuple(np.empty((n,) + o.shape[1:], o.dtype) for o in
                  (probe if isinstance(probe, tuple) else (probe,)))
-
-    def part(lo, hi):  # the kernel's arguments for rows lo:hi
-        return (*(a[lo:hi] for a in sliced), *shared,
-                tuple(o[lo:hi] for o in outs))
-
     cuts = [n * i // parts for i in range(parts + 1)]
-    replies = queue.SimpleQueue()
-    for lo, hi in zip(cuts[1:-1], cuts[2:]):
-        _pool.put((replies, contextvars.copy_context().run,
-                   (kernel, *part(lo, hi))))
-    try:
-        kernel(*part(0, cuts[1]))
-    finally:
-        errors = [replies.get() for _ in cuts[2:]]
-    for exc in filter(None, errors):
-        raise exc
+    calls = [(*(a[lo:hi] for a in sliced), *shared,
+              tuple(o[lo:hi] for o in outs))
+             for lo, hi in zip(cuts, cuts[1:])]
+    spread(lambda i: kernel(*calls[i]), parts)
     return outs if isinstance(probe, tuple) else outs[0]
 
 

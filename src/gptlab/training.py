@@ -314,11 +314,11 @@ def load_backbone(path, vocab_size: int, **overrides
 
 
 # Padded rows one scoring group may span: B sequences, the longest of T
-# tokens, behind P prompt rows span B * (P + T). Bigger groups pay less
-# per-op overhead per token but hold more memory. On the benchmark's infer
-# workload (2 vCPUs, one BLAS thread, 10 seeds) 512 rows scored a median
-# 35% more tokens/s than one pass per sequence at 4% more peak RSS; 768
-# and 1024 rows took 8% and 11% more peak RSS for no further gain.
+# tokens, behind P prompt rows span B * (P + T). Any other size moves the
+# float32 eval bits. On the benchmark's infer workload (2 vCPUs, one BLAS
+# thread, 10 seeds), 512-row groups scored side by side on both CPUs read
+# a median 314k tokens/s at 46.2 MB peak RSS, against 231k and 43.1 MB one
+# group at a time: two groups' buffers are live at once.
 EVAL_ROWS = 512
 
 
@@ -330,11 +330,12 @@ def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
 
     The sequences that carry loss are sorted by length and neighbours are
     packed into groups of at most EVAL_ROWS padded rows (a longer
-    sequence is a group alone); each group is one pass without dropout.
-    The float32 NLL sums of the groups are added in float64, in group
-    order. In float64 this equals scoring one sequence at a time; in
-    float32 the last bits of a sequence's NLL depend on the longest member
-    of its group, which sets the padded width of the attention softmax.
+    sequence is a group alone); each group is one pass without dropout,
+    the passes run side by side (``autodiff.spread``), and their float32
+    NLL sums are added in float64 in group order. In float64 this equals
+    scoring one sequence at a time; in float32 the last bits of a
+    sequence's NLL depend on the longest member of its group, which sets
+    the padded width of the attention softmax.
     """
     if not seqs:
         raise DataError("cannot evaluate perplexity on an empty dataset")
@@ -351,11 +352,12 @@ def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
         if group and (len(group) + 1) * (n_prompt + len(seq)) > EVAL_ROWS:
             groups.append([])
         groups[-1].append(seq)
-    total_nll = 0.0
     with ad.no_grad():
-        for group in groups:
-            total_nll += float(token_nll(group, params, config,
-                                         prompts=prompt_matrix).data)
+        nlls = ad.spread(lambda i: token_nll(groups[i], params, config,
+                                             prompt_matrix), len(groups))
+    total_nll = 0.0
+    for nll in nlls:  # in group order; sum() compensates from Python 3.12
+        total_nll += float(nll.data)
     mean_nll = total_nll / total_weight
     try:
         ppl = math.exp(mean_nll)

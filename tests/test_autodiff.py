@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import time
 import warnings
 
@@ -949,7 +950,7 @@ def test_split_ops_under_thread_switches_every_microsecond():
 
 def test_split_ranges_run_under_the_callers_numpy_error_state():
     x = np.ones((2 * SPLIT, 4), dtype=np.float32)
-    x[-1] = 1e30  # x * x overflows in the last range, a pool thread's
+    x[-1] = 1e30  # x * x overflows in the last range, usually a pool's
     with cpus(2):
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             ad.gelu(Tensor(x))
@@ -974,6 +975,148 @@ def test_split_reraises_once_every_range_has_finished(failing):
     with cpus(2), pytest.raises(ValueError, match=failing):
         ad._split(kernel, (rows, done))
     assert done.sum() == SPLIT  # the range that did not fail finished
+
+
+def test_spread_returns_results_in_index_order():
+    def task(i):
+        time.sleep(0.001 * (i % 3))  # threads finish out of order
+        return i * i
+
+    for n in (1, 2, 3, 4):
+        with cpus(n):
+            assert ad.spread(task, 9) == [i * i for i in range(9)]
+
+
+def _first_two_on_two_threads(n, work):
+    """A task list of ``n`` in which tasks 0 and 1 meet at a barrier, so
+    two threads run them: the caller and a pool thread. Each task calls
+    ``work(i)`` and records its thread; returns the task and the record."""
+    meet = threading.Barrier(2)
+    ran = {}
+
+    def task(i):
+        ran[i] = threading.get_ident()
+        if i < 2:
+            meet.wait(timeout=30)
+        return work(i)
+    return task, ran
+
+
+@pytest.mark.parametrize("failing", ["caller", "pool"])
+def test_spread_reraises_the_lowest_failing_index_once_all_finished(failing):
+    """Every task on one side raises; each task still runs to its end (the
+    pool's last, made slow, after the caller's), the caller re-raises the
+    lowest index of that side, and the pool then serves the next call."""
+    caller, finished = threading.get_ident(), set()
+
+    def work(i):
+        time.sleep(0.001 if ran[i] == caller else 0.05)
+        finished.add(i)
+        if (ran[i] == caller) == (failing == "caller"):
+            raise ValueError(i)
+        return i
+
+    task, ran = _first_two_on_two_threads(8, work)
+    with cpus(2), pytest.raises(ValueError) as raised:
+        ad.spread(task, 8)
+    assert finished == set(range(8))
+    side = [i for i in range(8) if (ran[i] == caller) == (failing == "caller")]
+    assert raised.value.args == (min(side),)
+    task, ran = _first_two_on_two_threads(4, lambda i: -i)
+    with cpus(2):
+        assert ad.spread(task, 4) == [0, -1, -2, -3]
+    assert len(set(ran.values())) == 2
+
+
+def test_spread_under_thread_switches_every_microsecond(monkeypatch):
+    """A fresh pool of three threads beside the caller on fewer cores,
+    switching as often as they can: every index runs once, and its result
+    lands at its index."""
+    monkeypatch.setattr(ad, "_pool", None)
+    runs, threads, out = [0] * 3000, set(), []
+
+    def task(i):
+        threads.add(threading.get_ident())
+        runs[i] += 1
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with cpus(4):
+            caller = threading.Thread(
+                target=lambda: out.append(ad.spread(task, 3000)), daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [[-i for i in range(3000)]]
+    assert runs == [1] * 3000 and len(threads) > 1
+
+
+def test_spread_tasks_run_under_the_callers_numpy_error_state():
+    """Both threads' tasks see the caller's np.errstate: overflow raises
+    under ``over="raise"`` and warns nowhere under ``all="ignore"``."""
+    big = np.full(4, 1e30, dtype=np.float32)
+    task, ran = _first_two_on_two_threads(2, lambda i: big * big)
+    with cpus(2), np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            ad.spread(task, 2)
+    assert len(set(ran.values())) == 2
+    task, ran = _first_two_on_two_threads(2, lambda i: big * big)
+    with cpus(2), np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(np.isinf(out).all() for out in ad.spread(task, 2))
+    assert len(set(ran.values())) == 2
+
+
+def test_a_spread_inside_a_task_runs_inline():
+    """A nested call queues nothing and runs every inner task on the
+    thread of the task that made it; waiting for the pool from a pool
+    thread would never end."""
+    with cpus(2):
+        ad.spread(lambda i: i, 2)  # the pool exists
+        real, queued, inner = ad._pool, [], []
+
+        class Spy:
+            def put(self, item):
+                queued.append(item)
+                real.put(item)
+
+        def work(i):
+            return ad.spread(lambda j: threading.get_ident(), 3)
+
+        task, ran = _first_two_on_two_threads(2, work)
+        ad._pool = Spy()
+        try:
+            outer = threading.Thread(
+                target=lambda: inner.extend(ad.spread(task, 2)), daemon=True)
+            outer.start()
+            outer.join(timeout=60)
+            assert not outer.is_alive(), "a nested spread waits on the pool"
+        finally:
+            ad._pool = real
+    assert len(queued) == 1  # the outer call's one pool share
+    assert [set(threads) for threads in inner] == [{ran[0]}, {ran[1]}]
+    assert ran[0] != ran[1]
+
+
+def test_split_outputs_follow_each_argument_layout():
+    """Split calls of one kernel on arguments of other widths or dtypes
+    get outputs of their own layout, equal to one whole call's."""
+    rng = np.random.default_rng(17)
+    for h, dtype in ((64, np.float32), (64, np.float64), (48, np.float32)):
+        x = rng.normal(size=(2 * SPLIT, h)).astype(dtype)
+        gamma, beta = (Tensor(rng.normal(size=h).astype(dtype))
+                       for _ in range(2))
+        for op in (ad.gelu, lambda t: ad.layer_norm(t, gamma, beta, 1e-5)):
+            outs = []
+            for n in (1, 2):
+                with cpus(n), ad.no_grad():
+                    outs.append(op(Tensor(x)).data)
+            assert outs[1].dtype == dtype and outs[1].shape == x.shape
+            assert np.array_equal(outs[0], outs[1])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -235,3 +235,23 @@ def test_autodiff_builds_and_records_tensors_in_one_helper():
     owners = {getattr(top, "name", "<module>") for top in tree.body
               for node in ast.walk(top) if _builds_or_records(node)}
     assert owners == {"_op"}
+
+
+def _starts_threads_or_queues(node) -> bool:
+    """Whether ``node`` calls ``Thread(…)`` or ``SimpleQueue(…)``, by bare
+    name or as an attribute such as ``threading.Thread``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    return name in ("Thread", "SimpleQueue")
+
+
+def test_one_pool_dispatches_all_work():
+    """The package keeps one thread pool and one way of handing it work:
+    only ``autodiff.spread`` starts threads or makes their queues."""
+    owners = {(path.name, getattr(top, "name", "<module>"))
+              for path in sorted(PACKAGE.glob("*.py"))
+              for top in ast.parse(path.read_text(encoding="utf-8")).body
+              for node in ast.walk(top) if _starts_threads_or_queues(node)}
+    assert owners == {("autodiff.py", "spread")}

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptlab import autodiff as ad
-from gptlab import training
+from gptlab import cli, training
 from gptlab.autodiff import Tensor
 from gptlab.config import KV, load_run_config, write_kv
 from gptlab.corpus import (Dialogue, SyntheticSpec, Turn, generate_synthetic,
@@ -388,7 +388,9 @@ def test_train_deterministic_under_seed(tmp_path):
 
 def test_train_writes_the_same_bytes_at_any_cpu_count(tmp_path, monkeypatch):
     """Batches of 16 dialogues pack over 2 * SPLIT_ROWS rows, so their
-    kernels split; pool threads run ranges at 2 and 3 CPUs only."""
+    kernels split; pool threads run ranges at 2 and 3 CPUs only. ``gptlab
+    eval`` of the checkpoint, whose groups run side by side, writes one
+    eval.txt at every count too."""
     threads, real = {}, ad._split
 
     def spy(kernel, *args, **kw):
@@ -402,13 +404,81 @@ def test_train_writes_the_same_bytes_at_any_cpu_count(tmp_path, monkeypatch):
     for n in (1, 2, 3):
         threads[n] = set()
         run = fast_run(tmp_path, out=f"cpus{n}", batch_size=16)
+        config = tmp_path / f"eval{n}.kv"
+        write_kv(config, {"eval.checkpoint": str(run.out_dir / "final.ckpt"),
+                          "data.corpus": str(run.corpus_path),
+                          "data.vocab": str(run.vocab_path),
+                          "eval.part": "all"})
         with cpus(n):
             train(run)
+            assert cli.main(["eval", "--config", str(config),
+                             "--out", str(tmp_path / f"eval{n}")]) == 0
         files[n] = [(run.out_dir / name).read_bytes()
                     for name in ("metrics.csv", "final.ckpt")]
+        files[n].append((tmp_path / f"eval{n}" / "eval.txt").read_bytes())
     assert files[1] == files[2] == files[3]
     assert threads[1] == {threading.get_ident()}
     assert len(threads[2]) > 1 and len(threads[3]) > 1
+
+
+def _scoring_threads(monkeypatch):
+    """Record the thread of every group ``evaluate_ppl`` scores."""
+    threads, real = [], training.token_nll
+
+    def spy(group, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(training, "token_nll", spy)
+    return threads
+
+
+def test_evaluate_ppl_is_the_same_at_any_cpu_count(monkeypatch):
+    """A float32 model behind prompt rows, scoring many groups: one value
+    at 1, 2 and 3 CPUs; pool threads score groups at 2 and 3 only."""
+    cfg = ModelConfig(n_layers=2, n_heads=2, hidden=16, vocab_size=16,
+                      max_len=120, dropout=0.0)
+    params = init_parameters(cfg, seed=7)
+    prompts = init_prompts(4, cfg.hidden, seed=8)
+    rng = np.random.default_rng(9)
+    seqs = [make_seq(rng.integers(0, cfg.vocab_size, n).tolist())
+            for n in rng.integers(2, cfg.max_len, 40)]
+    threads = _scoring_threads(monkeypatch)
+    ppl, scored_by = {}, {}
+    for n in (1, 2, 3):
+        threads.clear()
+        with cpus(n):
+            ppl[n] = evaluate_ppl(params, cfg, seqs, prompts)
+        scored_by[n] = set(threads)
+    assert len(threads) >= 6
+    assert ppl[1] == ppl[2] == ppl[3]
+    assert scored_by[1] == {threading.get_ident()}
+    assert len(scored_by[2]) > 1 and len(scored_by[3]) > 1
+
+
+def test_evaluate_ppl_of_groups_past_the_split_size(monkeypatch):
+    """Two sequences of over 2 * SPLIT_ROWS rows, a group each: the kernels
+    a task reaches run inline, and every count finishes with one value."""
+    cfg = ModelConfig(n_layers=1, n_heads=2, hidden=32, vocab_size=16,
+                      max_len=1300, dropout=0.0)
+    params = init_parameters(cfg, seed=10)
+    rng = np.random.default_rng(11)
+    seqs = [make_seq(rng.integers(0, cfg.vocab_size, n).tolist())
+            for n in (1100, 1200)]
+    assert 1100 >= 2 * ad.SPLIT_ROWS
+    threads = _scoring_threads(monkeypatch)
+    ppl, scored_by = {}, {}
+    for n in (1, 2, 3):
+        threads.clear()
+        with cpus(n):
+            worker = threading.Thread(target=lambda: ppl.update(
+                {n: evaluate_ppl(params, cfg, seqs)}), daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        assert not worker.is_alive(), f"scoring hangs at {n} CPUs"
+        scored_by[n] = set(threads)
+    assert ppl[1] == ppl[2] == ppl[3]
+    assert len(scored_by[1]) == 1 and len(scored_by[2]) == 2
 
 
 def test_train_single_batch_overfit(tmp_path):
