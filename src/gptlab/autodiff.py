@@ -32,6 +32,7 @@ Attention, matmul, layer norm and GELU split their rows (attention: its
 sequences) into one range per CPU, run by ``spread`` like perplexity
 groups (a nested call runs inline; no task records on the tape). Rows are
 computed as in one whole-array call, whatever the CPU and BLAS counts.
+Groups, whose tasks call ops, run in order while ``ops_wrapped``.
 """
 from __future__ import annotations
 
@@ -194,8 +195,9 @@ def _serve(work: queue.SimpleQueue) -> None:
 def spread(task: Callable, n: int) -> list:
     """``[task(0), ..., task(n - 1)]``: the caller and up to ``_CPUS - 1``
     pool threads each take the next index no one has taken yet, in a copy
-    of the caller's context (so under its numpy error state). The lowest
-    index's exception, if any, is re-raised once every task has finished.
+    of the caller's context (so under its numpy error state). Once every
+    task has finished, the lowest index's exception is re-raised; one that
+    is no ``Exception`` (a Ctrl-C) goes first and ends all index taking.
     From inside a task, or with one CPU, the tasks run in order on the
     calling thread, so the pool cannot deadlock. Tasks must not record on
     the tape, which with grad mode is one thread's module state: they run
@@ -215,8 +217,12 @@ def spread(task: Callable, n: int) -> list:
         for i in indices:
             try:
                 results[i] = task(i)
-            except BaseException as exc:  # re-raised by the caller
+            except Exception as exc:  # re-raised by the caller
                 errors[i] = exc
+            except BaseException as exc:  # -1: re-raised before the others
+                errors[-1] = exc
+                for _ in indices:  # no share takes another index
+                    pass
 
     done, inline = queue.SimpleQueue(), _in_task.set(True)
     for _ in range(helpers):  # each share's context inherits the flag
@@ -224,12 +230,21 @@ def spread(task: Callable, n: int) -> list:
     try:
         share()
     finally:
+        for _ in indices:  # an interrupt between tasks leaves some
+            pass
         _in_task.reset(inline)
         for _ in range(helpers):
             done.get()
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def ops_wrapped() -> bool:
+    """Whether a public name here is rebound, say to a profiler's wrapper,
+    which need not be thread-safe (perfbench's tracer keeps one span
+    stack): tasks that call ops then run in order on the calling thread."""
+    return any(globals()[name] is not own for name, own in _OWN.items())
 
 
 def _split(kernel: Callable, sliced: tuple, shared: tuple = (),
@@ -739,3 +754,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
                      zip(np.split(g, splits), needs))
 
     return _op(np.concatenate([p.data for p in parts]), tuple(parts), vjp)
+
+
+_OWN = {name: value for name, value in globals().items()  # see ops_wrapped
+        if name[0] != "_" and getattr(value, "__module__", "") == __name__}

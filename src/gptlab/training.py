@@ -315,10 +315,12 @@ def load_backbone(path, vocab_size: int, **overrides
 
 # Padded rows one scoring group may span: B sequences, the longest of T
 # tokens, behind P prompt rows span B * (P + T). Any other size moves the
-# float32 eval bits. On the benchmark's infer workload (2 vCPUs, one BLAS
-# thread, 10 seeds), 512-row groups scored side by side on both CPUs read
-# a median 314k tokens/s at 46.2 MB peak RSS, against 231k and 43.1 MB one
-# group at a time: two groups' buffers are live at once.
+# float32 eval bits. Groups run side by side, one per CPU, so peak scoring
+# memory holds about _CPUS groups' buffers. On the benchmark's infer
+# workload (2 vCPUs, one BLAS thread), 512-row groups scored 307-314k
+# tokens/s at 45.3-46.2 MB peak RSS, and 230-231k at 42.6-43.1 MB pinned
+# to one CPU (taskset -c 0): about 3 MB per extra group. Unmeasured on
+# more than 2 CPUs.
 EVAL_ROWS = 512
 
 
@@ -331,8 +333,9 @@ def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
     The sequences that carry loss are sorted by length and neighbours are
     packed into groups of at most EVAL_ROWS padded rows (a longer
     sequence is a group alone); each group is one pass without dropout,
-    the passes run side by side (``autodiff.spread``), and their float32
-    NLL sums are added in float64 in group order. In float64 this equals
+    the passes run side by side (``autodiff.spread``; in order while
+    ``autodiff.ops_wrapped``), and their float32 NLL sums are added in
+    float64 in group order. In float64 this equals
     scoring one sequence at a time; in float32 the last bits of a
     sequence's NLL depend on the longest member of its group, which sets
     the padded width of the attention softmax.
@@ -352,9 +355,12 @@ def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
         if group and (len(group) + 1) * (n_prompt + len(seq)) > EVAL_ROWS:
             groups.append([])
         groups[-1].append(seq)
-    with ad.no_grad():
-        nlls = ad.spread(lambda i: token_nll(groups[i], params, config,
-                                             prompt_matrix), len(groups))
+    def score(i):
+        return token_nll(groups[i], params, config, prompt_matrix)
+
+    with ad.no_grad():  # side by side, unless wrapped ops need one thread
+        nlls = ([score(i) for i in range(len(groups))] if ad.ops_wrapped()
+                else ad.spread(score, len(groups)))
     total_nll = 0.0
     for nll in nlls:  # in group order; sum() compensates from Python 3.12
         total_nll += float(nll.data)

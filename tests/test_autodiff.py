@@ -1028,6 +1028,30 @@ def test_spread_reraises_the_lowest_failing_index_once_all_finished(failing):
     assert len(set(ran.values())) == 2
 
 
+@pytest.mark.parametrize("interrupted", ["caller", "pool"])
+def test_spread_stops_taking_tasks_after_an_interrupt(interrupted):
+    """A KeyboardInterrupt in one thread's task, while the other thread's
+    lower or higher index raises a ValueError: no task after those two
+    starts, the interrupt is what the caller raises, and the pool then
+    serves the next call."""
+    caller = threading.get_ident()
+
+    def work(i):
+        if (ran[i] == caller) == (interrupted == "caller"):
+            raise KeyboardInterrupt
+        time.sleep(0.05)  # the interrupt comes first
+        raise ValueError(i)
+
+    task, ran = _first_two_on_two_threads(20, work)
+    with cpus(2), pytest.raises(KeyboardInterrupt):
+        ad.spread(task, 20)
+    assert sorted(ran) == [0, 1]
+    task, ran = _first_two_on_two_threads(4, lambda i: -i)
+    with cpus(2):
+        assert ad.spread(task, 4) == [0, -1, -2, -3]
+    assert len(set(ran.values())) == 2
+
+
 def test_spread_under_thread_switches_every_microsecond(monkeypatch):
     """A fresh pool of three threads beside the caller on fewer cores,
     switching as often as they can: every index runs once, and its result

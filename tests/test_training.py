@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import importlib.util
 import inspect
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +481,40 @@ def test_evaluate_ppl_of_groups_past_the_split_size(monkeypatch):
         scored_by[n] = set(threads)
     assert ppl[1] == ppl[2] == ppl[3]
     assert len(scored_by[1]) == 1 and len(scored_by[2]) == 2
+
+
+def test_evaluate_ppl_runs_groups_in_order_while_ops_are_wrapped(
+        monkeypatch):
+    """perfbench's tracer wraps every op and keeps one span stack, which
+    two threads' calls would corrupt: traced, the groups run in order on
+    the calling thread at 2 CPUs too, with the counts and value of an
+    untraced call."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    cfg = ModelConfig(n_layers=1, n_heads=2, hidden=16, vocab_size=16,
+                      max_len=120, dropout=0.0)
+    params = init_parameters(cfg, seed=12)
+    rng = np.random.default_rng(13)
+    seqs = [make_seq(rng.integers(0, cfg.vocab_size, n).tolist())
+            for n in rng.integers(2, cfg.max_len, 30)]
+    threads = _scoring_threads(monkeypatch)
+    with cpus(2):
+        want = evaluate_ppl(params, cfg, seqs)
+        assert len(set(threads)) == 2 and not ad.ops_wrapped()
+        tracer, got = tracer_module.Tracer(), {}
+        for n in (1, 2):
+            threads.clear()
+            with cpus(n), tracer.run(n):
+                assert ad.ops_wrapped()
+                got[n] = evaluate_ppl(params, cfg, seqs)
+            assert set(threads) == {threading.get_ident()}
+    assert not ad.ops_wrapped()
+    assert got[1] == got[2] == want
+    counts = [{k: tracer.metrics(n)[k] for k in tracer_module.DETERMINISTIC}
+              for n in (1, 2)]
+    assert counts[0] == counts[1] and counts[0]["autodiff.matmul.calls"] > 0
 
 
 def test_train_single_batch_overfit(tmp_path):
