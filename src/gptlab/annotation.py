@@ -8,7 +8,7 @@ import re
 from enum import IntEnum
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConfigError, SpanOutOfBoundsError
+from .errors import ConfigError, DataError
 
 Tagger = Callable[[str], list[int]]
 
@@ -30,7 +30,7 @@ def entity_flags(seq_len: int, token_spans: Iterable[tuple[int, int]]) -> list[i
     flags = [0] * seq_len
     for start, end in token_spans:
         if not (0 <= start < end <= seq_len):
-            raise SpanOutOfBoundsError(
+            raise DataError(
                 f"token span [{start},{end}) outside sequence of length {seq_len}")
         for i in range(start, end):
             flags[i] = 1

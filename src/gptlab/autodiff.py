@@ -45,13 +45,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DoubleBackwardError,
-    EmptyLossError,
-    GptLabError,
-    ShapeError,
-    VocabError,
-)
+from .errors import DataError, GptLabError
 
 GELU_COEF = 0.044715
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
@@ -141,14 +135,14 @@ def backward(loss: Tensor) -> None:
 
     Replays the active tape in reverse exactly once; a tensor consumed by
     k operations receives the sum of the k contributions. A second call
-    without ``reset_tape`` raises DoubleBackwardError.
+    without ``reset_tape`` raises GptLabError.
     """
     tape = active_tape()
     if tape.consumed:
-        raise DoubleBackwardError(
+        raise GptLabError(
             "backward() already ran on this tape; call reset_tape() first")
     if loss.size != 1:
-        raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
+        raise GptLabError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise GptLabError("loss is not connected to the active tape")
     if not any(out is loss for out, _, _ in tape.entries):
@@ -256,8 +250,10 @@ def _split(kernel: Callable, sliced: tuple, shared: tuple = (),
     ``spread`` on contiguous ranges of the first axis, one per CPU, sliced
     up front (a just-woken pool thread runs Python slowly), into outputs
     laid out like those of a call on no rows, made once per kernel and
-    argument layout (on empty arrays it took 5-25 us). A range writes only
-    its own rows, so the result is the whole call's, bit for bit. Forward
+    argument layout (on empty arrays it took 5-25 us; probing on every
+    call made the benchmark's pretrain call 0.8-1.5% slower: medians of 30
+    in-process pairs at each of three seeds, 2-vCPU Xeon). A range writes
+    only its own rows, so the result is the whole call's, bit for bit. Forward
     ops, which decoding runs on one row at a time, call their kernel
     directly below 2 * SPLIT_ROWS rows: entering this costs about 1 us.
     """
@@ -285,8 +281,8 @@ def _split(kernel: Callable, sliced: tuple, shared: tuple = (),
 
 def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
-        raise ShapeError(f"{op} needs operands of one shape, "
-                         f"got {a.shape} and {b.shape}")
+        raise GptLabError(f"{op} needs operands of one shape, "
+                          f"got {a.shape} and {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -357,14 +353,14 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """2-D matrix product C = A·B, plus the row vector ``bias`` on every
     row when given; dA = dC·Bᵀ, dB = Aᵀ·dC, dbias = column sums of dC."""
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(
+        raise GptLabError(
             f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
-        raise ShapeError(
+        raise GptLabError(
             f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     if bias is not None and bias.shape != (b.shape[1],):
-        raise ShapeError(f"matmul bias must have shape ({b.shape[1]},), "
-                         f"got {bias.shape}")
+        raise GptLabError(f"matmul bias must have shape ({b.shape[1]},), "
+                          f"got {bias.shape}")
     a_data, b_data = a.data, b.data
     bias_data = None if bias is None else bias.data
     y = (_matmul_rows(a_data, b_data, bias_data, None)
@@ -385,7 +381,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
+        raise GptLabError(f"transpose needs a 2-D tensor, got {a.shape}")
     # a copy: products with a transposed view differ from it in the last bits
     return _op(a.data.T.copy(), (a,), lambda g: (g.T,))
 
@@ -495,12 +491,12 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     attends to keys up to cache.length + first[0] + j.
     """
     if qkv.data.ndim != 2 or qkv.shape[1] % (3 * n_heads):
-        raise ShapeError(
+        raise GptLabError(
             f"attention needs [N, 3H] rows with H divisible by {n_heads} "
             f"heads, got {qkv.shape}")
     lengths = [int(n) for n in lengths]
     if not lengths or min(lengths) < 1 or sum(lengths) != qkv.shape[0]:
-        raise ShapeError(
+        raise GptLabError(
             f"sequence lengths {lengths} do not cover {qkv.shape[0]} rows")
     n_rows, h3 = qkv.shape
     h = h3 // 3
@@ -509,8 +505,8 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     firsts = [0] * n_seq if first is None else [int(f) for f in first]
     if first is not None and (len(firsts) != n_seq or not all(
             0 <= f < n for f, n in zip(firsts, lengths))):
-        raise ShapeError(f"first query rows {firsts} do not lie inside "
-                         f"sequences of lengths {lengths}")
+        raise GptLabError(f"first query rows {firsts} do not lie inside "
+                          f"sequences of lengths {lengths}")
     past = 0
     if cache is not None:
         if _grad_enabled or n_seq != 1:
@@ -518,8 +514,8 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
                               "grad recording off")
         past = cache.length
         if past + n_rows > cache.keys.shape[1]:
-            raise ShapeError(f"{past + n_rows} rows overflow a key/value "
-                             f"cache of {cache.keys.shape[1]}")
+            raise GptLabError(f"{past + n_rows} rows overflow a key/value "
+                              f"cache of {cache.keys.shape[1]}")
     scale = 1.0 / math.sqrt(dk)
     pad, unpad = _padding(lengths)
     # no ``first``: queries are a view of the padded rows (2-vCPU Xeon, one
@@ -607,12 +603,12 @@ def _layer_norm_vjp_rows(g, xhat, inv_std, gamma, out):
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then affine."""
     if eps < 0:
-        raise ShapeError("layer_norm eps must be >= 0")
+        raise GptLabError("layer_norm eps must be >= 0")
     if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm needs a 2-D tensor, got {x.shape}")
+        raise GptLabError(f"layer_norm needs a 2-D tensor, got {x.shape}")
     h = x.shape[1]
     if gamma.shape != (h,) or beta.shape != (h,):
-        raise ShapeError(
+        raise GptLabError(
             f"gamma/beta must have shape ({h},), got {gamma.shape}/{beta.shape}")
     xhat, inv_std, y = (
         _layer_norm_rows(x.data, gamma.data, beta.data, eps, None)
@@ -681,20 +677,20 @@ def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     """Weighted sum of -log softmax(logits)[target], one weight per row; a
     row of weight 0 carries no loss and its target is not read."""
     if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy needs 2-D logits, got {logits.shape}")
+        raise GptLabError(f"cross_entropy needs 2-D logits, got {logits.shape}")
     n_rows, vocab = logits.shape
     targets = np.asarray(targets, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
     if targets.shape != (n_rows,) or w.shape != (n_rows,):
-        raise ShapeError(
+        raise GptLabError(
             f"targets/weights must have length {n_rows}, got "
             f"{targets.shape}/{w.shape}")
     rows = np.flatnonzero(w)
     if not rows.size:
-        raise EmptyLossError("no row carries loss weight")
+        raise DataError("no row carries loss weight")
     live = targets[rows]
     if live.min() < 0 or live.max() >= vocab:
-        raise VocabError(
+        raise DataError(
             f"target id out of range for vocab size {vocab}")
     x = logits.data
     w = w[rows].astype(x.dtype)
@@ -717,13 +713,13 @@ def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
 def take_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of an embedding table; backward scatter-adds."""
     if table.data.ndim != 2:
-        raise ShapeError(f"take_rows needs a 2-D table, got {table.shape}")
+        raise GptLabError(f"take_rows needs a 2-D table, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
-        raise ShapeError(f"take_rows needs a 1-D id list, got shape {idx.shape}")
+        raise GptLabError(f"take_rows needs a 1-D id list, got shape {idx.shape}")
     n = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise VocabError(f"row id out of range for table with {n} rows")
+        raise DataError(f"row id out of range for table with {n} rows")
 
     def vjp(g):
         # scatter-add as one segmented sum over the rows sorted by id
@@ -741,11 +737,11 @@ def take_rows(table: Tensor, ids) -> Tensor:
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack 2-D tensors vertically (shared column count)."""
     if not parts:
-        raise ShapeError("concat of zero tensors")
+        raise GptLabError("concat of zero tensors")
     for p in parts:
         if p.data.ndim != 2 or p.shape[1] != parts[0].shape[1]:
-            raise ShapeError("concat needs 2-D tensors with one column "
-                             f"count, got {[q.shape for q in parts]}")
+            raise GptLabError("concat needs 2-D tensors with one column "
+                              f"count, got {[q.shape for q in parts]}")
     splits = np.cumsum([p.shape[0] for p in parts])[:-1]
     needs = [p.requires_grad for p in parts]
 

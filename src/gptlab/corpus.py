@@ -18,13 +18,7 @@ import numpy as np
 
 from .annotation import LexTag, Tagger, entity_flags
 from .atomic import atomic_write, read_lines
-from .errors import (
-    ConfigError,
-    DataError,
-    MalformedRecordError,
-    OverlappingSpanError,
-    SpanOutOfBoundsError,
-)
+from .errors import ConfigError, DataError
 from .vocab import (BOS_ID, DOCTOR_ID, EOS_ID, PAD_ID, PATIENT_ID, Vocab,
                     encode)
 
@@ -85,41 +79,41 @@ class TokenSequence:
 
 def validate_dialogue(dlg: Dialogue) -> None:
     if type(dlg.id) is not str or not dlg.id:
-        raise MalformedRecordError(f"dialogue id {dlg.id!r} is not a "
-                                   f"non-empty string")
+        raise DataError(f"dialogue id {dlg.id!r} is not a "
+                        f"non-empty string")
     if len(dlg.turns) < 2:
-        raise MalformedRecordError(
+        raise DataError(
             f"dialogue {dlg.id!r}: needs at least two turns")
     if dlg.turns[-1].speaker != DOCTOR:
-        raise MalformedRecordError(
+        raise DataError(
             f"dialogue {dlg.id!r}: final turn must be a doctor turn")
     for t_idx, turn in enumerate(dlg.turns):
         if turn.speaker not in (PATIENT, DOCTOR):
-            raise MalformedRecordError(
+            raise DataError(
                 f"dialogue {dlg.id!r}: unknown speaker {turn.speaker!r}")
         if not isinstance(turn.text, str) or not turn.text:
-            raise MalformedRecordError(
+            raise DataError(
                 f"dialogue {dlg.id!r}: turn {t_idx} has no text string")
         if not all(type(s.start) is int and type(s.end) is int
                    and isinstance(s.label, str) for s in turn.entities):
-            raise MalformedRecordError(
+            raise DataError(
                 f"dialogue {dlg.id!r}: turn {t_idx} has a span without "
                 f"integer offsets and a string label")
         spans = sorted(turn.entities, key=lambda s: (s.start, s.end))
         prev_end = -1
         for span in spans:
             if not (0 <= span.start < span.end <= len(turn.text)):
-                raise SpanOutOfBoundsError(
+                raise DataError(
                     f"dialogue {dlg.id!r}: span [{span.start},{span.end}) "
                     f"outside turn {t_idx} of length {len(turn.text)}")
             if span.start < prev_end:
-                raise OverlappingSpanError(
+                raise DataError(
                     f"dialogue {dlg.id!r}: overlapping spans in turn {t_idx}")
             prev_end = span.end
     try:  # a lone surrogate escape decodes from JSON but has no UTF-8
         "".join([dlg.id] + [t.text for t in dlg.turns]).encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise MalformedRecordError(
+        raise DataError(
             f"dialogue {dlg.id!r}: id or text is not UTF-8 ({exc.reason})"
         ) from exc
 
@@ -137,7 +131,7 @@ def _dialogue_from_record(rec: dict, lineno: int) -> Dialogue:
             for t in rec["turns"])
         dlg = Dialogue(id=rec["id"], turns=turns)
     except (KeyError, TypeError) as exc:
-        raise MalformedRecordError(
+        raise DataError(
             f"line {lineno}: missing or malformed field ({exc})") from exc
     return dlg
 
@@ -153,8 +147,8 @@ def load_corpus(path) -> list[Dialogue]:
             continue
         try:
             rec = json.loads(line)
-        except ValueError as exc:
-            raise MalformedRecordError(
+        except (ValueError, RecursionError) as exc:  # too deeply nested
+            raise DataError(
                 f"line {lineno} of {path}: not valid JSON") from exc
         dlg = _dialogue_from_record(rec, lineno)
         validate_dialogue(dlg)

@@ -1,12 +1,16 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto distinct exit codes, so keep the hierarchy flat
-and the categories stable.
+One class per exit category of ``cli.main``: ``ConfigError`` exits 2,
+``DataError`` 3, ``NumericError`` 4, and any other ``GptLabError`` (a
+broken internal invariant, such as mismatched tensor shapes) exits 1. The
+message says which fault of a category was found, so a new fault needs no
+new class.
 """
 
 
 class GptLabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; raised directly when the program
+    breaks its own invariants (tensor shapes, a second backward)."""
 
 
 class ConfigError(GptLabError):
@@ -14,45 +18,9 @@ class ConfigError(GptLabError):
 
 
 class DataError(GptLabError):
-    """Bad input data: corpus files, vocab files, checkpoints."""
+    """Bad input data: corpus records and spans, vocab files, token ids,
+    checkpoints, or data that leaves no token to score."""
 
 
 class NumericError(GptLabError):
     """Non-finite values or numeric divergence during training."""
-
-
-# --- autodiff ---
-
-class ShapeError(GptLabError):
-    """Tensor shapes incompatible for the requested operation."""
-
-
-class DoubleBackwardError(GptLabError):
-    """backward() called twice on the same tape without a reset."""
-
-
-class EmptyLossError(DataError):
-    """Loss requested over zero unmasked positions: the data holds no token
-    that counts toward the loss."""
-
-
-class VocabError(DataError):
-    """Token id outside the vocabulary / logit table."""
-
-
-# --- corpus ---
-
-class MalformedRecordError(DataError):
-    """A corpus record does not parse or misses required fields."""
-
-
-class SpanOutOfBoundsError(DataError):
-    """An entity span exceeds its turn's text."""
-
-
-class OverlappingSpanError(DataError):
-    """Two entity spans in one turn overlap."""
-
-
-class CheckpointError(DataError):
-    """Checkpoint container malformed or inconsistent with its config."""

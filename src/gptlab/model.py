@@ -24,7 +24,7 @@ from .annotation import ENTITY_TABLE_SIZE, LEX_TABLE_SIZE, LexTag
 from .atomic import atomic_write
 from .autodiff import Tensor
 from .corpus import TokenSequence
-from .errors import CheckpointError, ConfigError, EmptyLossError, ShapeError
+from .errors import ConfigError, DataError, GptLabError
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
@@ -120,10 +120,6 @@ def init_parameters(config: ModelConfig, seed: int,
     return params
 
 
-def parameter_count(params: dict[str, Tensor]) -> int:
-    return sum(t.size for t in params.values())
-
-
 def _dropout(x: Tensor, keep: Optional[np.ndarray]) -> Tensor:
     return x if keep is None else ad.mul(x, Tensor(keep))
 
@@ -166,7 +162,7 @@ def _embed_rows(seqs: list[TokenSequence], params: dict[str, Tensor],
     """Four-channel embeddings of every token of ``seqs``, packed."""
     for seq in seqs:
         if len(seq) > config.max_len:
-            raise ShapeError(
+            raise GptLabError(
                 f"sequence length {len(seq)} exceeds max_len {config.max_len}")
     x = ad.add(ad.take_rows(params["tok_emb"], _pack(seqs, "ids")),
                ad.take_rows(params["pos_emb"], _pack(seqs, "position_ids")))
@@ -284,7 +280,7 @@ def _loss_rows(seqs: list[TokenSequence], n_prompt: int):
     for seq in seqs:
         t, m = shifted_targets(seq, n_prompt)
         if not m.any():
-            raise EmptyLossError("all positions masked out of the loss")
+            raise DataError("all positions masked out of the loss")
         f = int(np.argmax(m))
         first.append(f)
         targets.append(t[f:])
@@ -337,7 +333,7 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
         raise ConfigError(f"need top_k >= 1 and max_new >= 0, got "
                           f"top_k={top_k}, max_new={max_new}")
     if len(history) >= config.max_len:
-        raise ShapeError("history must be shorter than max_len")
+        raise GptLabError("history must be shorter than max_len")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     n_prompt = prompts.shape[0] if prompts is not None else 0
@@ -410,24 +406,24 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
     PROMPT_PARAM_NAME of one row of width ``hidden`` per prompt. The header
     must equal, byte for byte, the ``_header`` of that config and prompt
     count, and the body must hold exactly the bytes it lists; any other
-    file raises CheckpointError.
+    file raises DataError.
     """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        raise CheckpointError(f"cannot open checkpoint {path}: {exc}") from exc
+        raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint container")
+        raise DataError(f"{path}: not a checkpoint container")
     preamble = len(CHECKPOINT_MAGIC) + struct.calcsize("<IQ")
     if len(blob) < preamble:
-        raise CheckpointError(f"{path}: truncated container preamble")
+        raise DataError(f"{path}: truncated container preamble")
     version, hlen = struct.unpack_from("<IQ", blob, len(CHECKPOINT_MAGIC))
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
+        raise DataError(
             f"{path}: unsupported container version {version}")
     if len(blob) < preamble + hlen:
-        raise CheckpointError(f"{path}: truncated header")
+        raise DataError(f"{path}: truncated header")
     stored = blob[preamble:preamble + hlen]
     try:
         header = json.loads(stored.decode("utf-8"))
@@ -439,16 +435,17 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
             if type(rows) is not int or rows < 1:
                 raise ValueError(f"{PROMPT_PARAM_NAME} has {rows!r} rows")
             shapes[PROMPT_PARAM_NAME] = (rows, config.hidden)
-    except (ValueError, LookupError, TypeError, ConfigError) as exc:
-        raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+    except (ValueError, LookupError, TypeError, RecursionError,
+            ConfigError) as exc:
+        raise DataError(f"{path}: malformed header ({exc})") from exc
     if _header(config, shapes) != stored:
-        raise CheckpointError(
+        raise DataError(
             f"{path}: tensor table is not the layout its config implies")
     counts = [math.prod(shape) for shape in shapes.values()]
     body = memoryview(blob)[preamble + hlen:]
     if len(body) != 4 * sum(counts):
-        raise CheckpointError(f"{path}: {len(body)} bytes of tensor data, "
-                              f"the header lists {4 * sum(counts)}")
+        raise DataError(f"{path}: {len(body)} bytes of tensor data, "
+                        f"the header lists {4 * sum(counts)}")
     tensors: dict[str, Tensor] = {}
     offset = 0
     for (name, shape), count in zip(shapes.items(), counts):

@@ -23,7 +23,7 @@ from .atomic import atomic_write, read_lines
 from .autodiff import Tensor
 from .corpus import (LOSS_MASK_POLICIES, Dialogue, TokenSequence, linearize,
                      load_corpus, split)
-from .errors import ConfigError, DataError, EmptyLossError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .model import (INIT_STD, PROMPT_PARAM_NAME, ModelConfig, batch_loss,
                     init_parameters, load_checkpoint, save_checkpoint,
                     token_nll)
@@ -347,7 +347,7 @@ def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
     n_prompt = prompt_matrix.shape[0] if prompts is not None else 0
     scored = sorted((s for s in seqs if any(s.loss_mask[1:])), key=len)
     if not scored:
-        raise EmptyLossError("no loss-contributing tokens in the dataset")
+        raise DataError("no loss-contributing tokens in the dataset")
     total_weight = sum(sum(map(bool, s.loss_mask[1:])) for s in scored)
     groups: list[list[TokenSequence]] = [[]]
     for seq in scored:  # seq is the longest of its group so far

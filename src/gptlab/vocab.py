@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 
 from .atomic import atomic_write, read_lines
-from .errors import DataError, VocabError
+from .errors import DataError
 
 PAD = "<PAD>"
 BOS = "<BOS>"
@@ -74,7 +74,7 @@ def decode(ids, vocab: Vocab) -> str:
     for i in ids:
         i = int(i)
         if i < 0 or i >= n:
-            raise VocabError(f"token id {i} out of range for vocab size {n}")
+            raise DataError(f"token id {i} out of range for vocab size {n}")
         out.append(vocab.id_to_symbol[i])
     return "".join(out)
 

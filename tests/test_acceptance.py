@@ -20,7 +20,7 @@ from gptlab.cli import main as cli_main
 from gptlab.corpus import (SyntheticSpec, generate_synthetic, load_corpus,
                            save_corpus, split)
 from gptlab.model import (ModelConfig, batch_loss, forward, init_parameters,
-                          load_checkpoint, parameter_count)
+                          load_checkpoint)
 from gptlab.training import (ScheduleConfig, build_tagger_from_files,
                              evaluate_ppl, lr_at, make_run_config,
                              prepare_sequences, read_lexicon,
@@ -29,7 +29,7 @@ from gptlab.training import (ScheduleConfig, build_tagger_from_files,
 from gptlab.vocab import build_vocab, save_vocab
 
 from .test_model import make_seq
-from .util import fd_grad, max_rel_err
+from .util import fd_grad, max_rel_err, parameter_count
 
 REPO = Path(__file__).resolve().parents[1]
 LEXICONS = REPO / "configs" / "lexicons"

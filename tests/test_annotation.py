@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from gptlab.annotation import LexTag, dictionary_tagger, entity_flags
 from gptlab.corpus import Dialogue, EntitySpan, Turn, linearize
-from gptlab.errors import ConfigError, SpanOutOfBoundsError
+from gptlab.errors import ConfigError, DataError
 from gptlab.vocab import PAD_ID, build_vocab, encode
 
 
@@ -15,7 +15,7 @@ def test_entity_flags_basic():
 
 
 def test_entity_flags_out_of_range():
-    with pytest.raises(SpanOutOfBoundsError):
+    with pytest.raises(DataError, match="outside sequence of length"):
         entity_flags(5, [(3, 6)])
 
 

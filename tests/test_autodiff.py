@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from gptlab import autodiff as ad
 from gptlab.autodiff import GELU_COEF, Tensor
-from gptlab.errors import (DoubleBackwardError, EmptyLossError, ShapeError,
-                           VocabError)
+from gptlab.errors import DataError, GptLabError
 
 from .util import cpus, fd_grad, max_rel_err, total
 
@@ -40,7 +39,7 @@ def test_matmul_hand_product():
 
 
 def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
+    with pytest.raises(GptLabError, match=r"\(2, 3\).*\(2, 2\)"):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
 
@@ -85,7 +84,7 @@ def test_softmax_masked_hand_value():
 def test_softmax_fully_masked_row_rejected():
     # a sequence of zero rows is the only way attention could mask a whole
     # softmax row (its padded queries would see no key); it is refused
-    with pytest.raises(ShapeError):
+    with pytest.raises(GptLabError, match="do not cover"):
         ad.attention(Tensor(np.zeros((2, 6))), 1, [2, 0])
 
 
@@ -199,9 +198,9 @@ def test_cross_entropy_respects_mask():
 
 
 def test_cross_entropy_errors():
-    with pytest.raises(EmptyLossError):
+    with pytest.raises(DataError, match="no row carries loss weight"):
         ad.cross_entropy(Tensor(np.zeros((2, 4))), [0, 1], [0.0, 0.0])
-    with pytest.raises(VocabError):
+    with pytest.raises(DataError, match="target id out of range"):
         ad.cross_entropy(Tensor(np.zeros((2, 4))), [0, 4], [0.5, 0.5])
 
 
@@ -234,7 +233,7 @@ def test_double_backward_raises_until_reset():
     x = Tensor([[1.0]], requires_grad=True)
     loss = total(x)
     ad.backward(loss)
-    with pytest.raises(DoubleBackwardError):
+    with pytest.raises(GptLabError, match="already ran"):
         ad.backward(loss)
     ad.reset_tape()
     loss2 = total(ad.mul(x, x))
@@ -399,7 +398,7 @@ def test_take_rows_scatter_adds_repeats():
 
 
 def test_take_rows_range_check():
-    with pytest.raises(VocabError):
+    with pytest.raises(DataError, match="row id out of range"):
         ad.take_rows(Tensor(np.zeros((3, 2))), [0, 3])
 
 
@@ -424,7 +423,7 @@ def test_concat_grads_split_back():
 
 
 def test_concat_rejects_mismatched_column_counts():
-    with pytest.raises(ShapeError):
+    with pytest.raises(GptLabError, match="one column count"):
         ad.concat_rows([Tensor(np.ones((2, 3))), Tensor(np.ones((1, 4)))])
 
 
@@ -440,9 +439,9 @@ def test_add_and_mul_need_operands_of_one_shape(op):
     x = Tensor(np.zeros((3, 4)), requires_grad=True)
     for other in (np.zeros(4), np.zeros((1, 4)), np.zeros((4, 3)),
                   np.float64(2.0)):
-        with pytest.raises(ShapeError, match="one shape"):
+        with pytest.raises(GptLabError, match="one shape"):
             op(x, Tensor(other))
-        with pytest.raises(ShapeError, match="one shape"):
+        with pytest.raises(GptLabError, match="one shape"):
             op(Tensor(other), x)
     assert not ad.active_tape().entries
 
@@ -598,7 +597,7 @@ def test_attention_with_first_after_a_cache_offset():
 
 @pytest.mark.parametrize("first", [[2], [-1], [0, 0]])
 def test_attention_first_outside_the_sequence_rejected(first):
-    with pytest.raises(ShapeError):
+    with pytest.raises(GptLabError, match="do not lie inside"):
         ad.attention(Tensor(np.zeros((2, 6))), 1, [2], first=first)
 
 
@@ -609,7 +608,7 @@ def test_attention_sequences_are_independent():
     first = ad.attention(Tensor(rows[:4]), 1, [4]).data
     second = ad.attention(Tensor(rows[4:]), 1, [3]).data
     assert np.allclose(packed, np.concatenate([first, second]), atol=1e-15)
-    with pytest.raises(ShapeError):
+    with pytest.raises(GptLabError, match="do not cover"):
         ad.attention(Tensor(rows), 1, [4, 4])
 
 
@@ -755,7 +754,7 @@ def test_matmul_frozen_weight_or_bias_gets_no_grad(frozen):
     grads = dict(zip(("a", "b", "bias"), vjp(np.ones_like(out.data))))
     for name, g in grads.items():
         assert (g is None) == (name == frozen)
-    with pytest.raises(ShapeError, match="bias"):
+    with pytest.raises(GptLabError, match="bias must have shape"):
         ad.matmul(t["a"], t["b"], bias=Tensor(np.zeros(3)))
 
 

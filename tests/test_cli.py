@@ -452,6 +452,7 @@ MALFORMED_CHECKPOINTS = {
     "short-length": lambda raw: raw[:12],
     "bad-json": lambda raw: _container(b'{"version": 2, "con', b""),
     "bad-utf8": lambda raw: _container(b"\xff\xfe{}", b""),
+    "header-nested-too-deep": lambda raw: _container(b"[" * 200_000, b""),
     "nbytes-mismatch": lambda raw: _edited(
         raw, "tensors", lambda t: t[0].update(nbytes=t[0]["nbytes"] - 4)),
     "past-end": lambda raw: raw[:-4],
@@ -608,6 +609,8 @@ INPUT_ESCAPES = {
         {"id": "u", "turns": [{"speaker": "patient", "text": "a\ud800b"},
                               {"speaker": "doctor", "text": "ba"}]}).encode(),
         "build-vocab"),
+    "corpus-nested-too-deep": ("runs/esc.jsonl", b"[" * 200_000 + b"\n",
+                               "build-vocab"),
     "config-loss-mask-typo": ("esc-mask.kv", (
         "eval.checkpoint = runs/pretrain/final.ckpt\n"
         "data.corpus = runs/b/corpus.jsonl\n"

@@ -10,8 +10,7 @@ from gptlab.corpus import (LOSS_MASK_POLICIES, MIN_SEQ_LEN, PATIENT, Dialogue,
                            EntitySpan, SyntheticSpec, TokenSequence, Turn,
                            generate_synthetic, linearize, load_corpus,
                            save_corpus, split, validate_dialogue)
-from gptlab.errors import (ConfigError, DataError, MalformedRecordError,
-                           OverlappingSpanError, SpanOutOfBoundsError)
+from gptlab.errors import ConfigError, DataError
 from gptlab import vocab as special
 from gptlab.vocab import (BOS_ID, DOCTOR_ID, EOS_ID, PATIENT_ID, build_vocab,
                           encode)
@@ -55,31 +54,31 @@ def test_load_well_formed_file(tmp_path):
 def test_load_rejects_span_past_text_end(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record(idx="bad-span", spans=[(5, 99, "x")])])
-    with pytest.raises(SpanOutOfBoundsError, match="bad-span"):
+    with pytest.raises(DataError, match=r"bad-span.*outside turn 0"):
         load_corpus(path)
 
 
 def test_load_rejects_overlapping_spans(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [record(idx="olap", spans=[(0, 3, "a"), (2, 5, "b")])])
-    with pytest.raises(OverlappingSpanError, match="olap"):
+    with pytest.raises(DataError, match="olap.*overlapping spans"):
         load_corpus(path)
 
 
 def test_load_rejects_malformed_records(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("not json\n", encoding="utf-8")
-    with pytest.raises(MalformedRecordError):
+    with pytest.raises(DataError, match="not valid JSON"):
         load_corpus(path)
 
     write_jsonl(path, [{"id": "x"}])  # missing turns
-    with pytest.raises(MalformedRecordError):
+    with pytest.raises(DataError, match="missing or malformed field"):
         load_corpus(path)
 
     rec = record(idx="short")
     rec["turns"] = rec["turns"][:1]
     write_jsonl(path, [rec])
-    with pytest.raises(MalformedRecordError, match="short"):
+    with pytest.raises(DataError, match="short.*at least two turns"):
         load_corpus(path)
 
 

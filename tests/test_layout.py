@@ -20,11 +20,6 @@ from gptlab.config import KNOWN_KEYS
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "gptlab"
 
-# called only by the acceptance suite: criterion 06 checks the trainable
-# parameter budget with it
-ALLOWED = {"parameter_count"}
-
-
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -75,9 +70,8 @@ def named_only_by_tests(names) -> list[str]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, lineno in names(tree):
             word = re.compile(rf"\b{re.escape(name)}\b")
-            if name not in ALLOWED and not any(
-                    word.search(text) for p, no, text in lines
-                    if (p, no) != (path, lineno)):
+            if not any(word.search(text) for p, no, text in lines
+                       if (p, no) != (path, lineno)):
                 unused.append(f"{path.name}:{lineno} {name}")
     return unused
 
@@ -255,3 +249,23 @@ def test_one_pool_dispatches_all_work():
               for top in ast.parse(path.read_text(encoding="utf-8")).body
               for node in ast.walk(top) if _starts_threads_or_queues(node)}
     assert owners == {("autodiff.py", "spread")}
+
+
+def test_every_error_class_maps_to_an_exit_code():
+    """Each class that ``errors.py`` defines is named by an ``except``
+    clause of ``cli.main``, so each one is an exit category of its own and
+    none is a distinction only tests can see."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body
+               if isinstance(node, ast.ClassDef)}
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in cli.body
+                if isinstance(node, FUNCTIONS) and node.name == "main")
+    caught = {name.id for handler in ast.walk(main)
+              if isinstance(handler, ast.ExceptHandler) and handler.type
+              for name in ast.walk(handler.type)
+              if isinstance(name, ast.Name)}
+    unmapped = sorted(defined - caught)
+    assert defined, "errors.py defines no class"
+    assert not unmapped, "error classes with no exit code: " + ", ".join(
+        unmapped)

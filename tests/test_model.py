@@ -10,18 +10,18 @@ from gptlab import model
 from gptlab.annotation import LexTag
 from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.corpus import Dialogue, EntitySpan, TokenSequence, Turn, linearize
-from gptlab.errors import CheckpointError, ConfigError, GptLabError, ShapeError
+from gptlab.errors import ConfigError, DataError, GptLabError
 from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, PROMPT_PARAM_NAME,
                           ModelConfig,
                           _embed_rows, batch_loss, forward, forward_batch,
                           generate, init_parameters, load_checkpoint,
-                          parameter_count, parameter_shapes, save_checkpoint,
-                          shifted_targets, token_nll)
+                          parameter_shapes, save_checkpoint, shifted_targets,
+                          token_nll)
 from gptlab.training import (OptimizerState, adamw_step, clip_grad_norm,
                              evaluate_ppl, init_prompts)
 from gptlab.vocab import build_vocab
 
-from .util import fd_grad, max_rel_err
+from .util import fd_grad, max_rel_err, parameter_count
 
 GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -103,10 +103,10 @@ def test_embed_disabled_channel_equals_zero_table():
 def test_embed_range_errors():
     cfg = tiny_config()
     params = params64(cfg)
-    with pytest.raises(Exception):
+    with pytest.raises(DataError, match="row id out of range"):
         _embed_rows([make_seq([cfg.vocab_size])], params, cfg)
     long_seq = make_seq(list(range(5)) * 4)
-    with pytest.raises(ShapeError):
+    with pytest.raises(GptLabError, match="exceeds max_len"):
         _embed_rows([long_seq], params, cfg)
 
 
@@ -689,7 +689,7 @@ def test_kv_cache_misuse_raises():
         forward_batch([make_seq([1, 2]), make_seq([3])], params, cfg,
                       cache=cache)
     slot = ad.KVSlot(n_heads=2, capacity=2, d_k=4, dtype=np.float64)
-    with ad.no_grad(), pytest.raises(ShapeError):  # past the capacity
+    with ad.no_grad(), pytest.raises(GptLabError, match="overflow"):
         ad.attention(Tensor(np.ones((3, 24))), 2, [3], slot)
 
 
@@ -776,20 +776,20 @@ def test_checkpoint_rejects_mismatte_and_garbage(tmp_path):
 
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"????" + path.read_bytes()[4:])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(DataError, match="not a checkpoint container"):
         load_checkpoint(bad)
 
     # a tensor whose shape disagrees with the config must be rejected
     missing = dict(params)
     missing["tok_emb"] = Tensor(np.zeros((cfg.vocab_size, cfg.hidden + 1)))
     save_checkpoint(bad, cfg, missing)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(DataError, match="not the layout its config"):
         load_checkpoint(bad)
 
     # dropping a tensor must be rejected too
     short = {n: t for n, t in params.items() if n != "ln_f.gamma"}
     save_checkpoint(bad, cfg, short)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(DataError, match="not the layout its config"):
         load_checkpoint(bad)
 
 
@@ -801,7 +801,7 @@ def test_checkpoint_rejects_version_1(tmp_path):
     assert raw[4:8] == CHECKPOINT_VERSION.to_bytes(4, "little")
     raw[4:8] = (1).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match="version 1"):
+    with pytest.raises(DataError, match="unsupported container version 1"):
         load_checkpoint(path)
 
 

@@ -17,7 +17,7 @@ from gptlab.autodiff import Tensor
 from gptlab.config import KV, load_run_config, write_kv
 from gptlab.corpus import (Dialogue, SyntheticSpec, Turn, generate_synthetic,
                            linearize, save_corpus)
-from gptlab.errors import ConfigError, EmptyLossError, NumericError
+from gptlab.errors import ConfigError, DataError, NumericError
 from gptlab.model import (PROMPT_PARAM_NAME, ModelConfig, batch_loss,
                           init_parameters, load_checkpoint, save_checkpoint,
                           token_nll)
@@ -257,7 +257,7 @@ def test_evaluate_ppl_empty_mask_rejected():
                       max_len=16, dropout=0.0)
     params = init_parameters(cfg, seed=2)
     seq = make_seq([1, 2, 3], mask=[False, False, False])
-    with pytest.raises(EmptyLossError):
+    with pytest.raises(DataError, match="no loss-contributing tokens"):
         evaluate_ppl(params, cfg, [seq])
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptlab.corpus import Dialogue, Turn
-from gptlab.errors import DataError, VocabError
+from gptlab.errors import DataError
 from gptlab.vocab import (BOS_ID, DOCTOR_ID, EOS_ID, PAD_ID, PATIENT_ID,
                           SPECIALS, UNK_ID, Vocab, build_vocab, decode, encode,
                           load_vocab, save_vocab)
@@ -58,7 +58,7 @@ def test_decode_basics():
     v = build_vocab([dialogue("ab", "b")])
     assert decode([], v) == ""
     assert decode(encode("abba", v), v) == "abba"
-    with pytest.raises(VocabError):
+    with pytest.raises(DataError, match="out of range for vocab size"):
         decode([len(v)], v)
 
 

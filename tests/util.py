@@ -1,6 +1,6 @@
 """Shared test oracles: central finite differences, error metrics and a
 scalar sum for gradchecks; small lexicons for synthetic corpora; a CPU
-count to split kernel rows over.
+count to split kernel rows over; the parameter count of a model.
 
 The finite-difference path only ever calls forward evaluation under
 no_grad, so it stays independent of the reverse-mode code it checks.
@@ -57,6 +57,11 @@ def max_rel_err(analytic, numeric, floor=REL_FLOOR):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(floor, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def parameter_count(params):
+    """The number of scalars in a ``{name: Tensor}`` parameter dict."""
+    return sum(t.size for t in params.values())
 
 
 @contextlib.contextmanager
