@@ -4,7 +4,7 @@ One ``key = value`` pair per line, keys namespaced with dots. A ``#``
 at the start of a line or after whitespace starts a comment; anywhere
 else it is part of the value, so ``runs#2/c.jsonl`` is a path. Paths are
 resolved relative to the config file so config trees can be shipped and
-moved as a unit.
+moved as a unit. ``load_run_config`` builds one self-checking RunConfig.
 """
 from __future__ import annotations
 
@@ -177,6 +177,7 @@ RUN_KEYS = (("data.split", "split_ratio",
             ("train.epochs", "epochs", KV.int_),
             ("train.weight_decay", "weight_decay", KV.float_),
             ("loss_mask", "loss_mask_policy", KV.str_),
+            ("ptune.v_p", "v_p", KV.int_),
             ("splice", "splice", KV.bool_),
             ("tagger.nouns", "noun_lexicons", KV.paths_),
             ("tagger.adjectives", "adj_lexicons", KV.paths_),
@@ -196,22 +197,14 @@ def load_run_config(kv: KV, mode: str, out_dir, seed: int) -> RunConfig:
         vocab_path=kv.path_("data.vocab"),
         out_dir=Path(out_dir),
         seed=seed,
-        **kv.present(RUN_KEYS),
-    )
-    run.sched = replace(run.sched, **kv.present(SCHEDULE_KEYS))
-    if mode == "pretrain":
-        run.model = ModelConfig(
+        model=ModelConfig(
             n_layers=kv.int_("model.layers"),
             n_heads=kv.int_("model.heads"),
             hidden=kv.int_("model.hidden"),
             vocab_size=0,  # derived from the vocabulary at train time
             max_len=kv.int_("model.max_len"),
-            **kv.present(CHANNEL_KEYS),
-        )
-    else:
-        run.backbone_path = kv.path_("backbone")
-        run = replace(run, **kv.present(CHANNEL_KEYS))
-    if mode == "ptune" and kv.has("ptune.v_p"):
-        run.v_p = kv.int_("ptune.v_p")
-    run.validate()
-    return run
+        ) if mode == "pretrain" else None,
+        backbone_path=None if mode == "pretrain" else kv.path_("backbone"),
+        **kv.present(RUN_KEYS + CHANNEL_KEYS),
+    )
+    return replace(run, sched=replace(run.sched, **kv.present(SCHEDULE_KEYS)))

@@ -1,9 +1,10 @@
 """Dialogue dataset schema, loading, splitting, linearization, synthesis.
 
 Corpus files are line-delimited JSON, one dialogue per line, offsets in
-characters. ``linearize`` is the one way from a dialogue to model input:
-it lays out every token's id, lexical tag, entity flag, loss bit and
-position, the discrete entity-splicing baseline's tail included. The
+characters. A ``Dialogue`` checks the schema once, when it is built, and
+a ``SyntheticSpec`` its recipe. ``linearize`` is the one way from a
+dialogue to model input: it lays out every token's id, lexical tag,
+entity flag, loss bit and position, the splicing baseline's tail too. The
 synthetic generator produces annotated consultations in which the
 doctor's diagnosis is a deterministic function of the flagged symptom
 mention, so the entity channel carries real predictive signal.
@@ -46,8 +47,49 @@ class Turn:
 
 @dataclass(frozen=True)
 class Dialogue:
+    """One consultation, checked once, when it is built."""
     id: str
     turns: tuple[Turn, ...]
+
+    def __post_init__(self):
+        if type(self.id) is not str or not self.id:
+            raise DataError(f"dialogue id {self.id!r} is not a "
+                            f"non-empty string")
+        if len(self.turns) < 2:
+            raise DataError(
+                f"dialogue {self.id!r}: needs at least two turns")
+        if self.turns[-1].speaker != DOCTOR:
+            raise DataError(
+                f"dialogue {self.id!r}: final turn must be a doctor turn")
+        for t_idx, turn in enumerate(self.turns):
+            if turn.speaker not in (PATIENT, DOCTOR):
+                raise DataError(f"dialogue {self.id!r}: unknown speaker "
+                                f"{turn.speaker!r}")
+            if not isinstance(turn.text, str) or not turn.text:
+                raise DataError(
+                    f"dialogue {self.id!r}: turn {t_idx} has no text string")
+            if not all(type(s.start) is int and type(s.end) is int
+                       and isinstance(s.label, str) for s in turn.entities):
+                raise DataError(
+                    f"dialogue {self.id!r}: turn {t_idx} has a span without "
+                    f"integer offsets and a string label")
+            spans = sorted(turn.entities, key=lambda s: (s.start, s.end))
+            prev_end = -1
+            for span in spans:
+                if not (0 <= span.start < span.end <= len(turn.text)):
+                    raise DataError(
+                        f"dialogue {self.id!r}: span [{span.start},"
+                        f"{span.end}) outside turn {t_idx} of length "
+                        f"{len(turn.text)}")
+                if span.start < prev_end:
+                    raise DataError(f"dialogue {self.id!r}: overlapping "
+                                    f"spans in turn {t_idx}")
+                prev_end = span.end
+        try:  # a lone surrogate escape decodes from JSON but has no UTF-8
+            "".join([self.id] + [t.text for t in self.turns]).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"dialogue {self.id!r}: id or text is not "
+                            f"UTF-8 ({exc.reason})") from exc
 
 
 @dataclass
@@ -77,47 +119,6 @@ class TokenSequence:
             raise DataError("entity flags must be 0/1")
 
 
-def validate_dialogue(dlg: Dialogue) -> None:
-    if type(dlg.id) is not str or not dlg.id:
-        raise DataError(f"dialogue id {dlg.id!r} is not a "
-                        f"non-empty string")
-    if len(dlg.turns) < 2:
-        raise DataError(
-            f"dialogue {dlg.id!r}: needs at least two turns")
-    if dlg.turns[-1].speaker != DOCTOR:
-        raise DataError(
-            f"dialogue {dlg.id!r}: final turn must be a doctor turn")
-    for t_idx, turn in enumerate(dlg.turns):
-        if turn.speaker not in (PATIENT, DOCTOR):
-            raise DataError(
-                f"dialogue {dlg.id!r}: unknown speaker {turn.speaker!r}")
-        if not isinstance(turn.text, str) or not turn.text:
-            raise DataError(
-                f"dialogue {dlg.id!r}: turn {t_idx} has no text string")
-        if not all(type(s.start) is int and type(s.end) is int
-                   and isinstance(s.label, str) for s in turn.entities):
-            raise DataError(
-                f"dialogue {dlg.id!r}: turn {t_idx} has a span without "
-                f"integer offsets and a string label")
-        spans = sorted(turn.entities, key=lambda s: (s.start, s.end))
-        prev_end = -1
-        for span in spans:
-            if not (0 <= span.start < span.end <= len(turn.text)):
-                raise DataError(
-                    f"dialogue {dlg.id!r}: span [{span.start},{span.end}) "
-                    f"outside turn {t_idx} of length {len(turn.text)}")
-            if span.start < prev_end:
-                raise DataError(
-                    f"dialogue {dlg.id!r}: overlapping spans in turn {t_idx}")
-            prev_end = span.end
-    try:  # a lone surrogate escape decodes from JSON but has no UTF-8
-        "".join([dlg.id] + [t.text for t in dlg.turns]).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise DataError(
-            f"dialogue {dlg.id!r}: id or text is not UTF-8 ({exc.reason})"
-        ) from exc
-
-
 def _dialogue_from_record(rec: dict, lineno: int) -> Dialogue:
     try:
         turns = tuple(
@@ -129,11 +130,10 @@ def _dialogue_from_record(rec: dict, lineno: int) -> Dialogue:
                     for e in t.get("entities", ())),
             )
             for t in rec["turns"])
-        dlg = Dialogue(id=rec["id"], turns=turns)
+        return Dialogue(id=rec["id"], turns=turns)
     except (KeyError, TypeError) as exc:
         raise DataError(
             f"line {lineno}: missing or malformed field ({exc})") from exc
-    return dlg
 
 
 def load_corpus(path) -> list[Dialogue]:
@@ -150,9 +150,7 @@ def load_corpus(path) -> list[Dialogue]:
         except (ValueError, RecursionError) as exc:  # too deeply nested
             raise DataError(
                 f"line {lineno} of {path}: not valid JSON") from exc
-        dlg = _dialogue_from_record(rec, lineno)
-        validate_dialogue(dlg)
-        out.append(dlg)
+        out.append(_dialogue_from_record(rec, lineno))
     return out
 
 
@@ -202,7 +200,6 @@ def linearize(dialogue: Dialogue, vocab: Vocab, max_len: int, policy: str,
         raise ConfigError(f"max_len must be >= {MIN_SEQ_LEN}, got {max_len}")
     if policy not in LOSS_MASK_POLICIES:
         raise ConfigError(f"unknown loss-mask policy {policy!r}")
-    validate_dialogue(dialogue)
 
     other = int(LexTag.OTHER)
     every = policy == "all"
@@ -252,9 +249,9 @@ def linearize(dialogue: Dialogue, vocab: Vocab, max_len: int, policy: str,
 
 # --- synthetic annotated consultations ---
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for one synthetic corpus."""
+    """Recipe for one synthetic corpus, checked when it is built."""
     symptoms: list[str]
     diseases: list[str]
     drugs: list[str]
@@ -263,6 +260,22 @@ class SyntheticSpec:
     turns_max: int = 4
     style: str = "clinic"
     n_mentions: int = 4  # symptom words per opening turn; one is annotated
+
+    def __post_init__(self):
+        if self.n_dialogues < 1:
+            raise ConfigError(
+                f"corpus needs at least 1 dialogue, got {self.n_dialogues}")
+        for name, lex in (("symptoms", self.symptoms),
+                          ("diseases", self.diseases), ("drugs", self.drugs)):
+            if not lex:
+                raise ConfigError(f"empty {name} lexicon")
+        if self.n_mentions < 1 or self.n_mentions > len(self.symptoms):
+            raise ConfigError(f"n_mentions={self.n_mentions} not in "
+                              f"[1, {len(self.symptoms)}]")
+        if self.style not in _STYLES:
+            raise ConfigError(f"unknown dialogue style {self.style!r}")
+        if not (2 <= self.turns_min <= self.turns_max):
+            raise ConfigError("need 2 <= turns_min <= turns_max")
 
 
 _STYLES = {
@@ -291,20 +304,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> list[Dialogue]:
     drug at the annotated symptom's lexicon index. Flags, not surface
     text, decide which mention counts.
     """
-    if spec.n_dialogues < 1:
-        raise ConfigError(
-            f"corpus needs at least 1 dialogue, got {spec.n_dialogues}")
-    for name, lex in (("symptoms", spec.symptoms), ("diseases", spec.diseases),
-                      ("drugs", spec.drugs)):
-        if not lex:
-            raise ConfigError(f"empty {name} lexicon")
-    if spec.n_mentions < 1 or spec.n_mentions > len(spec.symptoms):
-        raise ConfigError(
-            f"n_mentions={spec.n_mentions} not in [1, {len(spec.symptoms)}]")
-    if spec.style not in _STYLES:
-        raise ConfigError(f"unknown dialogue style {spec.style!r}")
-    if not (2 <= spec.turns_min <= spec.turns_max):
-        raise ConfigError("need 2 <= turns_min <= turns_max")
     style = _STYLES[spec.style]
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -345,8 +344,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> list[Dialogue]:
         g_span = EntitySpan(g_start, g_start + len(drug), "drug")
         turns.append(Turn(DOCTOR, final, (d_span, g_span)))
 
-        dlg = Dialogue(id=f"{spec.style}-{d_idx:05d}", turns=tuple(turns))
-        validate_dialogue(dlg)
-        dialogues.append(dlg)
+        dialogues.append(Dialogue(id=f"{spec.style}-{d_idx:05d}",
+                                  turns=tuple(turns)))
     return dialogues
 

@@ -37,7 +37,7 @@ TABLE_SIZES = {"lex_table_size": LEX_TABLE_SIZE,
                "entity_table_size": ENTITY_TABLE_SIZE}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     n_layers: int
     n_heads: int

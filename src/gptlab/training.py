@@ -1,11 +1,12 @@
 """Training loop: AdamW with decoupled decay, global-norm clipping,
 warmup-cosine learning rate, epoch scheduling, checkpoints, PPL eval.
 
-Everything is deterministic under RunConfig.seed: initialization, data
-order, dropout and prompt init all derive from spawned sub-seeds. The
-autodiff kernels split their rows across the CPUs of the affinity mask,
-and the bytes are identical whatever the CPU count and the BLAS thread
-count.
+A run is a frozen RunConfig that checks itself when it is built, so
+``train`` and ``train_variants`` check nothing again. Everything is
+deterministic under RunConfig.seed: initialization, data order, dropout
+and prompt init all derive from spawned sub-seeds. The autodiff kernels
+split their rows across the CPUs of the affinity mask, and the bytes are
+identical whatever the CPU count and the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ MODES = ("pretrain", "finetune", "ptune")
 CLIP = 0.5  # global gradient-norm threshold of the reference regimen
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleConfig:
     peak_lr: float = 1e-4
     min_lr: float = 5e-6
@@ -131,18 +132,18 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         p.data = p.data - update
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Full description of one training run; defaults follow the reference
-    pretraining regimen (batch 32, wd 0.1, warmup-cosine 2000->100k; the
-    clip and AdamW's betas and eps are fixed)."""
+    """Full description of one training run, checked when it is built;
+    defaults follow the reference pretraining regimen (batch 32, wd 0.1,
+    warmup-cosine 2000->100k; the clip and AdamW's betas and eps fixed)."""
     mode: str
     corpus_path: Path
     vocab_path: Path
     out_dir: Path
     model: Optional[ModelConfig] = None      # pretrain architecture
     backbone_path: Optional[Path] = None     # finetune/ptune start point
-    use_lexical: Optional[bool] = None       # channel overrides at tune time
+    use_lexical: Optional[bool] = None       # channel overrides, every mode
     use_entity: Optional[bool] = None
     dropout: Optional[float] = None
     seed: int = 0
@@ -158,7 +159,7 @@ class RunConfig:
     adj_lexicons: tuple[Path, ...] = ()
     verb_lexicons: tuple[Path, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "pretrain" and self.model is None:
@@ -181,8 +182,6 @@ def make_run_config(mode: str, **kw) -> RunConfig:
     """RunConfig with the per-mode reference defaults filled in: pretrain
     keeps RunConfig's own; finetune and ptune train longer, at a lower
     peak rate, on the final reply of a wider split."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
     if mode != "pretrain":
         kw = {"split_ratio": (8, 2), "epochs": 6,
               "loss_mask_policy": "response",
@@ -297,20 +296,25 @@ def split_loaded_tensors(tensors: dict[str, Tensor]
     return backbone, None if prompt is None else PromptEmbeddings(prompt)
 
 
+def override_channels(config: ModelConfig, **overrides) -> ModelConfig:
+    """``config`` with each override (``use_lexical``, ``use_entity``,
+    ``dropout``) that is not None in place of its own value."""
+    return replace(config, **{k: v for k, v in overrides.items()
+                              if v is not None})
+
+
 def load_backbone(path, vocab_size: int, **overrides
                   ) -> tuple[ModelConfig, dict[str, Tensor],
                              Optional[PromptEmbeddings]]:
-    """A checkpoint's config, backbone and prompts (None without), checked
-    against a vocabulary of ``vocab_size``. Each override (``use_lexical``,
-    ``use_entity``, ``dropout``) that is not None replaces the config's."""
+    """A checkpoint's config under ``override_channels``, its backbone and
+    prompts (None without), checked against a ``vocab_size`` vocabulary."""
     config, tensors = load_checkpoint(path)
     if config.vocab_size != vocab_size:
         raise DataError(
             f"checkpoint vocab_size={config.vocab_size} disagrees with "
             f"vocabulary of size {vocab_size}")
-    config = replace(config, **{k: v for k, v in overrides.items()
-                                if v is not None})
-    return (config, *split_loaded_tensors(tensors))
+    return (override_channels(config, **overrides),
+            *split_loaded_tensors(tensors))
 
 
 # Padded rows one scoring group may span: B sequences, the longest of T
@@ -404,7 +408,6 @@ def _keep_freed_heap() -> None:
 
 def train(run: RunConfig) -> TrainResult:
     """Run one complete experiment; deterministic under run.seed."""
-    run.validate()
     _keep_freed_heap()
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -425,9 +428,9 @@ def train(run: RunConfig) -> TrainResult:
                 f"vocabulary of size {len(vocab)}")
         params = init_parameters(config, init_seed)
     else:
-        config, params, _ = load_backbone(
-            run.backbone_path, len(vocab), use_lexical=run.use_lexical,
-            use_entity=run.use_entity, dropout=run.dropout)
+        config, params, _ = load_backbone(run.backbone_path, len(vocab))
+    config = override_channels(config, use_lexical=run.use_lexical,
+                               use_entity=run.use_entity, dropout=run.dropout)
 
     tagger = build_tagger_from_files(run.noun_lexicons, run.adj_lexicons,
                                      run.verb_lexicons)
@@ -490,10 +493,8 @@ def train(run: RunConfig) -> TrainResult:
 
 def train_variants(base: RunConfig, variants) -> list[float]:
     """One complete run per ``(subdir, overrides)`` of ``variants``: base
-    with the overrides, trained into ``base.out_dir / subdir``. Returns the
-    final eval perplexities in order."""
+    with the overrides, trained into ``base.out_dir / subdir``, every one
+    built (so checked) before any trains. Returns the eval PPLs in order."""
     runs = [replace(base, out_dir=Path(base.out_dir) / subdir, **overrides)
             for subdir, overrides in variants]
-    for run in runs:  # a bad variant stops the set before any trains
-        run.validate()
     return [train(run).final_eval_ppl for run in runs]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptlab.annotation import LexTag, dictionary_tagger, entity_flags
@@ -144,3 +144,52 @@ def test_dictionary_tagger_matches_reference_scan(terms, data):
     lexicons = (terms[:cut[0]], terms[cut[0]:cut[1]], terms[cut[1]:])
     text = data.draw(st.text(alphabet="ab.*(|\\ x", max_size=40))
     assert dictionary_tagger(*lexicons)(text) == reference_tagger(*lexicons)(text)
+
+
+ALPHABET = "gout sayirnh"
+LEAK_TAGGER = dictionary_tagger(["gout", "iron"], [], ["use"])
+LEAK_HISTORY = "doctor my cough keep coming back"
+
+
+@st.composite
+def cut_replies(draw):
+    """A reply with non-overlapping entity spans, a cut 0 < j <= len, and
+    a text to continue the first j characters with."""
+    text = draw(st.text(alphabet=ALPHABET, min_size=1, max_size=24))
+    bounds = sorted(draw(st.sets(st.integers(0, len(text)), max_size=4)))
+    spans = tuple(EntitySpan(a, b, "disease")
+                  for a, b in zip(bounds[::2], bounds[1::2]))
+    cut = draw(st.integers(1, len(text)))
+    return text, spans, cut, draw(st.text(alphabet=ALPHABET, max_size=12))
+
+
+def reply_annotations(text, spans):
+    """The lexical tags and entity flags ``linearize`` gives each
+    character of a final doctor turn."""
+    dlg = Dialogue(id="d", turns=(Turn("patient", LEAK_HISTORY),
+                                  Turn("doctor", text, spans)))
+    vocab = build_vocab([dlg])
+    seq = linearize(dlg, vocab, 128, "response", LEAK_TAGGER, False)
+    start = 3 + len(LEAK_HISTORY)  # BOS, PAT, history, DOC
+    return (seq.lexical_tags[start:start + len(text)],
+            seq.entity_flags[start:start + len(text)])
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="whole-word tags and flags look ahead; "
+                          "ROADMAP item 4")
+@settings(deadline=None, max_examples=100)
+@example(("tests say gout use iron",
+          (EntitySpan(10, 14, "disease"), EntitySpan(19, 23, "drug")),
+          12, "ing home"))
+@given(cut_replies())
+def test_annotations_do_not_look_ahead(case):
+    """The tags and flags of the first j characters of a reply depend
+    only on those characters: continuing them with other text, and
+    dropping the spans that reach past j, leaves them as they were."""
+    text, spans, cut, tail = case
+    tags, flags = reply_annotations(text, spans)
+    kept = tuple(span for span in spans if span.end <= cut)
+    cut_tags, cut_flags = reply_annotations(text[:cut] + tail, kept)
+    assert cut_tags[:cut] == tags[:cut]
+    assert cut_flags[:cut] == flags[:cut]

@@ -9,7 +9,7 @@ from gptlab.annotation import LexTag, dictionary_tagger, entity_flags
 from gptlab.corpus import (LOSS_MASK_POLICIES, MIN_SEQ_LEN, PATIENT, Dialogue,
                            EntitySpan, SyntheticSpec, TokenSequence, Turn,
                            generate_synthetic, linearize, load_corpus,
-                           save_corpus, split, validate_dialogue)
+                           save_corpus, split)
 from gptlab.errors import ConfigError, DataError
 from gptlab import vocab as special
 from gptlab.vocab import (BOS_ID, DOCTOR_ID, EOS_ID, PATIENT_ID, build_vocab,
@@ -292,7 +292,6 @@ def ref_linearize(dialogue, vocab, max_len: int, mode: str = "pretrain",
         raise ConfigError(f"max_len must be >= {MIN_SEQ_LEN}, got {max_len}")
     if mode not in ("pretrain", "tune"):
         raise ConfigError(f"unknown linearization mode {mode!r}")
-    validate_dialogue(dialogue)
 
     other = int(LexTag.OTHER)
     ids = [vocab.bos_id]

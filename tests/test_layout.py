@@ -9,9 +9,12 @@ must be passed by some call in ``src/gptlab`` or ``perfbench/``. Every
 config key that the reader accepts must be quoted somewhere in
 ``src/gptlab`` outside the set that lists the accepted keys.
 Imports sit at module level, so the import graph of the package is the one
-its module headers show. The README names only modules that exist.
+its module headers show. The README names only modules that exist, and
+each number of its results tables is the one in the ``runs/`` file that
+the table names.
 """
 import ast
+import csv
 import re
 from pathlib import Path
 
@@ -269,3 +272,53 @@ def test_every_error_class_maps_to_an_exit_code():
     assert defined, "errors.py defines no class"
     assert not unmapped, "error classes with no exit code: " + ", ".join(
         unmapped)
+
+
+def readme_result_rows() -> list[dict[str, str]]:
+    """{header: cell} of each row of each README table with a ``source``
+    column, backquotes stripped."""
+    rows, header = [], None
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|"):
+            header = None
+            continue
+        cells = [c.strip().strip("`") for c in line.strip("| ").split("|")]
+        if header is None:
+            header = cells
+        elif "source" in header and not set(line) <= set("|- "):
+            rows.append(dict(zip(header, cells)))
+    return rows
+
+
+def read_csv(path: Path) -> list[dict[str, str]]:
+    with path.open(encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def source_ppl(row: dict[str, str]) -> float:
+    """The perplexity that a README row's source file holds for it."""
+    path = REPO / row["source"]
+    if path.name == "eval.txt":
+        return float(path.read_text(encoding="utf-8").partition("=")[2])
+    if path.name == "metrics.csv":
+        return float([r["eval_ppl"] for r in read_csv(path)
+                      if r["eval_ppl"]][-1])
+    assert path.name == "ablation.csv", f"no reader for {path}"
+    return float({r["variant"]: r["ppl"]
+                  for r in read_csv(path)}[row["variant"]])
+
+
+def test_readme_results_come_from_runs():
+    """Every README result cell equals its source's value rounded to the
+    cell's decimals, and the ablation table has every variant in order."""
+    rows = readme_result_rows()
+    assert {row["source"] for row in rows} == {
+        "runs/eval-baseline/eval.txt", "runs/finetune/metrics.csv",
+        "runs/ptune/metrics.csv", "runs/ablate/ablation.csv"}
+    for row in rows:
+        cell = row["test PPL"]
+        decimals = len(cell.partition(".")[2])
+        assert f"{source_ppl(row):.{decimals}f}" == cell, row
+    ablation = REPO / "runs" / "ablate" / "ablation.csv"
+    assert [row["variant"] for row in rows if "variant" in row] == \
+        [r["variant"] for r in read_csv(ablation)]

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import math
 import threading
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ from gptlab import autodiff as ad
 from gptlab import cli, training
 from gptlab.autodiff import Tensor
 from gptlab.config import KV, load_run_config, write_kv
-from gptlab.corpus import (Dialogue, SyntheticSpec, Turn, generate_synthetic,
-                           linearize, save_corpus)
+from gptlab.corpus import (Dialogue, EntitySpan, SyntheticSpec, Turn,
+                           generate_synthetic, linearize, save_corpus)
 from gptlab.errors import ConfigError, DataError, NumericError
 from gptlab.model import (PROMPT_PARAM_NAME, ModelConfig, batch_loss,
                           init_parameters, load_checkpoint, save_checkpoint,
@@ -563,9 +564,8 @@ def test_train_ptune_keeps_backbone_frozen(tmp_path):
         name: hashlib.sha256(t.data.tobytes()).hexdigest()
         for name, t in pre_result.params.items()}
 
-    pt = fast_run(tmp_path, mode="ptune", out="pt")
-    pt.backbone_path = pre_result.checkpoint_path
-    pt.v_p = 3
+    pt = fast_run(tmp_path, mode="ptune", out="pt",
+                  backbone_path=pre_result.checkpoint_path, v_p=3)
     pt_result = train(pt)
     hashes_after = {
         name: hashlib.sha256(t.data.tobytes()).hexdigest()
@@ -584,8 +584,8 @@ def test_train_ptune_keeps_backbone_frozen(tmp_path):
 def test_train_finetune_moves_backbone(tmp_path):
     pre = fast_run(tmp_path, out="pre2", epochs=2)
     pre_result = train(pre)
-    ft = fast_run(tmp_path, mode="finetune", out="ft")
-    ft.backbone_path = pre_result.checkpoint_path
+    ft = fast_run(tmp_path, mode="finetune", out="ft",
+                  backbone_path=pre_result.checkpoint_path)
     ft_result = train(ft)
     moved = [n for n, t in ft_result.params.items()
              if not np.array_equal(t.data, pre_result.params[n].data)]
@@ -596,9 +596,9 @@ def test_train_finetune_moves_backbone(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_aborts_with_numeric_error(tmp_path):
-    run = fast_run(tmp_path, out="diverge", epochs=30)
-    run.sched = ScheduleConfig(peak_lr=1e9, min_lr=1e8, warmup_steps=1,
-                               decay_end_step=10)
+    run = replace(fast_run(tmp_path, out="diverge", epochs=30),
+                  sched=ScheduleConfig(peak_lr=1e9, min_lr=1e8,
+                                       warmup_steps=1, decay_end_step=10))
     with pytest.raises(NumericError):
         train(run)
     assert not (run.out_dir / "final.ckpt").exists()
@@ -606,8 +606,10 @@ def test_train_divergence_aborts_with_numeric_error(tmp_path):
 
 
 def test_run_config_defaults_mirror_reference_regimen():
+    model = ModelConfig(n_layers=1, n_heads=1, hidden=8, vocab_size=0,
+                        max_len=16)
     pre = make_run_config("pretrain", corpus_path="c", vocab_path="v",
-                          out_dir="o", model=None)
+                          out_dir="o", model=model)
     assert (pre.batch_size, CLIP, pre.weight_decay) == (32, 0.5, 0.1)
     adamw = inspect.signature(adamw_step).parameters
     assert (adamw["beta1"].default, adamw["beta2"].default) == (0.9, 0.95)
@@ -618,7 +620,7 @@ def test_run_config_defaults_mirror_reference_regimen():
         (3, (100, 1), "all")
     for mode in ("finetune", "ptune"):
         tune = make_run_config(mode, corpus_path="c", vocab_path="v",
-                               out_dir="o")
+                               out_dir="o", backbone_path="b")
         assert tune.sched.peak_lr == 5e-5
         assert (tune.epochs, tune.split_ratio, tune.loss_mask_policy) == \
             (6, (8, 2), "response")
@@ -645,13 +647,86 @@ def test_run_config_from_required_keys_keeps_every_default(tmp_path, mode):
         write_kv(path, {k: v for k, v in required.items() if k != key})
         with pytest.raises(ConfigError, match="missing required config key"):
             load_run_config(KV.load(path), mode, tmp_path / "out", 0)
+    write_kv(path, {**required, "ptune.v_p": "eight"})
+    with pytest.raises(ConfigError, match="not an integer"):
+        load_run_config(KV.load(path), mode, tmp_path / "out", 0)
 
 
 def test_run_config_validation(tmp_path):
     with pytest.raises(ConfigError):
-        make_run_config("nonsense")
+        make_run_config("nonsense", corpus_path="c", vocab_path="v",
+                        out_dir="o")
     run = fast_run(tmp_path, out="v")
-    run.mode = "ptune"
-    run.backbone_path = None
     with pytest.raises(ConfigError):
-        run.validate()
+        replace(run, mode="ptune", backbone_path=None)
+
+
+def valid_records() -> dict:
+    """One valid instance of each record that checks itself when built."""
+    model = ModelConfig(n_layers=1, n_heads=2, hidden=8, vocab_size=0,
+                        max_len=16)
+    return {
+        "run": make_run_config("pretrain", corpus_path=Path("c"),
+                               vocab_path=Path("v"), out_dir=Path("o"),
+                               model=model),
+        "model": model,
+        "sched": ScheduleConfig(),
+        "spec": SyntheticSpec(["cough"], ["flu"], ["rest"], n_dialogues=1,
+                              n_mentions=1),
+        "dialogue": Dialogue("d", (Turn("patient", "cough"),
+                                   Turn("doctor", "rest"))),
+    }
+
+
+# (record, field values that break one of its checks, the error); the run
+# rows cover every check of RunConfig
+BROKEN_RECORDS = [
+    ("run", dict(mode="nonsense"), ConfigError),
+    ("run", dict(model=None), ConfigError),
+    ("run", dict(mode="finetune"), ConfigError),
+    ("run", dict(mode="ptune"), ConfigError),
+    ("run", dict(mode="ptune", backbone_path=Path("b"), v_p=0), ConfigError),
+    ("run", dict(loss_mask_policy="first"), ConfigError),
+    ("run", dict(batch_size=0), ConfigError),
+    ("run", dict(epochs=0), ConfigError),
+    ("run", dict(weight_decay=math.nan), ConfigError),
+    ("run", dict(seed=-1), ConfigError),
+    ("model", dict(hidden=9), ConfigError),
+    ("model", dict(dropout=1.0), ConfigError),
+    ("sched", dict(min_lr=1.0), ConfigError),
+    ("spec", dict(n_dialogues=0), ConfigError),
+    ("spec", dict(n_mentions=2), ConfigError),
+    ("spec", dict(style="ward"), ConfigError),
+    ("dialogue", dict(turns=(Turn("patient", "cough",
+                                  (EntitySpan(3, 6, "symptom"),)),
+                             Turn("doctor", "rest"))), DataError),
+    ("dialogue", dict(turns=(Turn("doctor", "rest"),)), DataError),
+]
+
+
+@pytest.mark.parametrize("name, bad, error", BROKEN_RECORDS)
+def test_records_check_themselves_when_built_and_stay_frozen(name, bad,
+                                                             error):
+    """A record with a bad value cannot be built, neither directly nor by
+    ``replace``, and a built one cannot be changed in place."""
+    record = valid_records()[name]
+    with pytest.raises(error):
+        type(record)(**{**vars(record), **bad})
+    with pytest.raises(error):
+        replace(record, **bad)
+    for field, value in bad.items():
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, value)
+
+
+def test_pretrain_applies_channel_overrides(tmp_path):
+    """A pretrain run's channel overrides replace its model's settings, as
+    a tune run's replace its backbone's, and the checkpoint records them."""
+    run = fast_run(tmp_path, out="pre-over", use_lexical=False, dropout=0.0,
+                   model=ModelConfig(n_layers=1, n_heads=2, hidden=16,
+                                     vocab_size=0, max_len=160, dropout=0.1))
+    result = train(run)
+    config, _ = load_checkpoint(result.checkpoint_path)
+    assert config == result.config
+    assert (config.use_lexical, config.use_entity, config.dropout) == \
+        (False, True, 0.0)
