@@ -2,13 +2,15 @@
 
 Every command takes --config/--out (--force allows a non-empty output
 directory), and every one but build-vocab, which draws nothing at random,
-takes --seed to override the config seed. ``main`` loads the config, makes
-the output directory, resolves the seed, runs the command and writes
-``config.kv`` (the config with that seed) last, so a failed command leaves
-no ``config.kv``: a config or data error leaves a fresh output directory
-empty and the corrected rerun needs no --force, and a run that diverges
-keeps its metrics.csv. Exit codes: 0 success, 2 config error, 3 data error,
-4 numeric divergence.
+takes --seed to override the config seed. Each command reads its keys and
+then, before any work, refuses a config key it did not read, so a typo or
+a key meant for another command is a config error. ``main`` loads the
+config, makes the output directory, resolves the seed, runs the command
+and writes ``config.kv`` (the config with that seed) last, so a failed
+command leaves no ``config.kv``: a config or data error leaves a fresh
+output directory empty and the corrected rerun needs no --force, and a run
+that diverges keeps its metrics.csv. Exit codes: 0 success, 2 config
+error, 3 data error, 4 numeric divergence.
 """
 from __future__ import annotations
 
@@ -83,6 +85,7 @@ def cmd_gen_synthetic(kv: KV, out: Path, seed: int) -> None:
                       ("corpus.mentions", "n_mentions", KV.int_))),
     )
     path = _out_file(kv, "corpus.out", "corpus.jsonl", out)
+    kv.refuse_unread("gen-synthetic")
     corpus = generate_synthetic(spec, seed)
     save_corpus(corpus, path)
     print(f"wrote {len(corpus)} dialogues to {path}")
@@ -93,6 +96,7 @@ def cmd_build_vocab(kv: KV, out: Path, seed: None) -> None:
     if not corpus_paths:
         raise ConfigError("build-vocab needs data.corpus")
     path = _out_file(kv, "vocab.out", "vocab.txt", out)
+    kv.refuse_unread("build-vocab")
     dialogues = []
     for p in corpus_paths:
         dialogues.extend(load_corpus(p))
@@ -102,7 +106,9 @@ def cmd_build_vocab(kv: KV, out: Path, seed: None) -> None:
 
 
 def _cmd_train(mode: str, kv: KV, out: Path, seed: int) -> None:
-    result = train(load_run_config(kv, mode, out, seed))
+    run = load_run_config(kv, mode, out, seed)
+    kv.refuse_unread(mode)
+    result = train(run)
     print(f"{mode}: {len(result.metrics.rows)} steps, "
           f"final eval ppl {result.final_eval_ppl:.4f}, "
           f"checkpoint {result.checkpoint_path}")
@@ -132,13 +138,12 @@ def cmd_eval(kv: KV, out: Path, seed: int) -> None:
     if part not in ("train", "test", "all"):
         raise ConfigError(f"eval.part must be train/test/all, got {part!r}")
     if part != "all":
-        if not kv.has("data.split"):
-            raise ConfigError("eval.part needs data.split")
         tr, te = split_corpus(corpus, parse_ratio(kv.str_("data.split")), seed)
         corpus = tr if part == "train" else te
     policy = kv.str_("loss_mask", "response")
     seqs = prepare_sequences(corpus, vocab, config.max_len, policy,
                              kv.bool_("splice", False), tagger)
+    kv.refuse_unread("eval")
     ppl = evaluate_ppl(backbone, config, seqs, prompts=prompts)
     write_kv(out / "eval.txt", {"ppl": repr(ppl)})
     print(f"eval ppl {ppl:.6f} over {len(seqs)} dialogues ({part})")
@@ -149,6 +154,8 @@ def cmd_generate(kv: KV, out: Path, seed: int) -> None:
         kv, "generate.checkpoint")
     corpus = load_corpus(kv.path_("data.corpus"))
     index = kv.int_("generate.index", 0)
+    decoding = kv.present(DECODE_KEYS)
+    kv.refuse_unread("generate")
     if not (0 <= index < len(corpus)):
         raise DataError(f"generate.index {index} outside corpus of {len(corpus)}")
     dlg = corpus[index]
@@ -163,7 +170,7 @@ def cmd_generate(kv: KV, out: Path, seed: int) -> None:
     new_ids = model_generate(
         history_seq, backbone, config, seed=seed,
         prompts=prompts.matrix if prompts is not None else None,
-        eos_id=EOS_ID, **kv.present(DECODE_KEYS))
+        eos_id=EOS_ID, **decoding)
     lines = [
         f"dialogue = {dlg.id}",
         f"history = {decode(history_seq.ids, vocab)}",
@@ -175,19 +182,20 @@ def cmd_generate(kv: KV, out: Path, seed: int) -> None:
     print(lines[-1])
 
 
-def _cmd_variants(column: str, kv: KV, out: Path, seed: int) -> None:
+def _cmd_variants(command: str, kv: KV, out: Path, seed: int) -> None:
     """p-tune one variant of the config per table row: each prompt count of
-    ``sweep.counts`` (column ``v_p``) or each ablation variant (column
-    ``variant``)."""
+    ``sweep.counts`` (sweep-prompts, column ``v_p``) or each ablation
+    variant (ablate, column ``variant``)."""
     base = load_run_config(kv, "ptune", out, seed)
-    if column == "v_p":
+    if command == "sweep-prompts":
         keys = parse_counts(kv.str_("sweep.counts", "1,25,50,75,100"))
         variants = [(f"vp{n}", {"v_p": n}) for n in keys]
-        table = "sweep.csv"
+        column, table = "v_p", "sweep.csv"
     else:
         keys = [name for name, _ in ABLATION_VARIANTS]
         variants = ABLATION_VARIANTS
-        table = "ablation.csv"
+        column, table = "variant", "ablation.csv"
+    kv.refuse_unread(command)
     rows = list(zip(keys, train_variants(base, variants)))
     with atomic_write(out / table) as fh:
         fh.write(f"{column},ppl\n")
@@ -196,8 +204,8 @@ def _cmd_variants(column: str, kv: KV, out: Path, seed: int) -> None:
         print(f"{column}={key}  test ppl {ppl:.4f}")
 
 
-cmd_sweep_prompts = functools.partial(_cmd_variants, "v_p")
-cmd_ablate = functools.partial(_cmd_variants, "variant")
+cmd_sweep_prompts = functools.partial(_cmd_variants, "sweep-prompts")
+cmd_ablate = functools.partial(_cmd_variants, "ablate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,12 +242,15 @@ def main(argv=None) -> int:
     try:
         # a non-finite result is a NumericError, not a stream of warnings
         with np.errstate(all="ignore"):
-            kv = KV.load(args.config)
+            kv = KV(args.config)
             out = prepare_out_dir(args.out, args.force)
             echo = dict(kv.table)
             seed = None
             if args.command != "build-vocab":
-                seed = args.seed if args.seed is not None else kv.int_("seed", 0)
+                # read even under --seed, so a malformed seed is refused
+                seed = kv.int_("seed", 0)
+                if args.seed is not None:
+                    seed = args.seed
                 if seed < 0:
                     raise ConfigError(f"seed must be >= 0, got {seed}")
                 echo["seed"] = str(seed)

@@ -5,6 +5,8 @@ at the start of a line or after whitespace starts a comment; anywhere
 else it is part of the value, so ``runs#2/c.jsonl`` is a path. Paths are
 resolved relative to the config file so config trees can be shipped and
 moved as a unit. ``load_run_config`` builds one self-checking RunConfig.
+No list of keys exists apart from the code that reads them: a command
+refuses any key it did not read (``KV.refuse_unread``).
 """
 from __future__ import annotations
 
@@ -17,26 +19,6 @@ from .atomic import atomic_write, read_lines
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import RunConfig, make_run_config
-
-KNOWN_KEYS = {
-    "mode", "seed",
-    "data.corpus", "data.vocab", "data.split",
-    "vocab.out", "corpus.out",
-    "model.layers", "model.heads", "model.hidden", "model.max_len",
-    "model.dropout", "model.lexical", "model.entity",
-    "train.batch_size", "train.epochs", "train.weight_decay",
-    "lr.peak", "lr.min", "lr.warmup_steps", "lr.decay_end_step",
-    "loss_mask", "backbone", "splice",
-    "ptune.v_p", "sweep.counts",
-    "tagger.nouns", "tagger.adjectives", "tagger.verbs",
-    "eval.checkpoint", "eval.part",
-    "lexicon.symptoms", "lexicon.diseases", "lexicon.drugs",
-    "corpus.count", "corpus.turns_min", "corpus.turns_max",
-    "corpus.style", "corpus.mentions",
-    "generate.checkpoint", "generate.index", "generate.strategy",
-    "generate.max_new", "generate.top_k",
-}
-
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
@@ -58,8 +40,6 @@ def read_kv(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: empty key")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value
     return out
 
@@ -72,19 +52,22 @@ def write_kv(path, mapping: dict) -> None:
 
 
 class KV:
-    """Typed access to a parsed config, with paths anchored at the file."""
+    """Typed access to a config file, with paths anchored at the file.
+    Every reader goes through ``str_``, which records the key as read."""
 
-    def __init__(self, table: dict[str, str], base: Path):
-        self.table = table
-        self.base = base
+    def __init__(self, path):
+        self.path = Path(path)
+        self.table = read_kv(self.path)
+        self.read: set[str] = set()
 
-    @classmethod
-    def load(cls, path) -> "KV":
-        path = Path(path)
-        return cls(read_kv(path), path.parent)
-
-    def has(self, key: str) -> bool:
-        return key in self.table
+    def refuse_unread(self, command: str) -> None:
+        """Raise a ConfigError naming every key that ``command`` did not
+        read; a command calls it after its last read, before its work."""
+        unread = sorted(self.table.keys() - self.read)
+        if unread:
+            raise ConfigError(
+                f"{self.path}: the {command} command does not read "
+                + ", ".join(map(repr, unread)))
 
     def present(self, fields) -> dict:
         """{name: read(self, key)} for each (key, name, read) of ``fields``
@@ -93,6 +76,7 @@ class KV:
                 if key in self.table}
 
     def str_(self, key: str, default: Optional[str] = None) -> str:
+        self.read.add(key)
         if key in self.table:
             return self.table[key]
         if default is None:
@@ -123,7 +107,7 @@ class KV:
 
     def _resolve(self, key: str, raw: str) -> Path:
         try:
-            return (self.base / raw).resolve()
+            return (self.path.parent / raw).resolve()
         except (OSError, ValueError) as exc:  # e.g. an embedded NUL byte
             raise ConfigError(f"key {key!r}: bad path {raw!r} ({exc})") from exc
 
@@ -131,10 +115,8 @@ class KV:
         return self._resolve(key, self.str_(key))
 
     def paths_(self, key: str) -> tuple[Path, ...]:
-        if key not in self.table:
-            return ()
         return tuple(self._resolve(key, part.strip())
-                     for part in self.table[key].split(",") if part.strip())
+                     for part in self.str_(key, "").split(",") if part.strip())
 
 
 def parse_ratio(raw: str) -> tuple[int, int]:
@@ -177,20 +159,20 @@ RUN_KEYS = (("data.split", "split_ratio",
             ("train.epochs", "epochs", KV.int_),
             ("train.weight_decay", "weight_decay", KV.float_),
             ("loss_mask", "loss_mask_policy", KV.str_),
-            ("ptune.v_p", "v_p", KV.int_),
             ("splice", "splice", KV.bool_),
             ("tagger.nouns", "noun_lexicons", KV.paths_),
             ("tagger.adjectives", "adj_lexicons", KV.paths_),
             ("tagger.verbs", "verb_lexicons", KV.paths_))
+PTUNE_KEYS = (("ptune.v_p", "v_p", KV.int_),)
 
 
 def load_run_config(kv: KV, mode: str, out_dir, seed: int) -> RunConfig:
     """Build a RunConfig for one of the training subcommands, run under the
     seed the command line resolved."""
-    if kv.has("mode") and kv.str_("mode") != mode:
-        raise ConfigError(
-            f"config declares mode {kv.str_('mode')!r} but the "
-            f"{mode!r} command was invoked")
+    declared = kv.str_("mode", mode)
+    if declared != mode:
+        raise ConfigError(f"config declares mode {declared!r} but the "
+                          f"{mode!r} command was invoked")
     run = make_run_config(
         mode,
         corpus_path=kv.path_("data.corpus"),
@@ -205,6 +187,7 @@ def load_run_config(kv: KV, mode: str, out_dir, seed: int) -> RunConfig:
             max_len=kv.int_("model.max_len"),
         ) if mode == "pretrain" else None,
         backbone_path=None if mode == "pretrain" else kv.path_("backbone"),
-        **kv.present(RUN_KEYS + CHANNEL_KEYS),
+        **kv.present(RUN_KEYS + CHANNEL_KEYS
+                     + (PTUNE_KEYS if mode == "ptune" else ())),
     )
     return replace(run, sched=replace(run.sched, **kv.present(SCHEDULE_KEYS)))

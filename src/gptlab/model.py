@@ -130,25 +130,25 @@ def _dropout_masks(seqs: list[TokenSequence], n_prompt: int,
     """Packed keep/(1-rate) masks for the embedding, then attention and FFW
     of each layer; None everywhere when dropout is off.
 
-    Draws run sequence by sequence in that site order, so a batch consumes
-    the generator exactly as the sequences one at a time would.
+    One float64 draw covers the batch, row blocks sequence by sequence in
+    that site order, so a batch consumes the generator exactly as the
+    sequences one at a time would. A float32 draw, or one draw per site,
+    would take other numbers from the stream and change every run that
+    trains with dropout.
     """
     sites = 1 + 2 * config.n_layers
     rate = config.dropout
     if rate <= 0.0 or rng is None:
         return [None] * sites
-    rows = [[len(s)] + [n_prompt + len(s)] * (sites - 1) for s in seqs]
-    draws = [np.empty((sum(col), config.hidden)) for col in zip(*rows)]
-    ends = [0] * sites
-    for seq_rows in rows:
-        for site, n in enumerate(seq_rows):
-            rng.random(out=draws[site][ends[site]:ends[site] + n])
-            ends[site] += n
+    rows = [n for s in seqs
+            for n in [len(s)] + [n_prompt + len(s)] * (sites - 1)]
+    keep = rng.random((sum(rows), config.hidden)) >= rate
+    parts = np.split(keep, np.cumsum(rows)[:-1])
     masks = []
-    for u in draws:
-        keep = (u >= rate).astype(dtype)
-        keep /= 1.0 - rate
-        masks.append(keep)
+    for site in range(sites):
+        mask = np.concatenate(parts[site::sites]).astype(dtype)
+        mask /= 1.0 - rate
+        masks.append(mask)
     return masks
 
 

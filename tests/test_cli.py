@@ -310,6 +310,68 @@ def test_unknown_key_is_config_error(workspace, tmp_path):
     assert run("pretrain", "bad.kv", "x2") == EXIT_CONFIG
 
 
+FINETUNE = TRAIN.format(mode="finetune", corpus="runs/b/corpus.jsonl",
+                        split="8:2", epochs=1,
+                        extra="backbone = runs/pretrain/final.ckpt\n")
+GENERATE = ("generate.checkpoint = runs/pretrain/final.ckpt\n"
+            "data.corpus = runs/b/corpus.jsonl\n"
+            "data.vocab = runs/vocab/vocab.txt\n"
+            "seed = 1\n")
+
+# case: (command, a config that command runs, a key it does not read)
+UNREAD_KEYS = {
+    "gen-synthetic": ("gen-synthetic", GEN.format(style="clinic", count=4,
+                                                  seed=1),
+                      "data.corpus = runs/a/corpus.jsonl"),
+    "build-vocab-seed": ("build-vocab", "data.corpus = runs/a/corpus.jsonl\n",
+                         "seed = 3"),
+    "pretrain-backbone": ("pretrain", TRAIN.format(
+        mode="pretrain", corpus="runs/a/corpus.jsonl", split="4:1",
+        epochs=1, extra=MODEL_BLOCK), "backbone = runs/pretrain/final.ckpt"),
+    "finetune-model-layers": ("finetune", FINETUNE, "model.layers = 7"),
+    "finetune-ptune-v_p": ("finetune", FINETUNE, "ptune.v_p = 2"),
+    "ptune-typo": ("ptune", PTUNE, "train.epoch = 3"),
+    "sweep-prompts": ("sweep-prompts", PTUNE + "sweep.counts = 1\n",
+                      "eval.part = test"),
+    "ablate-sweep-counts": ("ablate", PTUNE, "sweep.counts = 1, 2"),
+    "eval-all-split": ("eval", GENERATE.replace("generate.", "eval.")
+                       + "eval.part = all\n", "data.split = 8:2"),
+    "generate-loss-mask": ("generate", GENERATE, "loss_mask = response"),
+    "generate-splice": ("generate", GENERATE, "splice = false"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_KEYS))
+def test_key_the_command_does_not_read_is_config_error(workspace, capsys,
+                                                       case):
+    """Each command refuses a key it does not read before it does any
+    work: one error line names the key and the command, and a fresh
+    output directory stays empty."""
+    root, run = workspace
+    command, config, line = UNREAD_KEYS[case]
+    (root / f"unread-{case}.kv").write_text(config + line + "\n",
+                                            encoding="utf-8")
+    capsys.readouterr()
+    assert run(command, f"unread-{case}.kv", f"x-unread-{case}") == \
+        EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    key = line.partition(" = ")[0]
+    assert len(err) == 1 and err[0].startswith("error: config:"), err
+    assert err[0].endswith(f"the {command} command does not read {key!r}")
+    assert list((root / "runs" / f"x-unread-{case}").iterdir()) == []
+
+
+def test_config_seed_is_checked_under_seed_override(workspace, capsys):
+    root, run = workspace
+    (root / "gen-bad-seed.kv").write_text(
+        GEN.format(style="clinic", count=4, seed="four"), encoding="utf-8")
+    capsys.readouterr()
+    assert run("gen-synthetic", "gen-bad-seed.kv", "x-bad-seed",
+               "--seed", "4") == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'seed': 'four' is not an integer" in err[0], err
+
+
 def test_vocab_mismatch_is_data_error(workspace):
     root, run = workspace
     # a vocabulary of a different size must be rejected against the checkpoint

@@ -5,9 +5,9 @@ Every module-level function, class or constant of ``src/gptlab``, and
 every method of its classes, must be named (as a whole word) on some other
 line of ``src/gptlab`` or ``perfbench/``. Dunder names are exempt: Python
 reads them. Every parameter with a default of those functions and methods
-must be passed by some call in ``src/gptlab`` or ``perfbench/``. Every
-config key that the reader accepts must be quoted somewhere in
-``src/gptlab`` outside the set that lists the accepted keys.
+must be passed by some call in ``src/gptlab`` or ``perfbench/``. The
+README's config table lists exactly the keys that the readers of
+``cli.py`` and ``config.py`` name, since no other list of keys exists.
 Imports sit at module level, so the import graph of the package is the one
 its module headers show. The README names only modules that exist, and
 each number of its results tables is the one in the ``runs/`` file that
@@ -17,8 +17,6 @@ import ast
 import csv
 import re
 from pathlib import Path
-
-from gptlab.config import KNOWN_KEYS
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "gptlab"
@@ -98,21 +96,6 @@ def test_no_import_inside_a_function():
                           for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, "imports inside functions: " + ", ".join(found)
-
-
-def test_every_config_key_is_read():
-    listing = ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))
-    known = next(node for node in listing.body
-                 if isinstance(node, ast.Assign)
-                 and [t.id for t in node.targets] == ["KNOWN_KEYS"])
-    text = "\n".join(
-        line for path in sorted(PACKAGE.glob("*.py"))
-        for no, line in enumerate(path.read_text(encoding="utf-8")
-                                  .splitlines(), start=1)
-        if not (path.name == "config.py"
-                and known.lineno <= no <= known.end_lineno))
-    unread = sorted(key for key in KNOWN_KEYS if f'"{key}"' not in text)
-    assert not unread, "config keys nothing reads: " + ", ".join(unread)
 
 
 # parameters with a default that only tests pass, and why each stays
@@ -211,6 +194,60 @@ def test_readme_names_only_existing_modules():
     assert named, "the README names no module"
     assert not missing, "README names missing modules: " + ", ".join(
         f"gptlab.{name}" for name in missing)
+
+
+ACCESSORS = {"str_", "int_", "float_", "bool_", "path_", "paths_"}
+
+
+def key_arguments(tree: ast.Module):
+    """The config key literals of ``tree``: the first argument of each KV
+    accessor call, the argument a call passes to a parameter named ``key``
+    or ``…_key`` of the module's own functions (``_out_file``,
+    ``_load_eval_pieces``), and the key of each (key, field, reader)
+    triple of the ``*_KEYS`` and ``present`` tables."""
+    key_params = {func.name: i for func in tree.body
+                  if isinstance(func, FUNCTIONS)
+                  for i, arg in enumerate(func.args.args)
+                  if arg.arg == "key" or arg.arg.endswith("_key")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _called_name(node.func)
+            index = 0 if name in ACCESSORS else key_params.get(name)
+            if index is not None and len(node.args) > index:
+                yield node.args[index]
+        elif (isinstance(node, ast.Tuple) and len(node.elts) == 3
+              and isinstance(node.elts[2], (ast.Attribute, ast.Lambda))):
+            yield node.elts[0]
+
+
+def readme_config_keys() -> set[str]:
+    """Every key of the README's config table, ``a.b/c`` read as ``a.b``
+    and ``a.c``."""
+    keys, in_table = set(), False
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip("| ").split("|")]
+        if cells[0] == "key":
+            in_table = True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and not set(line) <= set("|- "):
+            for name in re.findall(r"`([^`]+)`", cells[0]):
+                head, *rest = name.split("/")
+                prefix = head.rpartition(".")[0]
+                keys |= {head, *(f"{prefix}.{field}" for field in rest)}
+    return keys
+
+
+def test_readme_lists_every_config_key():
+    read = {node.value for name in ("cli.py", "config.py")
+            for node in key_arguments(ast.parse(
+                (PACKAGE / name).read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    listed = readme_config_keys()
+    assert read, "found no config key in the readers"
+    assert listed == read, (
+        f"read but not in the README: {sorted(read - listed)}; "
+        f"in the README but never read: {sorted(listed - read)}")
 
 
 def _builds_or_records(node) -> bool:

@@ -12,7 +12,7 @@ from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.corpus import Dialogue, EntitySpan, TokenSequence, Turn, linearize
 from gptlab.errors import ConfigError, DataError, GptLabError
 from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, PROMPT_PARAM_NAME,
-                          ModelConfig,
+                          ModelConfig, _dropout_masks,
                           _embed_rows, batch_loss, forward, forward_batch,
                           generate, init_parameters, load_checkpoint,
                           parameter_shapes, save_checkpoint, shifted_targets,
@@ -398,6 +398,41 @@ def test_batched_step_equals_mean_of_per_sequence_steps(n_prompt):
     for n, t in tensors.items():
         scale = np.max(np.abs(mean_grads[n]))
         assert np.max(np.abs(t.grad - mean_grads[n])) <= 1e-12 * scale, n
+
+
+def per_sequence_dropout_masks(seqs, n_prompt, config, rng, dtype):
+    """Reference for ``_dropout_masks``: one ``rng.random`` call per
+    sequence and per site (embedding, then attention and FFW of each
+    layer), each site's draws joined in sequence order."""
+    sites = 1 + 2 * config.n_layers
+    draws = [[] for _ in range(sites)]
+    for seq in seqs:
+        for site in range(sites):
+            rows = len(seq) + (n_prompt if site else 0)
+            draws[site].append(rng.random((rows, config.hidden)))
+    masks = []
+    for parts in draws:
+        keep = (np.concatenate(parts) >= config.dropout).astype(dtype)
+        keep /= 1.0 - config.dropout
+        masks.append(keep)
+    return masks
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_prompt", [0, 3])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_dropout_masks_match_per_sequence_draws(n_layers, n_prompt, dtype):
+    """One draw over the batch gives the per-sequence masks bit for bit
+    and leaves the generator where the per-sequence draws leave it."""
+    cfg = tiny_config(n_layers=n_layers, hidden=6, n_heads=2, dropout=0.3)
+    seqs = [make_seq([1] * n) for n in (7, 1, 12, 4)]
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    masks = _dropout_masks(seqs, n_prompt, cfg, rng, dtype)
+    want = per_sequence_dropout_masks(seqs, n_prompt, cfg, ref_rng, dtype)
+    assert len(masks) == len(want) == 1 + 2 * n_layers
+    for got, ref in zip(masks, want):
+        assert got.dtype == dtype and np.array_equal(got, ref)
+    assert rng.random() == ref_rng.random()
 
 
 def full_row_loss(seqs, params, cfg, prompts=None, rng=None):

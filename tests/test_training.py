@@ -639,17 +639,26 @@ def test_run_config_from_required_keys_keeps_every_default(tmp_path, mode):
         required["backbone"] = "b.ckpt"
     path = tmp_path / "run.kv"
     write_kv(path, required)
-    run = load_run_config(KV.load(path), mode, tmp_path / "out", 0)
+    run = load_run_config(KV(path), mode, tmp_path / "out", 0)
     assert run == make_run_config(
         mode, corpus_path=run.corpus_path, vocab_path=run.vocab_path,
         out_dir=run.out_dir, backbone_path=run.backbone_path, model=model)
     for key in required:
         write_kv(path, {k: v for k, v in required.items() if k != key})
         with pytest.raises(ConfigError, match="missing required config key"):
-            load_run_config(KV.load(path), mode, tmp_path / "out", 0)
+            load_run_config(KV(path), mode, tmp_path / "out", 0)
+    # only p-tuning reads the prompt count; the other modes refuse it
     write_kv(path, {**required, "ptune.v_p": "eight"})
-    with pytest.raises(ConfigError, match="not an integer"):
-        load_run_config(KV.load(path), mode, tmp_path / "out", 0)
+    kv = KV(path)
+    if mode == "ptune":
+        with pytest.raises(ConfigError, match="not an integer"):
+            load_run_config(kv, mode, tmp_path / "out", 0)
+    else:
+        load_run_config(kv, mode, tmp_path / "out", 0)
+        with pytest.raises(ConfigError,
+                           match=f"the {mode} command does not read "
+                                 "'ptune.v_p'"):
+            kv.refuse_unread(mode)
 
 
 def test_run_config_validation(tmp_path):
