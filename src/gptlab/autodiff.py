@@ -2,16 +2,19 @@
 
 Every tensor wraps the numpy float array it is given. Every op returns
 through ``_op``, which gets the op's inputs once: with grad recording on
-and one of them requiring grad, the result requires grad and the
-module's one tape, driven from one thread, gains one ``(result, inputs,
-vjp)`` entry. ``backward`` replays the tape once in reverse. The first
-gradient array a tensor receives becomes its ``.grad`` (cast if its dtype
-differs) and later ones are added into it. So for each input that needs
-one, a vjp returns an array no other input's gradient holds: a fresh
-array, its incoming gradient, or disjoint views of it (``backward`` never
-reads an incoming gradient again); ``add`` gives its second input a copy.
-After ``backward`` only leaves have a defined ``.grad``: an intermediate
+and one of them requiring grad, the result requires grad and the calling
+thread's tape gains one ``(result, inputs, vjp)`` entry. ``backward``
+replays that tape once in reverse. The first gradient array a tensor
+receives becomes its ``.grad`` (cast if its dtype differs) and later ones
+are added into it. So for each input that needs one, a vjp returns an
+array no other input's gradient holds: a fresh array, its incoming
+gradient, or disjoint views of it (``backward`` never reads an incoming
+gradient again); ``add`` gives its second input a copy. After
+``backward`` only leaves have a defined ``.grad``: an intermediate
 tensor's is scratch.
+
+Each thread has its own tape; grad mode is a context variable, so a task
+that ``spread`` runs inherits its caller's ``no_grad``.
 
 Verification suites run in float64, training runs in float32; the dtype
 of a result follows numpy promotion of its tensor inputs, so a graph stays
@@ -28,11 +31,9 @@ weights cost no gradient work. Weight gradients that reduce over the row
 axis are summed over fixed 128-row blocks (see ``_rows_t_matmul``), which
 keeps them bit-identical whatever the BLAS thread count.
 
-Attention, matmul, layer norm and GELU split their rows (attention: its
-sequences) into one range per CPU, run by ``spread`` like perplexity
-groups (a nested call runs inline; no task records on the tape). Rows are
-computed as in one whole-array call, whatever the CPU and BLAS counts.
-Groups, whose tasks call ops, run in order while ``ops_wrapped``.
+Ops run their kernels on the calling thread. The CPUs are used one level
+up: training steps and perplexity run their sequence groups side by side
+through ``spread``.
 """
 from __future__ import annotations
 
@@ -73,9 +74,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
@@ -90,33 +88,37 @@ class Tape:
         self.consumed = False
 
 
-_tape = Tape()
-_grad_enabled = True
+class _Tapes(threading.local):
+    def __init__(self):  # runs once in each thread that reads .tape
+        self.tape = Tape()
+
+
+_tapes = _Tapes()
+_grad_enabled = contextvars.ContextVar("_grad_enabled", default=True)
 
 
 def active_tape() -> Tape:
-    return _tape
+    """The calling thread's tape."""
+    return _tapes.tape
 
 
 def reset_tape() -> Tape:
-    """Install and return a fresh tape."""
-    global _tape
-    _tape = Tape()
-    return _tape
+    """Install and return a fresh tape for the calling thread; the old one,
+    and the graph only it held, can then be freed."""
+    _tapes.tape = Tape()
+    return _tapes.tape
 
 
 class no_grad:
-    """Context manager that suspends tape recording (pure evaluation)."""
+    """Context manager that suspends tape recording (pure evaluation), in
+    this context and in the tasks that ``spread`` runs from it."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -124,9 +126,10 @@ def _op(data, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     """The tensor of an op's result ``data``. In grad mode, when one of
     ``inputs`` requires grad, it requires grad too and the tape records
     ``vjp`` for it, which maps its gradient to one per input in order."""
-    out = Tensor(data, _grad_enabled and any(t.requires_grad for t in inputs))
+    out = Tensor(data, _grad_enabled.get()
+                 and any(t.requires_grad for t in inputs))
     if out.requires_grad:
-        _tape.entries.append((out, inputs, vjp))
+        _tapes.tape.entries.append((out, inputs, vjp))
     return out
 
 
@@ -160,14 +163,12 @@ def backward(loss: Tensor) -> None:
                     t.grad += g
 
 
-# --- tasks and row ranges across CPUs ---
+# --- tasks across CPUs ---
 
-SPLIT_ROWS = 512  # fewest rows of work one range is worth a thread for
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)  # macOS has no affinity mask
 _pool: Optional[queue.SimpleQueue] = None  # work for _CPUS - 1 threads
 _in_task = contextvars.ContextVar("_in_task", default=False)
-_probes: dict = {}  # a kernel's outputs on no rows, by argument layout
 
 
 def _drop_pool() -> None:  # a forked child has none of its parent's threads
@@ -189,16 +190,15 @@ def _serve(work: queue.SimpleQueue) -> None:
 def spread(task: Callable, n: int) -> list:
     """``[task(0), ..., task(n - 1)]``: the caller and up to ``_CPUS - 1``
     pool threads each take the next index no one has taken yet, in a copy
-    of the caller's context (so under its numpy error state). Once every
-    task has finished, the lowest index's exception is re-raised; one that
-    is no ``Exception`` (a Ctrl-C) goes first and ends all index taking.
-    From inside a task, or with one CPU, the tasks run in order on the
-    calling thread, so the pool cannot deadlock. Tasks must not record on
-    the tape, which with grad mode is one thread's module state: they run
-    under ``no_grad`` or on numpy arrays only.
+    of the caller's context (so under its numpy error state and grad
+    mode). Once every task has finished, the lowest index's exception is
+    re-raised; one that is no ``Exception`` (a Ctrl-C) goes first and ends
+    all index taking. With one CPU, while ``ops_wrapped``, or from inside
+    a task (so the pool cannot deadlock), the tasks run in order on the
+    calling thread.
     """
     helpers = min(n, _CPUS) - 1
-    if helpers < 1 or _in_task.get():
+    if helpers < 1 or _in_task.get() or ops_wrapped():
         return [task(i) for i in range(n)]
     global _pool
     if _pool is None:
@@ -237,44 +237,8 @@ def spread(task: Callable, n: int) -> list:
 def ops_wrapped() -> bool:
     """Whether a public name here is rebound, say to a profiler's wrapper,
     which need not be thread-safe (perfbench's tracer keeps one span
-    stack): tasks that call ops then run in order on the calling thread."""
+    stack): ``spread`` then runs its tasks in order on the calling thread."""
     return any(globals()[name] is not own for name, own in _OWN.items())
-
-
-def _split(kernel: Callable, sliced: tuple, shared: tuple = (),
-           rows: Optional[int] = None):
-    """``kernel(*sliced, *shared, None)``: the output arrays of a kernel
-    whose last argument, ``out``, is None or a tuple of arrays to write
-    them into. With SPLIT_ROWS of ``rows`` (default: the first axis's
-    length) for each of two or more CPUs it runs instead through
-    ``spread`` on contiguous ranges of the first axis, one per CPU, sliced
-    up front (a just-woken pool thread runs Python slowly), into outputs
-    laid out like those of a call on no rows, made once per kernel and
-    argument layout (on empty arrays it took 5-25 us; probing on every
-    call made the benchmark's pretrain call 0.8-1.5% slower: medians of 30
-    in-process pairs at each of three seeds, 2-vCPU Xeon). A range writes
-    only its own rows, so the result is the whole call's, bit for bit. Forward
-    ops, which decoding runs on one row at a time, call their kernel
-    directly below 2 * SPLIT_ROWS rows: entering this costs about 1 us.
-    """
-    n = len(sliced[0])
-    parts = min((n if rows is None else rows) // SPLIT_ROWS, _CPUS, n)
-    if parts < 2:
-        return kernel(*sliced, *shared, None)
-    key = (kernel, *((a.shape[1:], a.dtype) for a in sliced), *(
-        (x.shape, x.dtype) if isinstance(x, np.ndarray) else x
-        for x in shared))
-    probe = _probes.get(key)
-    if probe is None:
-        probe = _probes[key] = kernel(*(a[:0] for a in sliced), *shared, None)
-    outs = tuple(np.empty((n,) + o.shape[1:], o.dtype) for o in
-                 (probe if isinstance(probe, tuple) else (probe,)))
-    cuts = [n * i // parts for i in range(parts + 1)]
-    calls = [(*(a[lo:hi] for a in sliced), *shared,
-              tuple(o[lo:hi] for o in outs))
-             for lo, hi in zip(cuts, cuts[1:])]
-    spread(lambda i: kernel(*calls[i]), parts)
-    return outs if isinstance(probe, tuple) else outs[0]
 
 
 # --- operations ---
@@ -325,28 +289,11 @@ def _rows_t_matmul(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     if not full:
         return a.T @ g
     a_blocks = a[:full].reshape(-1, ROW_BLOCK, a.shape[1]).transpose(0, 2, 1)
-    acc = _split(_matmul_rows, (a_blocks, g[:full].reshape(
-        -1, ROW_BLOCK, g.shape[1])), (None,), rows=full).sum(axis=0)
+    acc = np.matmul(a_blocks, g[:full].reshape(-1, ROW_BLOCK, g.shape[1])
+                    ).sum(axis=0)
     if full < a.shape[0]:
         acc += a[full:].T @ g[full:]
     return acc
-
-
-def _matmul_rows(a, b, bias, out):
-    out = np.matmul(a, b, out=out)
-    if bias is not None:
-        out += bias
-    return out
-
-
-def _gemm_rows(a: np.ndarray, b: np.ndarray) -> int:
-    """Rows of a·b that ``_split`` may cut: all of a float32 product doing
-    over 100³ multiply-adds per SPLIT_ROWS rows, else none. On OpenBLAS
-    such rows equal the whole product's bit for bit (measured); smaller
-    products take its small-matrix kernel, and float64 rounds edge tiles
-    differently."""
-    big = SPLIT_ROWS * a.shape[1] * b.shape[1] > 100 ** 3
-    return len(a) if big and a.dtype == b.dtype == np.float32 else 0
 
 
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -362,17 +309,14 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise GptLabError(f"matmul bias must have shape ({b.shape[1]},), "
                           f"got {bias.shape}")
     a_data, b_data = a.data, b.data
-    bias_data = None if bias is None else bias.data
-    y = (_matmul_rows(a_data, b_data, bias_data, None)
-         if len(a_data) < 2 * SPLIT_ROWS else _split(
-             _matmul_rows, (a_data,), (b_data, bias_data),
-             _gemm_rows(a_data, b_data)))
+    y = a_data @ b_data
+    if bias is not None:
+        y += bias.data
     need_a, need_b = a.requires_grad, b.requires_grad
     need_bias = bias is not None and bias.requires_grad
 
     def vjp(g):
-        return (_split(_matmul_rows, (g,), (b_data.T, None),
-                       _gemm_rows(g, b_data.T)) if need_a else None,
+        return (g @ b_data.T if need_a else None,
                 _rows_t_matmul(a_data, g) if need_b else None,
                 g.sum(axis=0) if need_bias else None)
 
@@ -450,24 +394,6 @@ def _padding(counts: list[int]):
     return pad, lambda padded: padded[seq_idx, pos_idx]
 
 
-def _attend(q, k, v, keep, out):
-    """Masked softmax(q·kᵀ) and its product with v, in the padded layout."""
-    probs, heads = out or (None, None)
-    probs = _masked_softmax(
-        np.matmul(q, k.transpose(0, 1, 3, 2), out=probs), keep)
-    return probs, np.matmul(probs, v, out=heads)
-
-
-def _attend_vjp(d_out, q, k, v, probs, scale, out):
-    """The gradients of ``_attend`` w.r.t. the unscaled query, k and v."""
-    d_q, d_k, d_v = out or (None, None, None)
-    d_scores = _softmax_vjp(probs, np.matmul(d_out, v.transpose(0, 1, 3, 2)))
-    d_q = np.matmul(d_scores, k, out=d_q)
-    d_q *= scale
-    return (d_q, np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=d_k),
-            np.matmul(probs.transpose(0, 1, 3, 2), d_out, out=d_v))
-
-
 def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
               cache: Optional[KVSlot] = None,
               first: Optional[Sequence[int]] = None) -> Tensor:
@@ -477,9 +403,11 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     row holds its query, key and value side by side, with head j at
     columns j*d_k:(j+1)*d_k of each third. Rows are scattered into a
     zero-padded [B, heads, T, d_k] layout, every query attends to its own
-    sequence's rows up to itself (causal and key-padding mask), and the
-    result [N, H] comes back in packed order. Padded rows never reach the
-    output, and the vjp is hand-written over the same layout.
+    sequence's rows up to itself, and the result [N, H] comes back in
+    packed order. The causal mask alone hides every padded key from every
+    real query, which comes before it; padded queries see key 0 at least,
+    so they stay finite, and they never reach the output or get an
+    upstream gradient. The vjp is hand-written over the same layout.
 
     With ``first`` only rows ``first[b]`` onwards of each sequence b ask a
     query, and only their results come back, in packed order; keys and
@@ -509,7 +437,7 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
                           f"sequences of lengths {lengths}")
     past = 0
     if cache is not None:
-        if _grad_enabled or n_seq != 1:
+        if _grad_enabled.get() or n_seq != 1:
             raise GptLabError("a key/value cache serves one sequence with "
                               "grad recording off")
         past = cache.length
@@ -549,19 +477,17 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     at = past + (firsts[0] if len(set(firsts)) == 1
                  else np.asarray(firsts)[:, None, None, None])
     keep = np.arange(past + t_max) <= at + np.arange(t_q)[:, None]
-    if min(lengths) != t_max:
-        keep = keep & (np.arange(t_max) < np.asarray(lengths)[:, None]
-                       )[:, None, None]
-    # split by sequence; a mask without a sequence axis is shared
-    per_seq = keep.ndim == 4
-    probs, heads = (_attend(q, k, v, keep, None) if n_rows < 2 * SPLIT_ROWS
-                    else _split(_attend, (q, k, v, keep) if per_seq else
-                                (q, k, v), () if per_seq else (keep,), n_rows))
+    probs = _masked_softmax(np.matmul(q, k.transpose(0, 1, 3, 2)), keep)
+    heads = np.matmul(probs, v)
 
     def vjp(g):
         d_out = split_heads(pad_q(g))
-        d_q, d_k, d_v = _split(_attend_vjp, (d_out, q, k, v, probs), (scale,),
-                               rows=n_rows)
+        d_scores = _softmax_vjp(probs,
+                                np.matmul(d_out, v.transpose(0, 1, 3, 2)))
+        d_q = np.matmul(d_scores, k)
+        d_q *= scale
+        d_k = np.matmul(d_scores.transpose(0, 1, 3, 2), q)
+        d_v = np.matmul(probs.transpose(0, 1, 3, 2), d_out)
         d_qkv = np.stack([d.transpose(0, 2, 1, 3) for d in (
             d_q if rows is None else np.zeros_like(d_k), d_k, d_v)], axis=2)
         grad = unpad(d_qkv.reshape(n_seq, t_max, h3))
@@ -570,34 +496,6 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
         return (grad,)
 
     return _op(unpad_q(merge_heads(heads)), (qkv,), vjp)
-
-
-def _layer_norm_rows(x, gamma, beta, eps, out):
-    # the row mean and the population variance as np.mean/np.var compute
-    # them (sum, then divide by the count), without their call overhead
-    h = x.shape[1]
-    xhat, inv_std, y = out or (None, None, None)
-    xhat = np.subtract(x, np.add.reduce(x, axis=1, keepdims=True) / h,
-                       out=xhat)
-    y = np.multiply(xhat, xhat, out=y)
-    inv_std = np.divide(1.0, np.sqrt(
-        np.add.reduce(y, axis=1, keepdims=True) / h + eps), out=inv_std)
-    xhat *= inv_std
-    np.multiply(xhat, gamma, out=y)
-    y += beta
-    return xhat, inv_std, y
-
-
-def _layer_norm_vjp_rows(g, xhat, inv_std, gamma, out):
-    # inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in the
-    # buffers of dxhat and xhat: a tape runs backward only once
-    h = g.shape[1]
-    dx = np.multiply(g, gamma, out=out)
-    m2 = np.add.reduce(dx * xhat, axis=1, keepdims=True) / h
-    dx -= np.add.reduce(dx, axis=1, keepdims=True) / h
-    dx -= np.multiply(xhat, m2, out=xhat)
-    dx *= inv_std
-    return dx
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -610,10 +508,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     if gamma.shape != (h,) or beta.shape != (h,):
         raise GptLabError(
             f"gamma/beta must have shape ({h},), got {gamma.shape}/{beta.shape}")
-    xhat, inv_std, y = (
-        _layer_norm_rows(x.data, gamma.data, beta.data, eps, None)
-        if len(x.data) < 2 * SPLIT_ROWS else _split(
-            _layer_norm_rows, (x.data,), (gamma.data, beta.data, eps)))
+    # the row mean and the population variance as np.mean/np.var compute
+    # them (sum, then divide by the count), without their call overhead
+    xhat = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / h
+    y = xhat * xhat
+    inv_std = 1.0 / np.sqrt(np.add.reduce(y, axis=1, keepdims=True) / h + eps)
+    xhat *= inv_std
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
     gamma_data = gamma.data
     need_x, need_gamma, need_beta = (
         x.requires_grad, gamma.requires_grad, beta.requires_grad)
@@ -622,53 +524,47 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         d_gamma = (g * xhat).sum(axis=0) if need_gamma else None
         dx = None
         if need_x:
-            dx = _split(_layer_norm_vjp_rows, (g, xhat, inv_std),
-                        (gamma_data,))
+            # inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+            # in the buffers of dxhat and xhat: a tape runs backward once
+            dx = g * gamma_data
+            m2 = np.add.reduce(dx * xhat, axis=1, keepdims=True) / h
+            dx -= np.add.reduce(dx, axis=1, keepdims=True) / h
+            dx -= np.multiply(xhat, m2, out=xhat)
+            dx *= inv_std
         return (dx, d_gamma, g.sum(axis=0) if need_beta else None)
 
     return _op(y, (x, gamma, beta), vjp)
 
 
-def _gelu_rows(d, out):
-    t, y = out or (None, None)
-    t = np.multiply(d, d, out=t)  # becomes tanh(c * (d + a * d^3)) in place
+def gelu(x: Tensor) -> Tensor:
+    """Elementwise GELU, tanh approximation (fixed for reproducibility)."""
+    d = x.data
+    t = d * d  # becomes tanh(c * (d + a * d^3)) in place
     t *= GELU_COEF
     t += 1.0
     t *= d
     t *= _SQRT_2_OVER_PI
     np.tanh(t, out=t)
-    y = np.add(t, 1.0, out=y)
+    y = t + 1.0
     y *= d
     y *= 0.5
-    return t, y
-
-
-def _gelu_vjp_rows(d, t, g, out):
-    # dy/dd = 0.5 (1 + t) (1 + (1 - t) d c (1 + 3 a d^2)), computed in a
-    # fresh d^2 and the buffer of t: a tape runs backward only once
-    dy = np.multiply(d, d, out=out)
-    dy *= 3.0 * GELU_COEF
-    dy += 1.0
-    dy *= _SQRT_2_OVER_PI
-    dy *= d
-    np.subtract(1.0, t, out=t)
-    dy *= t
-    dy += 1.0
-    np.subtract(2.0, t, out=t)
-    dy *= t
-    dy *= 0.5
-    dy *= g
-    return dy
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Elementwise GELU, tanh approximation (fixed for reproducibility)."""
-    d = x.data
-    t, y = (_gelu_rows(d, None) if len(d) < 2 * SPLIT_ROWS
-            else _split(_gelu_rows, (d,)))
 
     def vjp(g):
-        return (_split(_gelu_vjp_rows, (d, t, g)),)
+        # dy/dd = 0.5 (1 + t) (1 + (1 - t) d c (1 + 3 a d^2)), computed in
+        # a fresh d^2 and the buffer of t: a tape runs backward only once
+        dy = d * d
+        dy *= 3.0 * GELU_COEF
+        dy += 1.0
+        dy *= _SQRT_2_OVER_PI
+        dy *= d
+        np.subtract(1.0, t, out=t)
+        dy *= t
+        dy += 1.0
+        np.subtract(2.0, t, out=t)
+        dy *= t
+        dy *= 0.5
+        dy *= g
+        return (dy,)
 
     return _op(y, (x,), vjp)
 

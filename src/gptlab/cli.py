@@ -74,18 +74,18 @@ def _out_file(kv: KV, key: str, default: str, out: Path) -> Path:
 
 
 def cmd_gen_synthetic(kv: KV, out: Path, seed: int) -> None:
-    spec = SyntheticSpec(
-        symptoms=read_lexicon(kv.path_("lexicon.symptoms")),
-        diseases=read_lexicon(kv.path_("lexicon.diseases")),
-        drugs=read_lexicon(kv.path_("lexicon.drugs")),
-        n_dialogues=kv.int_("corpus.count"),
-        **kv.present((("corpus.turns_min", "turns_min", KV.int_),
-                      ("corpus.turns_max", "turns_max", KV.int_),
-                      ("corpus.style", "style", KV.str_),
-                      ("corpus.mentions", "n_mentions", KV.int_))),
-    )
+    lexicons = {"symptoms": kv.path_("lexicon.symptoms"),
+                "diseases": kv.path_("lexicon.diseases"),
+                "drugs": kv.path_("lexicon.drugs")}
+    sizes = dict(n_dialogues=kv.int_("corpus.count"), **kv.present((
+        ("corpus.turns_min", "turns_min", KV.int_),
+        ("corpus.turns_max", "turns_max", KV.int_),
+        ("corpus.style", "style", KV.str_),
+        ("corpus.mentions", "n_mentions", KV.int_))))
     path = _out_file(kv, "corpus.out", "corpus.jsonl", out)
     kv.refuse_unread("gen-synthetic")
+    spec = SyntheticSpec(**{field: read_lexicon(lexicon)
+                            for field, lexicon in lexicons.items()}, **sizes)
     corpus = generate_synthetic(spec, seed)
     save_corpus(corpus, path)
     print(f"wrote {len(corpus)} dialogues to {path}")
@@ -119,43 +119,51 @@ cmd_finetune = functools.partial(_cmd_train, "finetune")
 cmd_ptune = functools.partial(_cmd_train, "ptune")
 
 
-def _load_eval_pieces(kv: KV, ckpt_key: str):
-    """Checkpoint + vocab + channel overrides shared by eval/generate."""
-    vocab = load_vocab(kv.path_("data.vocab"))
-    config, backbone, prompts = load_backbone(
-        kv.path_(ckpt_key), len(vocab), **kv.present(CHANNEL_KEYS))
-    tagger = build_tagger_from_files(kv.paths_("tagger.nouns"),
-                                     kv.paths_("tagger.adjectives"),
-                                     kv.paths_("tagger.verbs"))
-    return config, backbone, prompts, vocab, tagger
+def _read_eval_keys(kv: KV, ckpt_key: str):
+    """Read the keys eval and generate share: the vocabulary, checkpoint
+    (under the channel overrides), lexicons and corpus they name. Returns
+    the function that loads them, to call once every key is read."""
+    vocab_path, ckpt_path = kv.path_("data.vocab"), kv.path_(ckpt_key)
+    overrides = kv.present(CHANNEL_KEYS)
+    lexicons = (kv.paths_("tagger.nouns"), kv.paths_("tagger.adjectives"),
+                kv.paths_("tagger.verbs"))
+    corpus_path = kv.path_("data.corpus")
+
+    def load():
+        vocab = load_vocab(vocab_path)
+        config, backbone, prompts = load_backbone(ckpt_path, len(vocab),
+                                                  **overrides)
+        return (config, backbone, prompts, vocab,
+                build_tagger_from_files(*lexicons), load_corpus(corpus_path))
+    return load
 
 
 def cmd_eval(kv: KV, out: Path, seed: int) -> None:
-    config, backbone, prompts, vocab, tagger = _load_eval_pieces(
-        kv, "eval.checkpoint")
-    corpus = load_corpus(kv.path_("data.corpus"))
+    load = _read_eval_keys(kv, "eval.checkpoint")
     part = kv.str_("eval.part", "test")
     if part not in ("train", "test", "all"):
         raise ConfigError(f"eval.part must be train/test/all, got {part!r}")
-    if part != "all":
-        tr, te = split_corpus(corpus, parse_ratio(kv.str_("data.split")), seed)
-        corpus = tr if part == "train" else te
+    ratio = None if part == "all" else parse_ratio(kv.str_("data.split"))
     policy = kv.str_("loss_mask", "response")
-    seqs = prepare_sequences(corpus, vocab, config.max_len, policy,
-                             kv.bool_("splice", False), tagger)
+    splice = kv.bool_("splice", False)
     kv.refuse_unread("eval")
+    config, backbone, prompts, vocab, tagger, corpus = load()
+    if ratio is not None:
+        tr, te = split_corpus(corpus, ratio, seed)
+        corpus = tr if part == "train" else te
+    seqs = prepare_sequences(corpus, vocab, config.max_len, policy, splice,
+                             tagger)
     ppl = evaluate_ppl(backbone, config, seqs, prompts=prompts)
     write_kv(out / "eval.txt", {"ppl": repr(ppl)})
     print(f"eval ppl {ppl:.6f} over {len(seqs)} dialogues ({part})")
 
 
 def cmd_generate(kv: KV, out: Path, seed: int) -> None:
-    config, backbone, prompts, vocab, tagger = _load_eval_pieces(
-        kv, "generate.checkpoint")
-    corpus = load_corpus(kv.path_("data.corpus"))
+    load = _read_eval_keys(kv, "generate.checkpoint")
     index = kv.int_("generate.index", 0)
     decoding = kv.present(DECODE_KEYS)
     kv.refuse_unread("generate")
+    config, backbone, prompts, vocab, tagger, corpus = load()
     if not (0 <= index < len(corpus)):
         raise DataError(f"generate.index {index} outside corpus of {len(corpus)}")
     dlg = corpus[index]

@@ -124,26 +124,48 @@ def _dropout(x: Tensor, keep: Optional[np.ndarray]) -> Tensor:
     return x if keep is None else ad.mul(x, Tensor(keep))
 
 
+def _drop_rows(seqs: list[TokenSequence], n_prompt: int,
+               config: ModelConfig) -> list[int]:
+    """Rows of each dropout site of each sequence, in draw order: sequence
+    by sequence, its embedding rows, then P + T rows for attention and for
+    FFW of each layer."""
+    return [n for s in seqs
+            for n in [len(s)] + [n_prompt + len(s)] * (2 * config.n_layers)]
+
+
+def dropout_draws(groups: list[list[TokenSequence]], n_prompt: int,
+                  config: ModelConfig, rng: Optional[np.random.Generator]
+                  ) -> list[Optional[np.ndarray]]:
+    """The uniform numbers behind the dropout masks of each group of a
+    batch; Nones when dropout is off or ``rng`` is None.
+
+    One float64 ``rng.random`` call of [rows, hidden] covers every
+    sequence of every group in turn, row blocks in ``_drop_rows`` order,
+    so a batch consumes the generator exactly as the sequences one at a
+    time would, however it is grouped, and each group takes one
+    contiguous block. A float32 draw, or one draw per site, would take
+    other numbers from the stream and change every run that trains with
+    dropout.
+    """
+    if config.dropout <= 0.0 or rng is None:
+        return [None] * len(groups)
+    rows = [sum(_drop_rows(group, n_prompt, config)) for group in groups]
+    draw = rng.random((sum(rows), config.hidden))
+    return np.split(draw, np.cumsum(rows)[:-1])
+
+
 def _dropout_masks(seqs: list[TokenSequence], n_prompt: int,
-                   config: ModelConfig, rng: Optional[np.random.Generator],
+                   config: ModelConfig, drop: Optional[np.ndarray],
                    dtype) -> list[Optional[np.ndarray]]:
     """Packed keep/(1-rate) masks for the embedding, then attention and FFW
-    of each layer; None everywhere when dropout is off.
-
-    One float64 draw covers the batch, row blocks sequence by sequence in
-    that site order, so a batch consumes the generator exactly as the
-    sequences one at a time would. A float32 draw, or one draw per site,
-    would take other numbers from the stream and change every run that
-    trains with dropout.
-    """
+    of each layer, from the sequences' ``dropout_draws`` block ``drop``;
+    None everywhere without one."""
     sites = 1 + 2 * config.n_layers
-    rate = config.dropout
-    if rate <= 0.0 or rng is None:
+    if drop is None:
         return [None] * sites
-    rows = [n for s in seqs
-            for n in [len(s)] + [n_prompt + len(s)] * (sites - 1)]
-    keep = rng.random((sum(rows), config.hidden)) >= rate
-    parts = np.split(keep, np.cumsum(rows)[:-1])
+    rate = config.dropout
+    parts = np.split(drop >= rate,
+                     np.cumsum(_drop_rows(seqs, n_prompt, config))[:-1])
     masks = []
     for site in range(sites):
         mask = np.concatenate(parts[site::sites]).astype(dtype)
@@ -208,7 +230,7 @@ def _block(x: Tensor, params: dict[str, Tensor], layer: int,
 
 def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
                   config: ModelConfig, prompts: Optional[Tensor] = None,
-                  rng: Optional[np.random.Generator] = None,
+                  drop: Optional[np.ndarray] = None,
                   cache: Optional[list[ad.KVSlot]] = None,
                   first: Optional[Sequence[int]] = None) -> Tensor:
     """Logits over the vocabulary for a batch, on packed rows: sequence b
@@ -216,7 +238,8 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
 
     Prompt rows get no positional/lexical/entity additions, every real
     token can attend to every prompt row of its own sequence, and no
-    sequence sees another. Dropout runs exactly when ``rng`` is given.
+    sequence sees another. Dropout runs exactly when ``drop``, the
+    sequences' block of ``dropout_draws``, is given.
     With a ``cache``, one ``autodiff.KVSlot`` per layer, the one sequence
     continues the rows already cached (see ``autodiff.attention``).
 
@@ -231,7 +254,7 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
                           f"rows of the hidden size {config.hidden}")
     if first is not None and not any(first):
         first = None  # every row
-    masks = _dropout_masks(seqs, n_prompt, config, rng,
+    masks = _dropout_masks(seqs, n_prompt, config, drop,
                            params["tok_emb"].dtype)
     x = _dropout(_embed_rows(seqs, params, config), masks[0])
     lengths = [n_prompt + len(s) for s in seqs]
@@ -290,15 +313,19 @@ def _loss_rows(seqs: list[TokenSequence], n_prompt: int):
 
 def batch_loss(seqs: list[TokenSequence], params: dict[str, Tensor],
                config: ModelConfig, prompts: Optional[Tensor] = None,
-               rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Mean over the batch of each sequence's mean next-token NLL over its
-    unmasked positions, in one graph, with dropout when ``rng`` is given: a
-    loss row of sequence b weighs 1/(B * n_b). The last block and the LM
-    head run only from each first loss row on."""
+               drop: Optional[np.ndarray] = None,
+               batch_size: Optional[int] = None) -> Tensor:
+    """Mean over a batch of B = ``batch_size`` sequences (default: those of
+    ``seqs``) of each sequence's mean next-token NLL over its unmasked
+    positions: the part that ``seqs``, a run of the batch, carries, in one
+    graph. A loss row of sequence b weighs 1/(B * n_b). Dropout runs when
+    ``drop``, the run's block of ``dropout_draws``, is given. The last
+    block and the LM head run only from each first loss row on."""
     n_prompt = prompts.shape[0] if prompts is not None else 0
     first, targets, live = _loss_rows(seqs, n_prompt)
-    weights = np.concatenate([m / (len(seqs) * int(m.sum())) for m in live])
-    logits = forward_batch(seqs, params, config, prompts=prompts, rng=rng,
+    n_seqs = len(seqs) if batch_size is None else batch_size
+    weights = np.concatenate([m / (n_seqs * int(m.sum())) for m in live])
+    logits = forward_batch(seqs, params, config, prompts=prompts, drop=drop,
                            first=first)
     return ad.cross_entropy(logits, targets, weights)
 

@@ -4,9 +4,12 @@ warmup-cosine learning rate, epoch scheduling, checkpoints, PPL eval.
 A run is a frozen RunConfig that checks itself when it is built, so
 ``train`` and ``train_variants`` check nothing again. Everything is
 deterministic under RunConfig.seed: initialization, data order, dropout
-and prompt init all derive from spawned sub-seeds. The autodiff kernels
-split their rows across the CPUs of the affinity mask, and the bytes are
-identical whatever the CPU count and the BLAS thread count.
+and prompt init all derive from spawned sub-seeds. A training step runs
+its batch as ``_GROUPS`` sequence groups and perplexity runs its scoring
+groups, each side by side on the CPUs of the affinity mask
+(``autodiff.spread``). Groups depend on the batch or the dataset alone,
+so the bytes are identical whatever the CPU count and the BLAS thread
+count.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ from .corpus import (LOSS_MASK_POLICIES, Dialogue, TokenSequence, linearize,
                      load_corpus, split)
 from .errors import ConfigError, DataError, NumericError
 from .model import (INIT_STD, PROMPT_PARAM_NAME, ModelConfig, batch_loss,
-                    init_parameters, load_checkpoint, save_checkpoint,
-                    token_nll)
+                    dropout_draws, init_parameters, load_checkpoint,
+                    save_checkpoint, token_nll)
 from .vocab import load_vocab
 
 MODES = ("pretrain", "finetune", "ptune")
@@ -337,9 +340,8 @@ def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
     The sequences that carry loss are sorted by length and neighbours are
     packed into groups of at most EVAL_ROWS padded rows (a longer
     sequence is a group alone); each group is one pass without dropout,
-    the passes run side by side (``autodiff.spread``; in order while
-    ``autodiff.ops_wrapped``), and their float32 NLL sums are added in
-    float64 in group order. In float64 this equals
+    the passes run side by side (``autodiff.spread``), and their float32
+    NLL sums are added in float64 in group order. In float64 this equals
     scoring one sequence at a time; in float32 the last bits of a
     sequence's NLL depend on the longest member of its group, which sets
     the padded width of the attention softmax.
@@ -359,12 +361,12 @@ def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,
         if group and (len(group) + 1) * (n_prompt + len(seq)) > EVAL_ROWS:
             groups.append([])
         groups[-1].append(seq)
+
     def score(i):
         return token_nll(groups[i], params, config, prompt_matrix)
 
-    with ad.no_grad():  # side by side, unless wrapped ops need one thread
-        nlls = ([score(i) for i in range(len(groups))] if ad.ops_wrapped()
-                else ad.spread(score, len(groups)))
+    with ad.no_grad():
+        nlls = ad.spread(score, len(groups))
     total_nll = 0.0
     for nll in nlls:  # in group order; sum() compensates from Python 3.12
         total_nll += float(nll.data)
@@ -406,6 +408,65 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 512 << 20)
 
 
+# Sequence groups one training step runs side by side: the batch in batch
+# order, cut into this many runs of equal size (to one sequence). The
+# gradient sums, and so the bytes of a run, depend on this number, never
+# on the CPU count. The shipped pretrain (2 vCPUs, one BLAS thread, two
+# runs each) took 20.4-21.6 s with one group, 12.9-14.9 s with two,
+# 15.7-17.6 s with three and 14.2-17.2 s with four. Unmeasured on more
+# than 2 CPUs.
+_GROUPS = 2
+
+
+def _batch_grads(batch: list[TokenSequence], params: dict[str, Tensor],
+                 trainable: dict[str, Tensor], config: ModelConfig,
+                 rng: Optional[np.random.Generator]
+                 ) -> tuple[float, dict[str, np.ndarray]]:
+    """The loss of ``batch``, a ``batch_loss`` with dropout drawn from
+    ``rng``, and the gradient of each ``trainable`` tensor it reaches, in
+    trainable order. ``params`` and ``trainable`` together hold the
+    backbone and, under PROMPT_PARAM_NAME, the prompt matrix if any.
+
+    The batch runs as ``_GROUPS`` runs of its sequences, through
+    ``autodiff.spread``. A group wraps the parameter arrays in leaves of
+    its own, without copying them, builds its part of the loss on its
+    thread's tape, with its block of one ``dropout_draws`` call, runs
+    ``backward`` there and drops that tape. Losses (in float64) and
+    gradients are then added in group order. A group whose loss is not
+    finite skips ``backward``; the summed loss shows it.
+    """
+    cuts = [len(batch) * g // _GROUPS for g in range(_GROUPS + 1)]
+    groups = [batch[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    tensors = {**params, **trainable}
+    prompts = tensors.get(PROMPT_PARAM_NAME)
+    drops = dropout_draws(groups, 0 if prompts is None else prompts.shape[0],
+                          config, rng)
+
+    def run(g):
+        leaves = {name: Tensor(t.data, t.requires_grad)
+                  for name, t in tensors.items()}
+        ad.reset_tape()
+        try:
+            loss = batch_loss(groups[g], leaves, config,
+                              prompts=leaves.get(PROMPT_PARAM_NAME),
+                              drop=drops[g], batch_size=len(batch))
+            value = float(loss.data)
+            if math.isfinite(value):
+                ad.backward(loss)
+        finally:
+            ad.reset_tape()  # the group's graph goes with it
+        return value, [leaves[name].grad for name in trainable]
+
+    parts = ad.spread(run, len(groups))
+    grads = {}
+    for i, name in enumerate(trainable):
+        for _, part in parts:
+            if part[i] is not None:
+                grads[name] = (part[i] if name not in grads
+                               else grads[name] + part[i])
+    return sum(value for value, _ in parts), grads
+
+
 def train(run: RunConfig) -> TrainResult:
     """Run one complete experiment; deterministic under run.seed."""
     _keep_freed_heap()
@@ -445,7 +506,6 @@ def train(run: RunConfig) -> TrainResult:
         for t in params.values():
             t.requires_grad = False
         trainable = {PROMPT_PARAM_NAME: prompts.matrix}
-    prompt_matrix = prompts.matrix if prompts is not None else None
 
     shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seed))
     drop_rng = np.random.Generator(np.random.PCG64(drop_seed))
@@ -459,22 +519,15 @@ def train(run: RunConfig) -> TrainResult:
             order = shuffle_rng.permutation(len(train_seqs))
             for lo in range(0, len(order), run.batch_size):
                 batch = [train_seqs[i] for i in order[lo:lo + run.batch_size]]
-                ad.reset_tape()
-                loss = batch_loss(batch, params, config, prompts=prompt_matrix,
-                                  rng=drop_rng)
-                loss_val = float(loss.data)
+                loss_val, grads = _batch_grads(batch, params, trainable,
+                                               config, drop_rng)
                 if not math.isfinite(loss_val):
                     raise NumericError(f"loss diverged at step {step + 1}")
-                ad.backward(loss)
-                grads = {name: t.grad for name, t in trainable.items()
-                         if t.grad is not None}
                 clip_grad_norm(grads, CLIP)
                 step += 1
                 lr = lr_at(step, run.sched)
                 adamw_step(trainable, grads, state, lr,
                            weight_decay=run.weight_decay)
-                for t in trainable.values():
-                    t.zero_grad()
                 metrics.add(MetricsRow(step=step, lr=lr, loss=loss_val,
                                        ppl=float(np.exp(loss_val))))
     except NumericError:

@@ -16,7 +16,8 @@ from gptlab import autodiff as ad
 from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.errors import DataError, GptLabError
 
-from .util import cpus, fd_grad, max_rel_err, total
+from .util import (cpus, fd_grad, first_two_on_two_threads,
+                   max_rel_err, total)
 
 
 @pytest.fixture(autouse=True)
@@ -454,6 +455,42 @@ def test_no_grad_suspends_recording():
     assert len(ad.active_tape().entries) == 0
 
 
+def test_spread_tasks_inherit_the_callers_no_grad():
+    """Grad mode follows the caller into the pool: under no_grad a task on
+    either thread returns a tensor that needs no grad, and records nothing
+    on its thread's tape."""
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+
+    def work(i):
+        ad.reset_tape()
+        y = ad.mul(x, x)
+        return y.requires_grad, len(ad.active_tape().entries)
+
+    task, ran = first_two_on_two_threads(2, work)
+    with cpus(2), ad.no_grad():
+        assert ad.spread(task, 2) == [(False, 0), (False, 0)]
+    assert len(set(ran.values())) == 2
+
+
+def test_each_thread_records_and_replays_its_own_tape():
+    """Two tasks build and differentiate their graphs at once, each on its
+    own thread's tape."""
+    def work(i):
+        tape = ad.reset_tape()
+        x = Tensor(np.full((1, 3), float(i + 1)), requires_grad=True)
+        ad.backward(total(ad.mul(x, x)))
+        assert ad.active_tape() is tape
+        return tape, x.grad
+
+    task, ran = first_two_on_two_threads(2, work)
+    with cpus(2):
+        (tape0, grad0), (tape1, grad1) = ad.spread(task, 2)
+    assert len(set(ran.values())) == 2 and tape0 is not tape1
+    assert len(tape0.entries) == len(tape1.entries) == 3  # mul, 2 matmuls
+    assert np.array_equal(grad0, np.full((1, 3), 2.0))
+    assert np.array_equal(grad1, np.full((1, 3), 4.0))
+
+
 # each op, the shapes of the inputs it records, and a call on those inputs
 RECORDING_OPS = {
     "add": ([(2, 3), (2, 3)], ad.add),
@@ -593,6 +630,23 @@ def test_attention_with_first_after_a_cache_offset():
     assert slot.length == 9
     assert np.allclose(head.data, full[3:4], rtol=0, atol=1e-15)
     assert np.allclose(tail.data, full[6:], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("first", [None, [0, 3, 1, 0], [2, 2, 2, 2]])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_padded_query_rows_stay_finite(first, dtype):
+    """With no key-padding mask, a padded query row still sees key 0, so
+    no softmax row is fully masked: forward and vjp of a ragged batch run
+    under np.errstate(all="raise") and return finite values only."""
+    lengths = [9, 4, 7, 3]
+    rng = np.random.default_rng(18)
+    qkv = Tensor(rng.normal(size=(sum(lengths), 12)).astype(dtype),
+                 requires_grad=True)
+    with np.errstate(all="raise"):
+        out = ad.attention(qkv, 2, lengths, first=first)
+        (grad,) = ad.active_tape().entries[-1][2](
+            rng.normal(size=out.shape).astype(dtype))
+    assert np.isfinite(out.data).all() and np.isfinite(grad).all()
 
 
 @pytest.mark.parametrize("first", [[2], [-1], [0, 0]])
@@ -765,216 +819,7 @@ def test_tensor_keeps_the_float_dtype_it_is_given():
     assert Tensor(3.5).dtype == np.float64
 
 
-# --- kernel rows split across CPUs ---
-
-SPLIT = ad.SPLIT_ROWS
-# row counts from 1 to about 2600, crowding where 2 and 3 ranges begin
-ROWS = st.one_of(st.integers(1, 2600), st.integers(2 * SPLIT - 2, 2 * SPLIT + 2),
-                 st.integers(3 * SPLIT - 2, 3 * SPLIT + 2))
-DTYPES = st.sampled_from([np.float32, np.float64])
-WIDTHS = st.sampled_from([2, 3, 16, 31, 64, 100, 192, 256])
-
-
-def _at_every_cpu_count(op, arrays, needs, seed):
-    """Run ``op`` on fresh tensors of ``arrays`` at 1 to 4 CPUs and its
-    vjp on one upstream gradient; require the outputs and gradients of
-    every count to equal those of 1 CPU (one whole-array kernel call) bit
-    for bit. Returns, per CPU count, one list per split kernel call: the
-    (ndim, first-axis length) of each range it ran on, probes left out."""
-    real, ranges, results = ad._split, {}, {}
-
-    def spy(kernel, *args, **kw):
-        call = []
-        ranges[n].append(call)
-
-        def counted(*part):
-            if len(part[0]):
-                call.append((part[0].ndim, len(part[0])))
-            return kernel(*part)
-        return real(counted, *args, **kw)
-
-    ad._split = spy
-    try:
-        for n in (1, 2, 3, 4):
-            ranges[n] = []
-            with cpus(n):
-                ad.reset_tape()
-                out = op(*(Tensor(a.copy(), requires_grad=need)
-                           for a, need in zip(arrays, needs)))
-                grads = ()
-                if out.requires_grad:
-                    g = np.random.default_rng(seed).normal(size=out.shape)
-                    grads = ad.active_tape().entries[-1][2](g.astype(out.dtype))
-                results[n] = (out.data, *grads)
-    finally:
-        ad._split = real
-    for n in (2, 3, 4):
-        for got, want in zip(results[n], results[1]):
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want), n
-    return ranges
-
-
-def _check_row_ranges(ranges, products=True):
-    """A row kernel splits exactly when there are SPLIT_ROWS rows or more
-    per range (a weight gradient's 128-row blocks count as their rows);
-    with ``products`` False, 2-D matrix products stay whole."""
-    for n, calls in ranges.items():
-        for call in calls:
-            rows = [length * (ad.ROW_BLOCK if ndim == 3 else 1)
-                    for ndim, length in call]
-            parts = min(n, sum(rows) // SPLIT)
-            if not products and call[0][0] == 2:
-                parts = 1
-            assert len(call) == max(parts, 1), (n, rows)
-            assert len(call) == 1 or min(rows) >= SPLIT, (n, rows)
-
-
-@settings(deadline=None, max_examples=40)
-@example(n_rows=2 * SPLIT, k=64, m=256, dtype=np.float32, frozen=(),
-         bias=True, seed=0)  # ranges of exactly SPLIT_ROWS rows
-@example(n_rows=2 * SPLIT, k=31, m=64, dtype=np.float32, frozen=(),
-         bias=False, seed=1)  # just past 100³ multiply-adds per range
-@example(n_rows=2 * SPLIT + 2 * ad.ROW_BLOCK - 1, k=256, m=64,
-         dtype=np.float64, frozen=(), bias=True, seed=2)
-@given(n_rows=ROWS, k=WIDTHS, m=WIDTHS, dtype=DTYPES,
-       frozen=st.sets(st.sampled_from(["a", "b", "bias"])),
-       bias=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_split_matmul_equals_one_whole_call(n_rows, k, m, dtype, frozen,
-                                            bias, seed):
-    """Products split by rows in float32 past 100³ multiply-adds per range;
-    the weight gradient's 128-row blocks split in any dtype."""
-    rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=s).astype(dtype)
-              for s in ((n_rows, k), (k, m), (m,))[:3 if bias else 2]]
-    needs = [name not in frozen for name in ("a", "b", "bias")]
-    ranges = _at_every_cpu_count(ad.matmul, arrays, needs, seed)
-    _check_row_ranges(ranges, products=dtype == np.float32
-                      and SPLIT * k * m > 100 ** 3)
-
-
-@settings(deadline=None, max_examples=25)
-@example(n_rows=2 * SPLIT, h=64, dtype=np.float32, frozen=(), seed=0)
-@given(n_rows=ROWS, h=WIDTHS, dtype=DTYPES,
-       frozen=st.sets(st.sampled_from(["x", "gamma", "beta"])),
-       seed=st.integers(0, 2 ** 16))
-def test_split_layer_norm_equals_one_whole_call(n_rows, h, dtype, frozen,
-                                                seed):
-    rng = np.random.default_rng(seed)
-    arrays = [rng.normal(1.0, 3.0, size=s).astype(dtype)
-              for s in ((n_rows, h), (h,), (h,))]
-    needs = [name not in frozen for name in ("x", "gamma", "beta")]
-    ranges = _at_every_cpu_count(
-        lambda x, gamma, beta: ad.layer_norm(x, gamma, beta, 1e-5),
-        arrays, needs, seed)
-    _check_row_ranges(ranges)
-
-
-@settings(deadline=None, max_examples=25)
-@example(n_rows=2 * SPLIT, f=256, dtype=np.float32, frozen=False, seed=0)
-@given(n_rows=ROWS, f=WIDTHS, dtype=DTYPES, frozen=st.booleans(),
-       seed=st.integers(0, 2 ** 16))
-def test_split_gelu_equals_one_whole_call(n_rows, f, dtype, frozen, seed):
-    x = np.random.default_rng(seed).normal(0.0, 3.0, size=(n_rows, f))
-    ranges = _at_every_cpu_count(ad.gelu, [x.astype(dtype)], [not frozen],
-                                 seed)
-    _check_row_ranges(ranges)
-
-
-@settings(deadline=None, max_examples=25)
-@example(lengths=[SPLIT] * 2, heads=2, dk=32, dtype=np.float32,
-         frozen=False, data=None)
-@given(lengths=st.lists(st.integers(1, 240), min_size=1, max_size=14),
-       heads=st.sampled_from([1, 2]), dk=st.sampled_from([1, 4, 32]),
-       dtype=DTYPES, frozen=st.booleans(), data=st.data())
-def test_split_attention_equals_one_whole_call(lengths, heads, dk, dtype,
-                                               frozen, data):
-    """Ragged sequences, with and without ``first``, split by sequence."""
-    first = None
-    if data is not None and data.draw(st.booleans()):
-        first = [data.draw(st.integers(0, n - 1)) for n in lengths]
-    qkv = np.random.default_rng(len(lengths)).normal(
-        size=(sum(lengths), 3 * heads * dk)).astype(dtype)
-    ranges = _at_every_cpu_count(
-        lambda t: ad.attention(t, heads, lengths, first=first), [qkv],
-        [not frozen], 0)
-    parts = min(len(lengths), sum(lengths) // SPLIT)
-    for n, calls in ranges.items():
-        if parts > 1:  # smaller forwards call their kernel directly
-            assert len(calls) == (1 if frozen else 2)  # forward, vjp
-        for call in calls:
-            assert sum(length for _, length in call) == len(lengths)
-            assert len(call) == max(min(n, parts), 1)
-
-
-def test_attention_after_a_cache_offset_at_every_cpu_count():
-    """A cached call (one sequence) never splits; it gives the same
-    bytes at any CPU count."""
-    rows = np.random.default_rng(14).normal(size=(3 * SPLIT, 12))
-    outs = []
-    for n in (1, 2, 3):
-        slot = ad.KVSlot(2, 3 * SPLIT, 2, np.float64)
-        with cpus(n), ad.no_grad():
-            ad.attention(Tensor(rows[:SPLIT]), 2, [SPLIT], cache=slot)
-            outs.append(ad.attention(Tensor(rows[SPLIT:]), 2, [2 * SPLIT],
-                                     cache=slot, first=[1]).data)
-    assert all(np.array_equal(o, outs[0]) for o in outs)
-
-
-def test_split_ops_under_thread_switches_every_microsecond():
-    """More ranges than CPUs, threads switching as often as they can: every
-    repeat still writes the whole-call bytes."""
-    rng = np.random.default_rng(16)
-    x = rng.normal(size=(5 * SPLIT + 3, 64)).astype(np.float32)
-    w = rng.normal(size=(64, 64)).astype(np.float32)
-    ones, zeros = np.ones(64, np.float32), np.zeros(64, np.float32)
-
-    def run():
-        with ad.no_grad():
-            h = ad.layer_norm(Tensor(x), Tensor(ones), Tensor(zeros), 1e-5)
-            return ad.gelu(ad.matmul(h, Tensor(w))).data
-
-    with cpus(1):
-        want = run()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with cpus(4):
-            assert all(np.array_equal(run(), want) for _ in range(20))
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_split_ranges_run_under_the_callers_numpy_error_state():
-    x = np.ones((2 * SPLIT, 4), dtype=np.float32)
-    x[-1] = 1e30  # x * x overflows in the last range, usually a pool's
-    with cpus(2):
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            ad.gelu(Tensor(x))
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ad.gelu(Tensor(x))
-
-
-@pytest.mark.parametrize("failing", ["caller", "pool"])
-def test_split_reraises_once_every_range_has_finished(failing):
-    """No range writes into the op's buffers after the op has raised."""
-    rows = np.arange(2 * SPLIT)
-    done = np.zeros(2 * SPLIT)
-
-    def kernel(idx, seen, out):
-        if idx.size and (idx[0] == 0) == (failing == "caller"):
-            raise ValueError(failing)
-        time.sleep(0.05)
-        seen[:] = 1.0
-        return np.multiply(idx, 1.0, out=out)
-
-    with cpus(2), pytest.raises(ValueError, match=failing):
-        ad._split(kernel, (rows, done))
-    assert done.sum() == SPLIT  # the range that did not fail finished
-
+# --- tasks across CPUs ---
 
 def test_spread_returns_results_in_index_order():
     def task(i):
@@ -984,21 +829,6 @@ def test_spread_returns_results_in_index_order():
     for n in (1, 2, 3, 4):
         with cpus(n):
             assert ad.spread(task, 9) == [i * i for i in range(9)]
-
-
-def _first_two_on_two_threads(n, work):
-    """A task list of ``n`` in which tasks 0 and 1 meet at a barrier, so
-    two threads run them: the caller and a pool thread. Each task calls
-    ``work(i)`` and records its thread; returns the task and the record."""
-    meet = threading.Barrier(2)
-    ran = {}
-
-    def task(i):
-        ran[i] = threading.get_ident()
-        if i < 2:
-            meet.wait(timeout=30)
-        return work(i)
-    return task, ran
 
 
 @pytest.mark.parametrize("failing", ["caller", "pool"])
@@ -1015,13 +845,13 @@ def test_spread_reraises_the_lowest_failing_index_once_all_finished(failing):
             raise ValueError(i)
         return i
 
-    task, ran = _first_two_on_two_threads(8, work)
+    task, ran = first_two_on_two_threads(8, work)
     with cpus(2), pytest.raises(ValueError) as raised:
         ad.spread(task, 8)
     assert finished == set(range(8))
     side = [i for i in range(8) if (ran[i] == caller) == (failing == "caller")]
     assert raised.value.args == (min(side),)
-    task, ran = _first_two_on_two_threads(4, lambda i: -i)
+    task, ran = first_two_on_two_threads(4, lambda i: -i)
     with cpus(2):
         assert ad.spread(task, 4) == [0, -1, -2, -3]
     assert len(set(ran.values())) == 2
@@ -1041,11 +871,11 @@ def test_spread_stops_taking_tasks_after_an_interrupt(interrupted):
         time.sleep(0.05)  # the interrupt comes first
         raise ValueError(i)
 
-    task, ran = _first_two_on_two_threads(20, work)
+    task, ran = first_two_on_two_threads(20, work)
     with cpus(2), pytest.raises(KeyboardInterrupt):
         ad.spread(task, 20)
     assert sorted(ran) == [0, 1]
-    task, ran = _first_two_on_two_threads(4, lambda i: -i)
+    task, ran = first_two_on_two_threads(4, lambda i: -i)
     with cpus(2):
         assert ad.spread(task, 4) == [0, -1, -2, -3]
     assert len(set(ran.values())) == 2
@@ -1082,12 +912,12 @@ def test_spread_tasks_run_under_the_callers_numpy_error_state():
     """Both threads' tasks see the caller's np.errstate: overflow raises
     under ``over="raise"`` and warns nowhere under ``all="ignore"``."""
     big = np.full(4, 1e30, dtype=np.float32)
-    task, ran = _first_two_on_two_threads(2, lambda i: big * big)
+    task, ran = first_two_on_two_threads(2, lambda i: big * big)
     with cpus(2), np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             ad.spread(task, 2)
     assert len(set(ran.values())) == 2
-    task, ran = _first_two_on_two_threads(2, lambda i: big * big)
+    task, ran = first_two_on_two_threads(2, lambda i: big * big)
     with cpus(2), np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
         assert all(np.isinf(out).all() for out in ad.spread(task, 2))
@@ -1110,7 +940,7 @@ def test_a_spread_inside_a_task_runs_inline():
         def work(i):
             return ad.spread(lambda j: threading.get_ident(), 3)
 
-        task, ran = _first_two_on_two_threads(2, work)
+        task, ran = first_two_on_two_threads(2, work)
         ad._pool = Spy()
         try:
             outer = threading.Thread(
@@ -1125,38 +955,29 @@ def test_a_spread_inside_a_task_runs_inline():
     assert ran[0] != ran[1]
 
 
-def test_split_outputs_follow_each_argument_layout():
-    """Split calls of one kernel on arguments of other widths or dtypes
-    get outputs of their own layout, equal to one whole call's."""
-    rng = np.random.default_rng(17)
-    for h, dtype in ((64, np.float32), (64, np.float64), (48, np.float32)):
-        x = rng.normal(size=(2 * SPLIT, h)).astype(dtype)
-        gamma, beta = (Tensor(rng.normal(size=h).astype(dtype))
-                       for _ in range(2))
-        for op in (ad.gelu, lambda t: ad.layer_norm(t, gamma, beta, 1e-5)):
-            outs = []
-            for n in (1, 2):
-                with cpus(n), ad.no_grad():
-                    outs.append(op(Tensor(x)).data)
-            assert outs[1].dtype == dtype and outs[1].shape == x.shape
-            assert np.array_equal(outs[0], outs[1])
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_pool():
-    x = np.random.default_rng(15).normal(size=(2 * SPLIT, 8))
+    x = np.random.default_rng(15).normal(size=(64, 8))
+
+    def run():
+        task, ran = first_two_on_two_threads(
+            2, lambda i: ad.gelu(Tensor(x[32 * i:32 * (i + 1)])).data)
+        return ad.spread(task, 2), len(set(ran.values()))
+
     # from Python 3.12 on, fork() in a process that runs threads warns
     forks = (pytest.warns(DeprecationWarning, match="fork")
              if sys.version_info >= (3, 12) else contextlib.nullcontext())
     with cpus(2):
-        want = ad.gelu(Tensor(x)).data  # the parent's pool is running
+        want, threads = run()  # the parent's pool is running
+        assert threads == 2
         with forks:  # which the child leaves only through os._exit
             pid = os.fork()
             if pid == 0:  # the child: its parent's pool threads do not exist
                 code = 1
                 try:
-                    code = 0 if np.array_equal(ad.gelu(Tensor(x)).data,
-                                               want) else 2
+                    got, threads = run()
+                    code = 0 if threads == 2 and all(
+                        np.array_equal(g, w) for g, w in zip(got, want)) else 2
                 finally:
                     os._exit(code)
     deadline = time.monotonic() + 60

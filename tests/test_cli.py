@@ -361,6 +361,41 @@ def test_key_the_command_does_not_read_is_config_error(workspace, capsys,
     assert list((root / "runs" / f"x-unread-{case}").iterdir()) == []
 
 
+# case: (command, a config whose one input file is missing, a typo'd key)
+TYPO_BESIDE_MISSING_INPUT = {
+    "eval": ("eval", GENERATE.replace("generate.", "eval.").replace(
+        "runs/pretrain/", "runs/no-such-run/") + "eval.part = all\n",
+        "evl.part = test"),
+    "generate": ("generate", GENERATE.replace(
+        "runs/pretrain/", "runs/no-such-run/"), "generate.indx = 2"),
+    "gen-synthetic": ("gen-synthetic", GEN.format(
+        style="clinic", count=4, seed=1).replace("lex/drugs.txt",
+                                                 "lex/no-such-file.txt"),
+        "corpus.cout = 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPO_BESIDE_MISSING_INPUT))
+def test_typo_beside_a_missing_input_is_config_error(workspace, capsys,
+                                                     case):
+    """eval, generate and gen-synthetic read every key before they load a
+    checkpoint, vocabulary, corpus or lexicon: a typo'd key is the one
+    error, a config error, even when an input is missing too."""
+    root, run = workspace
+    command, config, line = TYPO_BESIDE_MISSING_INPUT[case]
+    (root / f"typo-{case}.kv").write_text(config + line + "\n",
+                                          encoding="utf-8")
+    capsys.readouterr()
+    assert run(command, f"typo-{case}.kv", f"x-typo-{case}") == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    key = line.partition(" = ")[0]
+    assert len(err) == 1 and err[0].startswith("error: config:"), err
+    assert err[0].endswith(f"the {command} command does not read {key!r}")
+    assert list((root / "runs" / f"x-typo-{case}").iterdir()) == []
+    (root / f"typo-{case}.kv").write_text(config, encoding="utf-8")
+    assert run(command, f"typo-{case}.kv", f"x-typo-{case}") == EXIT_DATA
+
+
 def test_config_seed_is_checked_under_seed_override(workspace, capsys):
     root, run = workspace
     (root / "gen-bad-seed.kv").write_text(

@@ -12,8 +12,8 @@ from gptlab.autodiff import GELU_COEF, Tensor
 from gptlab.corpus import Dialogue, EntitySpan, TokenSequence, Turn, linearize
 from gptlab.errors import ConfigError, DataError, GptLabError
 from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, PROMPT_PARAM_NAME,
-                          ModelConfig, _dropout_masks,
-                          _embed_rows, batch_loss, forward, forward_batch,
+                          ModelConfig, _dropout_masks, _embed_rows,
+                          batch_loss, dropout_draws, forward, forward_batch,
                           generate, init_parameters, load_checkpoint,
                           parameter_shapes, save_checkpoint, shifted_targets,
                           token_nll)
@@ -24,6 +24,11 @@ from gptlab.vocab import build_vocab
 from .util import fd_grad, max_rel_err, parameter_count
 
 GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def drawn(seqs, n_prompt, cfg, rng):
+    """The dropout numbers of ``seqs`` as one group, drawn from ``rng``."""
+    return dropout_draws([seqs], n_prompt, cfg, rng)[0]
 
 
 @pytest.fixture(autouse=True)
@@ -349,8 +354,9 @@ def test_float32_lm_loss_keeps_every_tape_output_float32():
     cfg = tiny_config(n_layers=2, hidden=8, n_heads=2, dropout=0.1)
     params = init_parameters(cfg, seed=20)
     prompts = init_prompts(2, cfg.hidden, seed=21).matrix
-    loss = batch_loss([make_seq([1, 2, 3, 4, 5])], params, cfg,
-                      prompts=prompts, rng=np.random.default_rng(0))
+    seqs = [make_seq([1, 2, 3, 4, 5])]
+    loss = batch_loss(seqs, params, cfg, prompts=prompts,
+                      drop=drawn(seqs, 2, cfg, np.random.default_rng(0)))
     assert loss.dtype == np.float32
     dtypes = {out.dtype for out, _, _ in ad.active_tape().entries}
     assert dtypes == {np.dtype(np.float32)}
@@ -382,16 +388,18 @@ def test_batched_step_equals_mean_of_per_sequence_steps(n_prompt):
     mean_grads = {n: np.zeros_like(t.data) for n, t in tensors.items()}
     for seq in seqs:
         ad.reset_tape()
-        loss = batch_loss([seq], params, cfg, prompts=prompts, rng=rng)
+        loss = batch_loss([seq], params, cfg, prompts=prompts,
+                          drop=drawn([seq], n_prompt, cfg, rng))
         ad.backward(loss)
         mean_loss += float(loss.data) / len(seqs)
         for n, t in tensors.items():
             mean_grads[n] += t.grad / len(seqs)
-            t.zero_grad()
+            t.grad = None
 
     batch_rng = np.random.default_rng(24)
     ad.reset_tape()
-    loss = batch_loss(seqs, params, cfg, prompts=prompts, rng=batch_rng)
+    loss = batch_loss(seqs, params, cfg, prompts=prompts,
+                      drop=drawn(seqs, n_prompt, cfg, batch_rng))
     ad.backward(loss)
     assert batch_rng.bit_generator.state == rng.bit_generator.state
     assert abs(float(loss.data) - mean_loss) <= 1e-12 * abs(mean_loss)
@@ -427,7 +435,8 @@ def test_dropout_masks_match_per_sequence_draws(n_layers, n_prompt, dtype):
     cfg = tiny_config(n_layers=n_layers, hidden=6, n_heads=2, dropout=0.3)
     seqs = [make_seq([1] * n) for n in (7, 1, 12, 4)]
     rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
-    masks = _dropout_masks(seqs, n_prompt, cfg, rng, dtype)
+    masks = _dropout_masks(seqs, n_prompt, cfg,
+                           drawn(seqs, n_prompt, cfg, rng), dtype)
     want = per_sequence_dropout_masks(seqs, n_prompt, cfg, ref_rng, dtype)
     assert len(masks) == len(want) == 1 + 2 * n_layers
     for got, ref in zip(masks, want):
@@ -435,11 +444,35 @@ def test_dropout_masks_match_per_sequence_draws(n_layers, n_prompt, dtype):
     assert rng.random() == ref_rng.random()
 
 
-def full_row_loss(seqs, params, cfg, prompts=None, rng=None):
+def test_grouped_dropout_draws_are_blocks_of_one_draw():
+    """Groups of a batch take consecutive blocks of the batch's one draw,
+    so each group's masks are its sequences' rows of the batch's masks,
+    and the generator ends where one draw leaves it."""
+    cfg = tiny_config(n_layers=2, hidden=6, n_heads=2, dropout=0.3)
+    seqs = [make_seq([1] * n) for n in (7, 1, 12, 4, 9)]
+    groups = [seqs[:2], seqs[2:]]
+    rng, ref_rng = np.random.default_rng(40), np.random.default_rng(40)
+    blocks = dropout_draws(groups, 3, cfg, rng)
+    whole = drawn(seqs, 3, cfg, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(np.concatenate(blocks), whole)
+    group_masks = [_dropout_masks(g, 3, cfg, b, np.float32)
+                   for g, b in zip(groups, blocks)]
+    for site, mask in enumerate(_dropout_masks(seqs, 3, cfg, whole,
+                                               np.float32)):
+        assert np.array_equal(
+            mask, np.concatenate([m[site] for m in group_masks]))
+    off = tiny_config(n_layers=2, hidden=6, n_heads=2, dropout=0.0)
+    assert dropout_draws(groups, 3, off, rng) == [None, None]
+    assert dropout_draws(groups, 3, cfg, None) == [None, None]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def full_row_loss(seqs, params, cfg, prompts=None, drop=None):
     """batch_loss without row pruning: every row runs through the whole
     model and the unscored rows weigh 0 in the cross-entropy."""
     n_prompt = prompts.shape[0] if prompts is not None else 0
-    logits = forward_batch(seqs, params, cfg, prompts=prompts, rng=rng)
+    logits = forward_batch(seqs, params, cfg, prompts=prompts, drop=drop)
     targets, weights = [], []
     for seq in seqs:
         t, m = shifted_targets(seq, n_prompt)
@@ -469,12 +502,13 @@ def test_pruned_batch_loss_matches_full_rows_float64():
     for loss_fn in (batch_loss, full_row_loss):
         rng = np.random.default_rng(32)
         ad.reset_tape()
-        loss = loss_fn(seqs, params, cfg, prompts=prompts, rng=rng)
+        loss = loss_fn(seqs, params, cfg, prompts=prompts,
+                       drop=drawn(seqs, 2, cfg, rng))
         ad.backward(loss)
         runs.append((float(loss.data), {n: t.grad for n, t in tensors.items()},
                      rng.bit_generator.state))
         for t in tensors.values():
-            t.zero_grad()
+            t.grad = None
     (loss, grads, state), (ref_loss, ref_grads, ref_state) = runs
     assert state == ref_state  # dropout drew the same masks
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -514,10 +548,11 @@ def test_pruned_prompt_grad_and_ppl_bit_equal_float32(monkeypatch):
     for loss_fn in (batch_loss, full_row_loss):
         rng = np.random.default_rng(36)
         ad.reset_tape()
-        loss = loss_fn(seqs, params, cfg, prompts=prompts.matrix, rng=rng)
+        loss = loss_fn(seqs, params, cfg, prompts=prompts.matrix,
+                       drop=drawn(seqs, 8, cfg, rng))
         ad.backward(loss)
         runs.append((loss.data.copy(), prompts.matrix.grad))
-        prompts.matrix.zero_grad()
+        prompts.matrix.grad = None
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -560,7 +595,7 @@ def test_dropout_consumes_rng_per_sequence_in_site_order():
     seqs = unequal_batch()
     rng = np.random.default_rng(26)
     batch_loss(seqs, params, cfg, prompts=init_prompts(3, 8, seed=1).matrix,
-               rng=rng)
+               drop=drawn(seqs, 3, cfg, rng))
     # embedding, then attention and FFW of each layer, sequence by sequence
     ref = np.random.default_rng(26)
     for seq in seqs:
@@ -597,7 +632,7 @@ def overfit_one_sequence(cfg, seq, steps=300, lr=3e-3, seed=0):
         clip_grad_norm(grads, 1.0)
         adamw_step(params, grads, state, lr, weight_decay=0.0)
         for t in params.values():
-            t.zero_grad()
+            t.grad = None
     return params, float(loss.data)
 
 

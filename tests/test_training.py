@@ -20,8 +20,8 @@ from gptlab.corpus import (Dialogue, EntitySpan, SyntheticSpec, Turn,
                            generate_synthetic, linearize, save_corpus)
 from gptlab.errors import ConfigError, DataError, NumericError
 from gptlab.model import (PROMPT_PARAM_NAME, ModelConfig, batch_loss,
-                          init_parameters, load_checkpoint, save_checkpoint,
-                          token_nll)
+                          dropout_draws, init_parameters, load_checkpoint,
+                          save_checkpoint, token_nll)
 from gptlab.training import (CLIP, METRICS_HEADER, MetricsLog, MetricsRow,
                              OptimizerState, RunConfig, ScheduleConfig,
                              adamw_step, clip_grad_norm, evaluate_ppl,
@@ -30,7 +30,8 @@ from gptlab.training import (CLIP, METRICS_HEADER, MetricsLog, MetricsRow,
 from gptlab.vocab import build_vocab, save_vocab
 
 from .test_model import make_seq
-from .util import DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS, cpus
+from .util import (DEFAULT_DISEASES, DEFAULT_DRUGS, DEFAULT_SYMPTOMS, cpus,
+                   first_two_on_two_threads)
 
 PAPER_SCHED = ScheduleConfig(peak_lr=1e-4, min_lr=5e-6, warmup_steps=2000,
                              decay_end_step=100_000)
@@ -390,23 +391,22 @@ def test_train_deterministic_under_seed(tmp_path):
 
 
 def test_train_writes_the_same_bytes_at_any_cpu_count(tmp_path, monkeypatch):
-    """Batches of 16 dialogues pack over 2 * SPLIT_ROWS rows, so their
-    kernels split; pool threads run ranges at 2 and 3 CPUs only. ``gptlab
-    eval`` of the checkpoint, whose groups run side by side, writes one
-    eval.txt at every count too."""
-    threads, real = {}, ad._split
+    """Each step runs its batch of 16 as two sequence groups, with
+    dropout: pool threads take groups at 2 and 3 CPUs only, and the run
+    writes the same bytes at every count. ``gptlab eval`` of the
+    checkpoint, whose groups run side by side too, writes one eval.txt at
+    every count."""
+    threads, real = {}, training.batch_loss
 
-    def spy(kernel, *args, **kw):
-        def recorded(*part):
-            threads[n].add(threading.get_ident())
-            return kernel(*part)
-        return real(recorded, *args, **kw)
+    def spy(*args, **kwargs):  # batch_loss builds one group's graph
+        threads[n].add(threading.get_ident())
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(ad, "_split", spy)
+    monkeypatch.setattr(training, "batch_loss", spy)
     files = {}
     for n in (1, 2, 3):
         threads[n] = set()
-        run = fast_run(tmp_path, out=f"cpus{n}", batch_size=16)
+        run = fast_run(tmp_path, out=f"cpus{n}", batch_size=16, dropout=0.1)
         config = tmp_path / f"eval{n}.kv"
         write_kv(config, {"eval.checkpoint": str(run.out_dir / "final.ckpt"),
                           "data.corpus": str(run.corpus_path),
@@ -422,6 +422,70 @@ def test_train_writes_the_same_bytes_at_any_cpu_count(tmp_path, monkeypatch):
     assert files[1] == files[2] == files[3]
     assert threads[1] == {threading.get_ident()}
     assert len(threads[2]) > 1 and len(threads[3]) > 1
+
+
+def random_response_batch(rng, n, vocab_size, lo, hi):
+    """``n`` sequences of lo to hi tokens whose loss starts at a random
+    token after the first."""
+    seqs = []
+    for length in rng.integers(lo, hi + 1, n):
+        start = int(rng.integers(1, length))
+        seqs.append(make_seq(rng.integers(0, vocab_size, length).tolist(),
+                             mask=[False] * start + [True] * (length - start)))
+    return seqs
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_group_step_equals_one_whole_batch_graph_float64(frozen):
+    """``_batch_grads``, its groups side by side, against one whole-batch
+    ``batch_loss`` + ``backward``: dropout 0.3, a ragged batch of 7
+    response-masked sequences, 3 prompt rows, trained with the backbone
+    or against a frozen one. The loss and every gradient agree within
+    1e-12 relative, the generator ends in the same state, and 1 and 2
+    CPUs give the same bits."""
+    cfg = ModelConfig(n_layers=2, n_heads=2, hidden=8, vocab_size=16,
+                      max_len=40, dropout=0.3)
+    params = init_parameters(cfg, seed=41, dtype=np.float64)
+    prompts = init_prompts(3, cfg.hidden, seed=42, dtype=np.float64).matrix
+    for t in params.values():
+        t.requires_grad = not frozen
+    trainable = {PROMPT_PARAM_NAME: prompts,
+                 **({} if frozen else params)}
+    seqs = random_response_batch(np.random.default_rng(43), 7,
+                                 cfg.vocab_size, 2, 30)
+    ref_rng = np.random.default_rng(44)
+    ad.reset_tape()
+    loss = batch_loss(seqs, params, cfg, prompts=prompts,
+                      drop=dropout_draws([seqs], 3, cfg, ref_rng)[0])
+    ad.backward(loss)
+    want = {name: t.grad for name, t in trainable.items()}
+    for t in trainable.values():
+        t.grad = None
+    runs = {}
+    for n in (1, 2):
+        rng = np.random.default_rng(44)
+        with cpus(n):
+            runs[n] = training._batch_grads(seqs, params, trainable, cfg, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert all(t.grad is None for t in trainable.values())
+    (value, grads), (value2, grads2) = runs[1], runs[2]
+    assert value == value2 and list(grads) == list(grads2) == list(want)
+    assert abs(value - float(loss.data)) <= 1e-12 * abs(float(loss.data))
+    for name, g in grads.items():
+        assert np.array_equal(g, grads2[name]), name
+        scale = np.max(np.abs(want[name]))
+        assert np.max(np.abs(g - want[name])) <= 1e-12 * scale, name
+
+
+def test_train_leaves_no_graph_on_any_thread(tmp_path):
+    """Each group drops its tape before it returns, so once train returns
+    neither the caller's thread nor a pool thread holds a step's graph."""
+    with cpus(2):
+        train(fast_run(tmp_path, out="tapes", batch_size=16))
+        task, ran = first_two_on_two_threads(
+            2, lambda i: len(ad.active_tape().entries))
+        assert ad.spread(task, 2) == [0, 0]
+    assert len(set(ran.values())) == 2
 
 
 def _scoring_threads(monkeypatch):
@@ -460,15 +524,14 @@ def test_evaluate_ppl_is_the_same_at_any_cpu_count(monkeypatch):
 
 
 def test_evaluate_ppl_of_groups_past_the_split_size(monkeypatch):
-    """Two sequences of over 2 * SPLIT_ROWS rows, a group each: the kernels
-    a task reaches run inline, and every count finishes with one value."""
+    """Two sequences of over 1000 rows, a group each: every count
+    finishes with one value."""
     cfg = ModelConfig(n_layers=1, n_heads=2, hidden=32, vocab_size=16,
                       max_len=1300, dropout=0.0)
     params = init_parameters(cfg, seed=10)
     rng = np.random.default_rng(11)
     seqs = [make_seq(rng.integers(0, cfg.vocab_size, n).tolist())
             for n in (1100, 1200)]
-    assert 1100 >= 2 * ad.SPLIT_ROWS
     threads = _scoring_threads(monkeypatch)
     ppl, scored_by = {}, {}
     for n in (1, 2, 3):

@@ -1,11 +1,13 @@
 """Shared test oracles: central finite differences, error metrics and a
 scalar sum for gradchecks; small lexicons for synthetic corpora; a CPU
-count to split kernel rows over; the parameter count of a model.
+count for ``autodiff.spread`` and a task list that two threads share;
+the parameter count of a model.
 
 The finite-difference path only ever calls forward evaluation under
 no_grad, so it stays independent of the reverse-mode code it checks.
 """
 import contextlib
+import threading
 
 import numpy as np
 
@@ -66,10 +68,25 @@ def parameter_count(params):
 
 @contextlib.contextmanager
 def cpus(n):
-    """Split kernel rows as if the process could run on ``n`` CPUs."""
+    """Spread tasks as if the process could run on ``n`` CPUs."""
     saved = ad._CPUS
     ad._CPUS = n
     try:
         yield
     finally:
         ad._CPUS = saved
+
+
+def first_two_on_two_threads(n, work):
+    """A task list of ``n`` in which tasks 0 and 1 meet at a barrier, so
+    two threads run them: the caller and a pool thread. Each task calls
+    ``work(i)`` and records its thread; returns the task and the record."""
+    meet = threading.Barrier(2)
+    ran = {}
+
+    def task(i):
+        ran[i] = threading.get_ident()
+        if i < 2:
+            meet.wait(timeout=30)
+        return work(i)
+    return task, ran
