@@ -323,12 +323,19 @@ def load_backbone(path, vocab_size: int, **overrides
 # Padded rows one scoring group may span: B sequences, the longest of T
 # tokens, behind P prompt rows span B * (P + T). Any other size moves the
 # float32 eval bits. Groups run side by side, one per CPU, so peak scoring
-# memory holds about _CPUS groups' buffers. On the benchmark's infer
-# workload (2 vCPUs, one BLAS thread), 512-row groups scored 307-314k
-# tokens/s at 45.3-46.2 MB peak RSS, and 230-231k at 42.6-43.1 MB pinned
-# to one CPU (taskset -c 0): about 3 MB per extra group. Unmeasured on
-# more than 2 CPUs.
-EVAL_ROWS = 512
+# memory holds about _CPUS groups' buffers. A group runs whole on one
+# thread, but the two threads hand the GIL to each other between numpy
+# calls, and a small group spends more of its time doing so. Scoring the
+# 100 dialogues of the benchmark's infer workload in one process (2 vCPUs,
+# one BLAS thread; median of 20 interleaved passes; peak RSS of a process
+# that loads and scores) at 512 / 640 / 768 / 1024 rows:
+#   2 CPUs: 109k / 120k / 133k / 145k tokens/s, 44.0 / 44.5 / 46.1 /
+#     49.5 MB, 1913 / 1461 / 1046 / 696 voluntary context switches a pass;
+#   taskset -c 0: 90k / 92k / 93k / 100k tokens/s, 41.0 / 41.4 / 42.0 /
+#     43.4 MB, no context switches.
+# 1024 rows was faster still but raised peak RSS 12%. Unmeasured on more
+# than 2 CPUs.
+EVAL_ROWS = 768
 
 
 def evaluate_ppl(params: dict[str, Tensor], config: ModelConfig,

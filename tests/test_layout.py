@@ -11,11 +11,15 @@ README's config table lists exactly the keys that the readers of
 Imports sit at module level, so the import graph of the package is the one
 its module headers show. The README names only modules that exist, and
 each number of its results tables is the one in the ``runs/`` file that
-the table names.
+the table names. Under the repository's pytest settings, which turn every
+warning into an error, a failing Hypothesis test still reports its
+falsifying example and the tests after it still run.
 """
 import ast
 import csv
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -359,3 +363,24 @@ def test_readme_results_come_from_runs():
     ablation = REPO / "runs" / "ablate" / "ablation.csv"
     assert [row["variant"] for row in rows if "variant" in row] == \
         [r["variant"] for r in read_csv(ablation)]
+
+
+def test_a_failing_hypothesis_test_reports_its_example(tmp_path):
+    """Hypothesis prints a failing example through libcst, whose import
+    warns; pytest must report the failure, not stop with INTERNALERROR
+    (exit 3) before the next test."""
+    (tmp_path / "test_example.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n"
+        "def test_passes():\n"
+        "    pass\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(REPO / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_example.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout

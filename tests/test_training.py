@@ -296,23 +296,29 @@ def per_sequence_ppl(params, cfg, seqs, prompts):
     return math.exp(total / count)
 
 
+QUARTER = training.EVAL_ROWS // 4
+
+
 @settings(deadline=None, max_examples=12)
-@given(short=st.lists(st.integers(2, 127), min_size=1, max_size=5),
-       long=st.lists(st.integers(129, 200), min_size=7, max_size=7),
+@given(short=st.lists(st.integers(2, QUARTER - 1), min_size=1, max_size=5),
+       long=st.lists(st.integers(QUARTER + 1, QUARTER + 72), min_size=7,
+                     max_size=7),
        n_prompt=st.sampled_from([0, 3]), seed=st.integers(0, 2 ** 16))
 def test_evaluate_ppl_groups_equal_per_sequence_loop_float64(
         short, long, n_prompt, seed):
-    """Lengths on both sides of 128 rows, with and without prompt rows,
-    whole and response-only loss masks and a sequence with no loss token;
-    seven sequences past 128 rows need at least three groups."""
+    """Lengths on both sides of a quarter of EVAL_ROWS, with and without
+    prompt rows, whole and response-only loss masks and a sequence with no
+    loss token; a group holds at most three sequences past a quarter, so
+    seven of them need at least three groups."""
     cfg = ModelConfig(n_layers=2, n_heads=2, hidden=8, vocab_size=16,
-                      max_len=200, dropout=0.0)
+                      max_len=QUARTER + 72, dropout=0.0)
     params = init_parameters(cfg, seed=seed, dtype=np.float64)
     prompts = (init_prompts(n_prompt, cfg.hidden, seed=seed + 1,
                             dtype=np.float64) if n_prompt else None)
     rng = np.random.default_rng(seed)
     seqs = []
-    for n in rng.permutation(short + long + [int(rng.integers(2, 200))]):
+    for n in rng.permutation(
+            short + long + [int(rng.integers(2, cfg.max_len))]):
         start = int(rng.integers(1, n)) if rng.random() < 0.5 else 1
         mask = [False] * start + [True] * (n - start)
         seqs.append(make_seq(rng.integers(0, cfg.vocab_size, n).tolist(),
@@ -333,6 +339,50 @@ def test_evaluate_ppl_groups_equal_per_sequence_loop_float64(
                             prompts.matrix if prompts else None)
     assert rel_close(got, want, 1e-12)
     assert len(groups) >= 3 and sum(groups) == len(seqs) - 1
+
+
+@pytest.mark.parametrize("n_prompt", [0, 3])
+@pytest.mark.parametrize("lengths", [
+    pytest.param(lambda p: np.random.default_rng(14).integers(
+        2, training.EVAL_ROWS // 3, 30).tolist() + [training.EVAL_ROWS + 2],
+        id="ragged"),
+    pytest.param(lambda p: [2, 3] + [training.EVAL_ROWS // 4 - p] * 9,
+                 id="budget-hit-exactly")])
+def test_evaluate_ppl_packs_length_sorted_neighbours_up_to_eval_rows(
+        lengths, n_prompt):
+    """The groups, joined, are the sequences that carry loss in length
+    order; a group of two or more spans at most EVAL_ROWS padded rows, and
+    each but the last would span more with the next sequence added. The
+    ragged lengths end in one longer than EVAL_ROWS (a group alone); in
+    the other case four sequences of a quarter of EVAL_ROWS, prompt rows
+    included, fill a group exactly. A sequence without loss is added."""
+    lengths = lengths(n_prompt)
+    cfg = ModelConfig(n_layers=1, n_heads=2, hidden=8, vocab_size=16,
+                      max_len=max(lengths), dropout=0.0)
+    params = init_parameters(cfg, seed=15)
+    prompts = init_prompts(n_prompt, cfg.hidden, seed=16) if n_prompt else None
+    rng = np.random.default_rng(17)
+    seqs = [make_seq(rng.integers(0, cfg.vocab_size, n).tolist())
+            for n in rng.permutation(lengths)]
+    seqs.append(make_seq([1, 2, 3], mask=[False] * 3))  # carries no loss
+    groups = []
+
+    def spy(group, *args, **kwargs):
+        groups.append(group)
+        return token_nll(group, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp, cpus(1):
+        mp.setattr(training, "token_nll", spy)
+        evaluate_ppl(params, cfg, seqs, prompts)
+    joined = [seq for group in groups for seq in group]
+    assert joined == sorted(seqs[:-1], key=len)
+    for group, after in zip(groups, groups[1:] + [None]):
+        width = n_prompt + max(map(len, group))
+        if len(group) > 1:
+            assert len(group) * width <= training.EVAL_ROWS
+        if after is not None:
+            assert ((len(group) + 1) * (n_prompt + len(after[0]))
+                    > training.EVAL_ROWS)
 
 
 @pytest.mark.parametrize("scale", [1e6, float("nan")])
@@ -502,14 +552,19 @@ def _scoring_threads(monkeypatch):
 
 def test_evaluate_ppl_is_the_same_at_any_cpu_count(monkeypatch):
     """A float32 model behind prompt rows, scoring many groups: one value
-    at 1, 2 and 3 CPUs; pool threads score groups at 2 and 3 only."""
+    at 1, 2 and 3 CPUs; pool threads score groups at 2 and 3 only. The
+    sequences span more than five times EVAL_ROWS padded rows, and no group
+    spans more than EVAL_ROWS, so there are at least six groups."""
     cfg = ModelConfig(n_layers=2, n_heads=2, hidden=16, vocab_size=16,
                       max_len=120, dropout=0.0)
     params = init_parameters(cfg, seed=7)
     prompts = init_prompts(4, cfg.hidden, seed=8)
     rng = np.random.default_rng(9)
+    lengths = []
+    while sum(4 + n for n in lengths) <= 5 * training.EVAL_ROWS:
+        lengths.append(int(rng.integers(2, cfg.max_len)))
     seqs = [make_seq(rng.integers(0, cfg.vocab_size, n).tolist())
-            for n in rng.integers(2, cfg.max_len, 40)]
+            for n in lengths]
     threads = _scoring_threads(monkeypatch)
     ppl, scored_by = {}, {}
     for n in (1, 2, 3):
