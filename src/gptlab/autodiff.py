@@ -122,6 +122,11 @@ class no_grad:
         return False
 
 
+def grad_enabled() -> bool:
+    """Whether ops record on the tape here: no ``no_grad`` is in force."""
+    return _grad_enabled.get()
+
+
 def _op(data, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     """The tensor of an op's result ``data``. In grad mode, when one of
     ``inputs`` requires grad, it requires grad too and the tape records
@@ -330,14 +335,15 @@ def transpose(a: Tensor) -> Tensor:
     return _op(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
-def _masked_softmax(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _masked_softmax(x: np.ndarray, keep: Optional[np.ndarray]) -> np.ndarray:
     """Softmax over the last axis, computed in place in ``x``.
 
     Entries where ``keep`` is False get weight exactly 0; they are set to
     -inf before the row max, so masked garbage can never leak into the
-    finite part of the computation.
+    finite part of the computation. None keeps every entry.
     """
-    np.copyto(x, -np.inf, where=~keep)
+    if keep is not None:
+        np.copyto(x, -np.inf, where=~keep)
     x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
@@ -351,19 +357,6 @@ def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-class KVSlot:
-    """Keys and values of the rows one sequence has run so far through one
-    attention layer: ``keys`` and ``values`` are [heads, capacity, d_k],
-    filled up to ``length``."""
-
-    __slots__ = ("keys", "values", "length")
-
-    def __init__(self, n_heads: int, capacity: int, d_k: int, dtype):
-        self.keys = np.empty((n_heads, capacity, d_k), dtype=dtype)
-        self.values = np.empty_like(self.keys)
-        self.length = 0
-
-
 def suffix_rows(lengths: Sequence[int], first: Sequence[int]) -> np.ndarray:
     """Packed indices of rows ``first[b]`` onwards of each sequence b, where
     sequence b owns the next ``lengths[b]`` rows."""
@@ -375,11 +368,11 @@ def suffix_rows(lengths: Sequence[int], first: Sequence[int]) -> np.ndarray:
 
 def _padding(counts: list[int]):
     """(pad, unpad) between packed rows, ``counts[b]`` rows per sequence,
-    and a zero-padded [B, T, C] layout; equal counts pad by a reshape,
-    as each one-row decode call does (a scatter made it 36% slower)."""
+    and a zero-padded [B, T, C] layout; equal counts pad by a reshape (a
+    scatter made a one-row decode step 36% slower)."""
     n_seq, t = len(counts), max(counts)
-    if min(counts) == t:
-        return (lambda rows: rows.reshape(n_seq, t, rows.shape[1]),
+    if min(counts) == t:  # -1: equal query counts reuse these too
+        return (lambda rows: rows.reshape(n_seq, -1, rows.shape[1]),
                 lambda padded: padded.reshape(-1, padded.shape[2]))
     counts = np.asarray(counts)
     seq_idx = np.repeat(np.arange(n_seq), counts)
@@ -395,7 +388,6 @@ def _padding(counts: list[int]):
 
 
 def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
-              cache: Optional[KVSlot] = None,
               first: Optional[Sequence[int]] = None) -> Tensor:
     """Causal multi-head self-attention over packed rows.
 
@@ -412,11 +404,8 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     With ``first`` only rows ``first[b]`` onwards of each sequence b ask a
     query, and only their results come back, in packed order; keys and
     values still come from every row. None means every row (all zeros).
-
-    With a ``cache`` (one sequence, grad recording off) the rows continue
-    the sequence whose first ``cache.length`` keys and values the cache
-    holds: the new keys and values are written after them, and query j
-    attends to keys up to cache.length + first[0] + j.
+    A decoding step is such a call: the rows a sequence has run so far,
+    then its new ones, with ``first`` at the first new row.
     """
     if qkv.data.ndim != 2 or qkv.shape[1] % (3 * n_heads):
         raise GptLabError(
@@ -426,32 +415,25 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
     if not lengths or min(lengths) < 1 or sum(lengths) != qkv.shape[0]:
         raise GptLabError(
             f"sequence lengths {lengths} do not cover {qkv.shape[0]} rows")
-    n_rows, h3 = qkv.shape
+    h3 = qkv.shape[1]
     h = h3 // 3
     dk = h // n_heads
     n_seq, t_max = len(lengths), max(lengths)
     firsts = [0] * n_seq if first is None else [int(f) for f in first]
-    if first is not None and (len(firsts) != n_seq or not all(
-            0 <= f < n for f, n in zip(firsts, lengths))):
+    n_queries = [n - f for n, f in zip(lengths, firsts)]
+    if len(firsts) != n_seq or min(firsts) < 0 or min(n_queries) < 1:
         raise GptLabError(f"first query rows {firsts} do not lie inside "
                           f"sequences of lengths {lengths}")
-    past = 0
-    if cache is not None:
-        if _grad_enabled.get() or n_seq != 1:
-            raise GptLabError("a key/value cache serves one sequence with "
-                              "grad recording off")
-        past = cache.length
-        if past + n_rows > cache.keys.shape[1]:
-            raise GptLabError(f"{past + n_rows} rows overflow a key/value "
-                              f"cache of {cache.keys.shape[1]}")
     scale = 1.0 / math.sqrt(dk)
     pad, unpad = _padding(lengths)
-    # no ``first``: queries are a view of the padded rows (2-vCPU Xeon, one
-    # BLAS thread, same bits: the gather path made a 16-sequence fwd + vjp
-    # 8% and a one-row cached decode 44% slower)
-    rows = suffix_rows(lengths, firsts) if any(firsts) else None
-    n_queries = [n - f for n, f in zip(lengths, firsts)]
-    pad_q, unpad_q = (pad, unpad) if rows is None else _padding(n_queries)
+    # every sequence asking from one row f: queries are a view of the
+    # padded rows (2-vCPU Xeon, one BLAS thread, same bits: the gather
+    # path made a 16-sequence fwd + vjp 8% and a one-row decode step
+    # 10-14% slower)
+    f = firsts[0] if len(set(firsts)) == 1 else None
+    rows = None if f is not None else suffix_rows(lengths, firsts)
+    pad_q, unpad_q = (pad, unpad) if f is not None and (
+        f == 0 or min(lengths) == t_max) else _padding(n_queries)
     t_q = max(n_queries)
 
     def split_heads(x):  # [B, T, H] -> [B, heads, T, d_k]
@@ -461,22 +443,17 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
         return x.transpose(0, 2, 1, 3).reshape(n_seq, x.shape[2], h)
 
     padded = pad(qkv.data)
-    q = split_heads(padded[..., :h] if rows is None
+    q = split_heads(padded[:, f:, :h] if rows is None
                     else pad_q(qkv.data[rows, :h])) * scale
     k = split_heads(padded[..., h:2 * h])
     v = split_heads(padded[..., 2 * h:])
-    if cache is not None:
-        cache.keys[:, past:past + n_rows] = k[0]
-        cache.values[:, past:past + n_rows] = v[0]
-        cache.length = past + n_rows
-        k = cache.keys[None, :, :cache.length]
-        v = cache.values[None, :, :cache.length]
-    # query j of sequence b sits at key position past + first[b] + j; the
-    # mask is [T_q, T_k] when every sequence starts its queries at one row
-    # (a [B, 1, T_q, T_k] one made that fwd + vjp 8% and decode 4% slower)
-    at = past + (firsts[0] if len(set(firsts)) == 1
-                 else np.asarray(firsts)[:, None, None, None])
-    keep = np.arange(past + t_max) <= at + np.arange(t_q)[:, None]
+    # query j of sequence b sits at key position first[b] + j; the mask is
+    # [T_q, T_k] when every sequence starts its queries at one row (a
+    # [B, 1, T_q, T_k] one made that fwd + vjp 8% and decode 4% slower),
+    # and none when that row is every sequence's last, as in a decode step
+    at = f if rows is None else np.asarray(firsts)[:, None, None, None]
+    keep = None if t_q == 1 and rows is None else (
+        np.arange(t_max) <= at + np.arange(t_q)[:, None])
     probs = _masked_softmax(np.matmul(q, k.transpose(0, 1, 3, 2)), keep)
     heads = np.matmul(probs, v)
 
@@ -488,6 +465,8 @@ def attention(qkv: Tensor, n_heads: int, lengths: Sequence[int],
         d_q *= scale
         d_k = np.matmul(d_scores.transpose(0, 1, 3, 2), q)
         d_v = np.matmul(probs.transpose(0, 1, 3, 2), d_out)
+        if f:  # rows before f asked no query
+            d_q = np.concatenate([np.zeros_like(d_k[:, :, :f]), d_q], axis=2)
         d_qkv = np.stack([d.transpose(0, 2, 1, 3) for d in (
             d_q if rows is None else np.zeros_like(d_k), d_k, d_v)], axis=2)
         grad = unpad(d_qkv.reshape(n_seq, t_max, h3))

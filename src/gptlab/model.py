@@ -69,10 +69,6 @@ class ModelConfig:
             raise ConfigError("dropout must be in [0, 1)")
 
     @property
-    def head_dim(self) -> int:
-        return self.hidden // self.n_heads
-
-    @property
     def ffw_dim(self) -> int:
         return 4 * self.hidden
 
@@ -197,21 +193,38 @@ def _embed_rows(seqs: list[TokenSequence], params: dict[str, Tensor],
     return x
 
 
+class RowStore:
+    """The query/key/value rows one sequence has run through each layer,
+    kept for decoding: ``rows`` [layers, P + max_len, 3H], filled up to
+    ``past``; ``forward_batch`` writes a call's rows after them."""
+
+    def __init__(self, config: ModelConfig, n_prompt: int, dtype):
+        self.rows = np.empty((config.n_layers, n_prompt + config.max_len,
+                              3 * config.hidden), dtype=dtype)
+        self.past = 0
+
+
 def _block(x: Tensor, params: dict[str, Tensor], layer: int,
            config: ModelConfig, lengths: list[int],
            attn_keep: Optional[np.ndarray],
            ffw_keep: Optional[np.ndarray],
-           cache: Optional[list[ad.KVSlot]],
+           cache: Optional[RowStore],
            first: Optional[Sequence[int]]) -> Tensor:
     """One pre-norm block; with ``first`` only rows first[b] onwards of
-    each sequence b come out (keys and values still use every row)."""
+    each sequence b come out (keys and values still use every row); with
+    a ``cache``, attention also runs over its ``past`` stored rows."""
     p = f"layer{layer}"
     normed = ad.layer_norm(x, params[f"{p}.ln1.gamma"],
                            params[f"{p}.ln1.beta"], LN_EPS)
-    heads = ad.attention(ad.matmul(normed, params[f"{p}.wqkv"]),
-                         config.n_heads, lengths,
-                         None if cache is None else cache[layer],
-                         first=first)
+    qkv = ad.matmul(normed, params[f"{p}.wqkv"])
+    if cache is None:
+        heads = ad.attention(qkv, config.n_heads, lengths, first=first)
+    else:
+        past = cache.past
+        stored = cache.rows[layer, :past + qkv.shape[0]]
+        stored[past:] = qkv.data
+        heads = ad.attention(Tensor(stored), config.n_heads, [len(stored)],
+                             first=[past + (first[0] if first else 0)])
     if first is not None:
         rows = ad.suffix_rows(lengths, first)
         x = ad.take_rows(x, rows)
@@ -231,7 +244,7 @@ def _block(x: Tensor, params: dict[str, Tensor], layer: int,
 def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
                   config: ModelConfig, prompts: Optional[Tensor] = None,
                   drop: Optional[np.ndarray] = None,
-                  cache: Optional[list[ad.KVSlot]] = None,
+                  cache: Optional[RowStore] = None,
                   first: Optional[Sequence[int]] = None) -> Tensor:
     """Logits over the vocabulary for a batch, on packed rows: sequence b
     owns P + len(seqs[b]) consecutive rows, its P prompt rows first.
@@ -240,8 +253,10 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
     token can attend to every prompt row of its own sequence, and no
     sequence sees another. Dropout runs exactly when ``drop``, the
     sequences' block of ``dropout_draws``, is given.
-    With a ``cache``, one ``autodiff.KVSlot`` per layer, the one sequence
-    continues the rows already cached (see ``autodiff.attention``).
+    With a ``cache`` (one sequence, grad recording off), the call's rows
+    continue the ``cache.past`` rows stored there: each block stores its
+    query/key/value rows after them and attends over all of them, and
+    ``cache.past`` then counts the call's rows too.
 
     With ``first``, logits come back for rows first[b] onwards (prompt
     rows counted) of each sequence b only: the last block after its
@@ -254,10 +269,15 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
                           f"rows of the hidden size {config.hidden}")
     if first is not None and not any(first):
         first = None  # every row
+    lengths = [n_prompt + len(s) for s in seqs]
+    if cache is not None and (ad.grad_enabled() or len(seqs) != 1):
+        raise GptLabError("a cache serves one sequence, grad recording off")
+    if cache is not None and cache.past + lengths[0] > cache.rows.shape[1]:
+        raise GptLabError(f"{cache.past + lengths[0]} rows overflow a "
+                          f"cache of {cache.rows.shape[1]}")
     masks = _dropout_masks(seqs, n_prompt, config, drop,
                            params["tok_emb"].dtype)
     x = _dropout(_embed_rows(seqs, params, config), masks[0])
-    lengths = [n_prompt + len(s) for s in seqs]
     if prompts is not None:
         # rows of [prompts; tokens] in batch order: P prompt rows, then
         # the sequence's own token rows, for each sequence
@@ -269,6 +289,8 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
         x = _block(x, params, layer, config, lengths,
                    masks[1 + 2 * layer], masks[2 + 2 * layer], cache,
                    first if layer == config.n_layers - 1 else None)
+    if cache is not None:
+        cache.past += lengths[0]
     x = ad.layer_norm(x, params["ln_f.gamma"], params["ln_f.beta"], LN_EPS)
     return ad.matmul(x, ad.transpose(params["tok_emb"]))  # tied LM head
 
@@ -350,9 +372,9 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
     """Autoregressive decoding; greedy is deterministic, top-k is
     deterministic under seed. New tokens are annotated OTHER/0.
 
-    Prompts and history run once, filling a key/value cache (one
-    ``autodiff.KVSlot`` per layer), with logits for their last row only;
-    after that each new token is fed as a one-row sequence.
+    Prompts and history run once into a ``RowStore``, with logits for
+    their last row only; after that each new token is fed as a one-row
+    sequence that attends over the stored rows (see ``forward_batch``).
     """
     if strategy not in ("greedy", "top_k"):
         raise ConfigError(f"unknown decoding strategy {strategy!r}")
@@ -364,9 +386,7 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
 
     rng = np.random.Generator(np.random.PCG64(seed))
     n_prompt = prompts.shape[0] if prompts is not None else 0
-    cache = [ad.KVSlot(config.n_heads, n_prompt + config.max_len,
-                       config.head_dim, params["tok_emb"].dtype)
-             for _ in range(config.n_layers)]
+    cache = RowStore(config, n_prompt, params["tok_emb"].dtype)
     step, n = history, len(history)
     rows = n_prompt + n  # rows of this call; logits come for the last
     out: list[int] = []
@@ -374,7 +394,7 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
         while len(out) < max_new and n < config.max_len:
             logits = forward_batch([step], params, config, prompts=prompts,
                                    cache=cache, first=[rows - 1]).data[0]
-            prompts = None  # their keys and values are in the cache
+            prompts = None  # their rows are in the cache
             rows = 1
             if strategy == "greedy":
                 nxt = int(np.argmax(logits))

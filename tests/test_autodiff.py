@@ -594,7 +594,8 @@ def test_attention_grad_matches_fd(lengths):
 
 
 @pytest.mark.parametrize("lengths,first",
-                         [([4], [2]), ([3, 1, 5], [1, 0, 3]), ([2, 3], [1, 1])])
+                         [([4], [2]), ([3, 1, 5], [1, 0, 3]), ([2, 3], [1, 1]),
+                          ([4, 2, 5], [1, 1, 1]), ([3, 3], [2, 2])])
 def test_attention_with_first_grad_matches_fd(lengths, first):
     """Only rows first[b]: ask queries; every row still gives keys and
     values, and rows before first[b] get no query gradient."""
@@ -616,20 +617,6 @@ def test_attention_with_first_grad_matches_fd(lengths, first):
         full = ad.attention(qkv, 2, lengths).data
         assert np.allclose(ad.attention(qkv, 2, lengths, first=first).data,
                            full[rows], rtol=0, atol=1e-15)
-
-
-def test_attention_with_first_after_a_cache_offset():
-    """Query j of a cached call sits at key position length + first + j."""
-    rng = np.random.default_rng(12)
-    rows = rng.normal(size=(9, 12))
-    slot = ad.KVSlot(2, 12, 2, np.float64)
-    with ad.no_grad():
-        full = ad.attention(Tensor(rows), 2, [9]).data
-        head = ad.attention(Tensor(rows[:4]), 2, [4], cache=slot, first=[3])
-        tail = ad.attention(Tensor(rows[4:]), 2, [5], cache=slot, first=[2])
-    assert slot.length == 9
-    assert np.allclose(head.data, full[3:4], rtol=0, atol=1e-15)
-    assert np.allclose(tail.data, full[6:], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("first", [None, [0, 3, 1, 0], [2, 2, 2, 2]])

@@ -66,7 +66,7 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             tiny_config(**bad)
     cfg = tiny_config(hidden=8, n_heads=2)
-    assert cfg.head_dim == 4 and cfg.ffw_dim == 32
+    assert cfg.ffw_dim == 32
 
 
 def test_embed_reduces_to_word_plus_position_with_zero_tables():
@@ -230,14 +230,15 @@ def straight_line_blocks(x, params, config):
         pre = f"layer{i}"
         normed = ln(x, p(f"{pre}.ln1.gamma"), p(f"{pre}.ln1.beta"))
         outs = []
-        h, dk = config.hidden, config.head_dim
+        h = config.hidden
+        dk = h // config.n_heads
         wqkv = p(f"{pre}.wqkv")
         for j in range(config.n_heads):
             cols = slice(j * dk, (j + 1) * dk)
             q = normed @ wqkv[:, :h][:, cols]
             k = normed @ wqkv[:, h:2 * h][:, cols]
             v = normed @ wqkv[:, 2 * h:][:, cols]
-            scores = q @ k.T / math.sqrt(config.head_dim)
+            scores = q @ k.T / math.sqrt(dk)
             att = np.zeros((n, n))
             for r in range(n):
                 row = scores[r, :r + 1]
@@ -535,28 +536,34 @@ def random_response_seqs(rng, n, vocab_size, lo, hi):
 
 def test_pruned_prompt_grad_and_ppl_bit_equal_float32(monkeypatch):
     """Against a frozen backbone the pruned rows change no bit of the loss,
-    the prompt gradient or the perplexity."""
+    the prompt gradient or the perplexity: for replies that start at
+    ragged rows, and for a loss on every token after BOS, where every
+    sequence's first loss row is P."""
     cfg = ModelConfig(n_layers=2, n_heads=4, hidden=32, vocab_size=40,
                       max_len=96, dropout=0.1)
     params = init_parameters(cfg, seed=33)
     for t in params.values():
         t.requires_grad = False
     prompts = init_prompts(8, cfg.hidden, seed=34)
-    seqs = random_response_seqs(np.random.default_rng(35), 12,
-                                cfg.vocab_size, 20, 80)
-    runs = []
-    for loss_fn in (batch_loss, full_row_loss):
-        rng = np.random.default_rng(36)
-        ad.reset_tape()
-        loss = loss_fn(seqs, params, cfg, prompts=prompts.matrix,
-                       drop=drawn(seqs, 8, cfg, rng))
-        ad.backward(loss)
-        runs.append((loss.data.copy(), prompts.matrix.grad))
-        prompts.matrix.grad = None
-    assert np.array_equal(runs[0][0], runs[1][0])
-    assert np.array_equal(runs[0][1], runs[1][1])
+    ragged = random_response_seqs(np.random.default_rng(35), 12,
+                                  cfg.vocab_size, 20, 80)
+    after_bos = [make_seq(s.ids, flags=s.entity_flags) for s in ragged]
+    assert model._loss_rows(after_bos, 8)[0] == [8] * 12
+    batches = (ragged, after_bos)
+    for seqs in batches:
+        runs = []
+        for loss_fn in (batch_loss, full_row_loss):
+            rng = np.random.default_rng(36)
+            ad.reset_tape()
+            loss = loss_fn(seqs, params, cfg, prompts=prompts.matrix,
+                           drop=drawn(seqs, 8, cfg, rng))
+            ad.backward(loss)
+            runs.append((loss.data.copy(), prompts.matrix.grad))
+            prompts.matrix.grad = None
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
 
-    pruned = evaluate_ppl(params, cfg, seqs, prompts)
+    pruned = [evaluate_ppl(params, cfg, seqs, prompts) for seqs in batches]
 
     def every_row(seqs, params, config, prompts=None, first=None):
         """forward_batch over every row, then the rows ``first`` keeps."""
@@ -565,7 +572,8 @@ def test_pruned_prompt_grad_and_ppl_bit_equal_float32(monkeypatch):
         return ad.take_rows(logits, ad.suffix_rows(lengths, first))
 
     monkeypatch.setattr(model, "forward_batch", every_row)
-    assert evaluate_ppl(params, cfg, seqs, prompts) == pruned
+    assert [evaluate_ppl(params, cfg, seqs, prompts)
+            for seqs in batches] == pruned
 
 
 @pytest.mark.xfail(strict=True,
@@ -696,12 +704,6 @@ def annotated_seq(n, vocab_size, seed):
         loss_mask=[False] * n, position_ids=list(range(n)))
 
 
-def kv_slots(cfg, n_prompt=0):
-    """A float64 key/value cache as generate builds it: one slot per layer."""
-    return [ad.KVSlot(cfg.n_heads, n_prompt + cfg.max_len, cfg.head_dim,
-                      np.float64) for _ in range(cfg.n_layers)]
-
-
 def extended(seq, new_ids):
     """History plus decoded tokens, annotated as generate annotates them."""
     n, k = len(seq), len(new_ids)
@@ -726,13 +728,14 @@ def test_cached_decode_matches_full_forward_float64(n_prompt, channels,
                       max_len=max_len, dropout=0.0, **channels)
     params, prompts = sharp_model(cfg, 41, n_prompt, np.float64)
     history = annotated_seq(n_hist, cfg.vocab_size, 3)
-    cache = kv_slots(cfg, n_prompt)
+    cache = model.RowStore(cfg, n_prompt, np.float64)
     step, new_ids = history, []
     with ad.no_grad():
         while len(new_ids) < max_new and len(history) + len(new_ids) < max_len:
             cached = forward_batch(
                 [step], params, cfg, cache=cache,
                 prompts=prompts if step is history else None)
+            assert cache.past == n_prompt + len(history) + len(new_ids)
             full = forward(extended(history, new_ids), params, cfg,
                            prompts=prompts).data[-cached.shape[0]:]
             assert cached.shape[0] == len(step) + (
@@ -752,15 +755,15 @@ def test_cached_decode_matches_full_forward_float64(n_prompt, channels,
 def test_kv_cache_misuse_raises():
     cfg = tiny_config(hidden=8, n_heads=2)
     params = params64(cfg)
-    cache = kv_slots(cfg)
+    cache = model.RowStore(cfg, 0, np.float64)
     with pytest.raises(GptLabError):  # grad recording on
         forward_batch([make_seq([1, 2, 3])], params, cfg, cache=cache)
     with ad.no_grad(), pytest.raises(GptLabError):  # two sequences
         forward_batch([make_seq([1, 2]), make_seq([3])], params, cfg,
                       cache=cache)
-    slot = ad.KVSlot(n_heads=2, capacity=2, d_k=4, dtype=np.float64)
+    cache.past = cfg.max_len - 2
     with ad.no_grad(), pytest.raises(GptLabError, match="overflow"):
-        ad.attention(Tensor(np.ones((3, 24))), 2, [3], slot)
+        forward_batch([make_seq([1, 2, 3])], params, cfg, cache=cache)
 
 
 def test_greedy_tokens_are_teacher_forced_argmax_float32():
