@@ -127,6 +127,8 @@ def parse_ratio(raw: str) -> tuple[int, int]:
         a, b = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ConfigError(f"split ratio must be integers, got {raw!r}") from exc
+    if min(a, b) < 1:
+        raise ConfigError(f"split ratio parts must be >= 1, got {raw!r}")
     return a, b
 
 

@@ -195,10 +195,13 @@ def _embed_rows(seqs: list[TokenSequence], params: dict[str, Tensor],
 
 class RowStore:
     """The query/key/value rows one sequence has run through each layer,
-    kept for decoding: ``rows`` [layers, P + max_len, 3H], filled up to
-    ``past``; ``forward_batch`` writes a call's rows after them."""
+    kept for decoding: ``rows`` [layers, P + max_len, 3H] for the P rows of
+    ``prompts`` (P = 0 for None), filled up to ``past``; ``forward_batch``
+    writes a call's rows after them."""
 
-    def __init__(self, config: ModelConfig, n_prompt: int, dtype):
+    def __init__(self, config: ModelConfig, prompts: Optional[Tensor],
+                 dtype):
+        n_prompt = prompts.shape[0] if prompts is not None else 0
         self.rows = np.empty((config.n_layers, n_prompt + config.max_len,
                               3 * config.hidden), dtype=dtype)
         self.past = 0
@@ -258,17 +261,20 @@ def forward_batch(seqs: list[TokenSequence], params: dict[str, Tensor],
     query/key/value rows after them and attends over all of them, and
     ``cache.past`` then counts the call's rows too.
 
-    With ``first``, logits come back for rows first[b] onwards (prompt
-    rows counted) of each sequence b only: the last block after its
+    With ``first``, logits come back for tokens first[b] onwards of each
+    sequence b only, never for a prompt row: the last block after its
     key/value map, the final norm and the LM head run on those rows alone.
-    Dropout masks are drawn for every row all the same.
+    This is the one place that turns a token index into a row. Dropout
+    masks are drawn for every row all the same.
     """
     n_prompt = prompts.shape[0] if prompts is not None else 0
     if prompts is not None and prompts.shape[1:] != (config.hidden,):
         raise ConfigError(f"prompt matrix of shape {prompts.shape} needs "
                           f"rows of the hidden size {config.hidden}")
-    if first is not None and not any(first):
-        first = None  # every row
+    if first is not None:
+        first = [n_prompt + f for f in first]  # token index -> row
+        if not any(first):
+            first = None  # every row
     lengths = [n_prompt + len(s) for s in seqs]
     if cache is not None and (ad.grad_enabled() or len(seqs) != 1):
         raise GptLabError("a cache serves one sequence, grad recording off")
@@ -303,32 +309,20 @@ def forward(seq: TokenSequence, params: dict[str, Tensor],
     return forward_batch([seq], params, config, prompts=prompts)
 
 
-def shifted_targets(seq: TokenSequence, n_prompt: int = 0
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Targets/mask aligned to logit rows: row r predicts real token r+1-P.
-
-    Prompt rows and the final row never carry loss; token j contributes
-    when its loss_mask is set, via the logit row just before it.
-    """
-    total = n_prompt + len(seq)
-    targets = np.zeros(total, dtype=np.int64)
-    mask = np.zeros(total, dtype=bool)
-    targets[n_prompt:total - 1] = seq.ids[1:]
-    mask[n_prompt:total - 1] = seq.loss_mask[1:]
-    return targets, mask
-
-
-def _loss_rows(seqs: list[TokenSequence], n_prompt: int):
-    """Each sequence's first loss row, the packed targets of the rows from
-    there on, and each sequence's loss bits over those rows."""
+def _loss_rows(seqs: list[TokenSequence]):
+    """For each sequence the token f before its first loss token (token
+    j's row predicts token j + 1), then the packed targets of its token
+    rows from f on and its loss bits over them: ``ids[f+1:]`` and
+    ``loss_mask[f+1:]``, and for the last row, which predicts nothing, a
+    dummy target and False."""
     first, targets, live = [], [], []
     for seq in seqs:
-        t, m = shifted_targets(seq, n_prompt)
+        m = np.append(np.asarray(seq.loss_mask[1:], dtype=bool), False)
         if not m.any():
             raise DataError("all positions masked out of the loss")
         f = int(np.argmax(m))
         first.append(f)
-        targets.append(t[f:])
+        targets.append(np.append(np.asarray(seq.ids[f + 1:], np.int64), 0))
         live.append(m[f:])
     return first, np.concatenate(targets), live
 
@@ -342,9 +336,9 @@ def batch_loss(seqs: list[TokenSequence], params: dict[str, Tensor],
     positions: the part that ``seqs``, a run of the batch, carries, in one
     graph. A loss row of sequence b weighs 1/(B * n_b). Dropout runs when
     ``drop``, the run's block of ``dropout_draws``, is given. The last
-    block and the LM head run only from each first loss row on."""
-    n_prompt = prompts.shape[0] if prompts is not None else 0
-    first, targets, live = _loss_rows(seqs, n_prompt)
+    block and the LM head run only from the token before each sequence's
+    first loss token on."""
+    first, targets, live = _loss_rows(seqs)
     n_seqs = len(seqs) if batch_size is None else batch_size
     weights = np.concatenate([m / (n_seqs * int(m.sum())) for m in live])
     logits = forward_batch(seqs, params, config, prompts=prompts, drop=drop,
@@ -356,9 +350,8 @@ def token_nll(seqs: list[TokenSequence], params: dict[str, Tensor],
               config: ModelConfig, prompts: Optional[Tensor] = None) -> Tensor:
     """Sum of the next-token NLL over every unmasked position of ``seqs``,
     each weighing 1, without dropout; the last block and the LM head run
-    only from each first loss row on."""
-    n_prompt = prompts.shape[0] if prompts is not None else 0
-    first, targets, live = _loss_rows(seqs, n_prompt)
+    only from the token before each sequence's first loss token on."""
+    first, targets, live = _loss_rows(seqs)
     logits = forward_batch(seqs, params, config, prompts=prompts,
                            first=first)
     return ad.cross_entropy(logits, targets, np.concatenate(live))
@@ -373,8 +366,9 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
     deterministic under seed. New tokens are annotated OTHER/0.
 
     Prompts and history run once into a ``RowStore``, with logits for
-    their last row only; after that each new token is fed as a one-row
-    sequence that attends over the stored rows (see ``forward_batch``).
+    the history's last token only; after that each new token is fed as a
+    one-token sequence that attends over the stored rows (see
+    ``forward_batch``).
     """
     if strategy not in ("greedy", "top_k"):
         raise ConfigError(f"unknown decoding strategy {strategy!r}")
@@ -385,17 +379,15 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
         raise GptLabError("history must be shorter than max_len")
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_prompt = prompts.shape[0] if prompts is not None else 0
-    cache = RowStore(config, n_prompt, params["tok_emb"].dtype)
+    cache = RowStore(config, prompts, params["tok_emb"].dtype)
     step, n = history, len(history)
-    rows = n_prompt + n  # rows of this call; logits come for the last
     out: list[int] = []
     with ad.no_grad():
         while len(out) < max_new and n < config.max_len:
             logits = forward_batch([step], params, config, prompts=prompts,
-                                   cache=cache, first=[rows - 1]).data[0]
+                                   cache=cache,
+                                   first=[len(step) - 1]).data[0]
             prompts = None  # their rows are in the cache
-            rows = 1
             if strategy == "greedy":
                 nxt = int(np.argmax(logits))
             else:

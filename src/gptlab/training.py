@@ -35,6 +35,8 @@ from .vocab import load_vocab
 
 MODES = ("pretrain", "finetune", "ptune")
 CLIP = 0.5  # global gradient-norm threshold of the reference regimen
+ADAM_BETAS = (0.9, 0.95)  # AdamW's moment decays, as in the reference
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,14 +104,15 @@ def _decays(name: str) -> bool:
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: OptimizerState, lr: float, beta1: float = 0.9,
-               beta2: float = 0.95, eps: float = 1e-8,
+               state: OptimizerState, lr: float,
                weight_decay: float = 0.1) -> None:
-    """Bias-corrected Adam update plus decoupled decay w -= lr*wd*w.
+    """Bias-corrected Adam update (ADAM_BETAS, ADAM_EPS) plus decoupled
+    decay w -= lr*wd*w.
 
     Parameters without a gradient entry are skipped entirely, so frozen
     tensors are untouched no matter how many steps run.
     """
+    beta1, beta2 = ADAM_BETAS
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -127,7 +130,7 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         v += (1.0 - beta2) * g * g
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
-        update = lr * m_hat / (np.sqrt(v_hat) + eps)
+        update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if weight_decay and _decays(name):
             update = update + lr * weight_decay * p.data
         if not np.isfinite(update).all():

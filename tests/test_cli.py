@@ -396,6 +396,35 @@ def test_typo_beside_a_missing_input_is_config_error(workspace, capsys,
     assert run(command, f"typo-{case}.kv", f"x-typo-{case}") == EXIT_DATA
 
 
+# command: a config of it whose corpus is missing and whose split ratio
+# has a part below 1
+BAD_RATIO_BESIDE_MISSING_CORPUS = {
+    "pretrain": TRAIN.format(mode="pretrain",
+                             corpus="runs/no-such-run/corpus.jsonl",
+                             split="0:1", epochs=1, extra=MODEL_BLOCK),
+    "eval": GENERATE.replace("generate.", "eval.").replace(
+        "runs/b/", "runs/no-such-run/") + "data.split = 4:-1\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_RATIO_BESIDE_MISSING_CORPUS))
+def test_non_positive_split_part_is_config_error(workspace, capsys, command):
+    """Training and eval refuse a split ratio part below 1 when they read
+    the config, before the corpus loads: with the corpus missing too, the
+    one error is a config error and a fresh output directory stays
+    empty."""
+    root, run = workspace
+    (root / f"ratio-{command}.kv").write_text(
+        BAD_RATIO_BESIDE_MISSING_CORPUS[command], encoding="utf-8")
+    capsys.readouterr()
+    assert run(command, f"ratio-{command}.kv", f"x-ratio-{command}") == \
+        EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:"), err
+    assert "split ratio parts must be >= 1" in err[0]
+    assert list((root / "runs" / f"x-ratio-{command}").iterdir()) == []
+
+
 def test_config_seed_is_checked_under_seed_override(workspace, capsys):
     root, run = workspace
     (root / "gen-bad-seed.kv").write_text(

@@ -108,10 +108,6 @@ OPTIONAL_ALLOWED = {
         "the float64 verification suites build float64 parameters",
     ("init_prompts", "dtype"):
         "the float64 verification suites build float64 prompts",
-    ("adamw_step", "beta1"): "the hand-traced AdamW oracle sets every "
-                             "hyper-parameter, eps=1e-15 among them",
-    ("adamw_step", "beta2"): "the hand-traced AdamW oracle, as beta1",
-    ("adamw_step", "eps"): "the hand-traced AdamW oracle, as beta1",
 }
 
 

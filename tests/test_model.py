@@ -15,8 +15,7 @@ from gptlab.model import (CHECKPOINT_VERSION, LN_EPS, PROMPT_PARAM_NAME,
                           ModelConfig, _dropout_masks, _embed_rows,
                           batch_loss, dropout_draws, forward, forward_batch,
                           generate, init_parameters, load_checkpoint,
-                          parameter_shapes, save_checkpoint, shifted_targets,
-                          token_nll)
+                          parameter_shapes, save_checkpoint, token_nll)
 from gptlab.training import (OptimizerState, adamw_step, clip_grad_norm,
                              evaluate_ppl, init_prompts)
 from gptlab.vocab import build_vocab
@@ -471,12 +470,16 @@ def test_grouped_dropout_draws_are_blocks_of_one_draw():
 
 def full_row_loss(seqs, params, cfg, prompts=None, drop=None):
     """batch_loss without row pruning: every row runs through the whole
-    model and the unscored rows weigh 0 in the cross-entropy."""
+    model and the unscored rows weigh 0 in the cross-entropy. Row P + j
+    predicts token j + 1; prompt rows and the last row carry no loss."""
     n_prompt = prompts.shape[0] if prompts is not None else 0
     logits = forward_batch(seqs, params, cfg, prompts=prompts, drop=drop)
     targets, weights = [], []
     for seq in seqs:
-        t, m = shifted_targets(seq, n_prompt)
+        t = np.zeros(n_prompt + len(seq), dtype=np.int64)
+        m = np.zeros(n_prompt + len(seq), dtype=bool)
+        t[n_prompt:-1] = seq.ids[1:]
+        m[n_prompt:-1] = seq.loss_mask[1:]
         targets.append(t)
         weights.append(m / (len(seqs) * m.sum()))
     return ad.cross_entropy(logits, np.concatenate(targets),
@@ -498,7 +501,6 @@ def test_pruned_batch_loss_matches_full_rows_float64():
     prompts = init_prompts(2, cfg.hidden, seed=31, dtype=np.float64).matrix
     tensors = dict(params, prompts=prompts)
     seqs = response_batch()
-    first = [2 + 3, 2 + 1, 2 + 1]  # the row before each first loss token
     runs = []
     for loss_fn in (batch_loss, full_row_loss):
         rng = np.random.default_rng(32)
@@ -516,11 +518,17 @@ def test_pruned_batch_loss_matches_full_rows_float64():
     for n, g in ref_grads.items():
         assert np.max(np.abs(grads[n] - g)) <= 1e-12 * np.max(np.abs(g)), n
     with ad.no_grad():
-        pruned = forward_batch(seqs, params, cfg, prompts=prompts, first=first)
         full = forward_batch(seqs, params, cfg, prompts=prompts).data
-    assert pruned.shape[0] == sum(2 + len(s) - f for s, f in zip(seqs, first))
-    assert np.allclose(pruned.data, full[ad.suffix_rows(
-        [2 + len(s) for s in seqs], first)], rtol=0, atol=1e-12)
+    # the token before each first loss token; every token, which behind
+    # P = 2 prompt rows still leaves the prompt rows out
+    for first in ([3, 1, 1], [0, 0, 0]):
+        with ad.no_grad():
+            pruned = forward_batch(seqs, params, cfg, prompts=prompts,
+                                   first=first)
+        assert pruned.shape[0] == sum(len(s) - f for s, f in zip(seqs, first))
+        assert np.allclose(pruned.data, full[ad.suffix_rows(
+            [2 + len(s) for s in seqs], [2 + f for f in first])],
+            rtol=0, atol=1e-12)
 
 
 def random_response_seqs(rng, n, vocab_size, lo, hi):
@@ -538,7 +546,7 @@ def test_pruned_prompt_grad_and_ppl_bit_equal_float32(monkeypatch):
     """Against a frozen backbone the pruned rows change no bit of the loss,
     the prompt gradient or the perplexity: for replies that start at
     ragged rows, and for a loss on every token after BOS, where every
-    sequence's first loss row is P."""
+    sequence's loss rows start at token 0."""
     cfg = ModelConfig(n_layers=2, n_heads=4, hidden=32, vocab_size=40,
                       max_len=96, dropout=0.1)
     params = init_parameters(cfg, seed=33)
@@ -548,7 +556,7 @@ def test_pruned_prompt_grad_and_ppl_bit_equal_float32(monkeypatch):
     ragged = random_response_seqs(np.random.default_rng(35), 12,
                                   cfg.vocab_size, 20, 80)
     after_bos = [make_seq(s.ids, flags=s.entity_flags) for s in ragged]
-    assert model._loss_rows(after_bos, 8)[0] == [8] * 12
+    assert model._loss_rows(after_bos)[0] == [0] * 12
     batches = (ragged, after_bos)
     for seqs in batches:
         runs = []
@@ -566,10 +574,12 @@ def test_pruned_prompt_grad_and_ppl_bit_equal_float32(monkeypatch):
     pruned = [evaluate_ppl(params, cfg, seqs, prompts) for seqs in batches]
 
     def every_row(seqs, params, config, prompts=None, first=None):
-        """forward_batch over every row, then the rows ``first`` keeps."""
+        """forward_batch over every row, then the rows of tokens ``first``
+        onwards, behind the prompt rows."""
         logits = forward_batch(seqs, params, config, prompts=prompts)
-        lengths = [prompts.shape[0] + len(s) for s in seqs]
-        return ad.take_rows(logits, ad.suffix_rows(lengths, first))
+        n_prompt = prompts.shape[0]
+        return ad.take_rows(logits, ad.suffix_rows(
+            [n_prompt + len(s) for s in seqs], [n_prompt + f for f in first]))
 
     monkeypatch.setattr(model, "forward_batch", every_row)
     assert [evaluate_ppl(params, cfg, seqs, prompts)
@@ -728,7 +738,7 @@ def test_cached_decode_matches_full_forward_float64(n_prompt, channels,
                       max_len=max_len, dropout=0.0, **channels)
     params, prompts = sharp_model(cfg, 41, n_prompt, np.float64)
     history = annotated_seq(n_hist, cfg.vocab_size, 3)
-    cache = model.RowStore(cfg, n_prompt, np.float64)
+    cache = model.RowStore(cfg, prompts, np.float64)
     step, new_ids = history, []
     with ad.no_grad():
         while len(new_ids) < max_new and len(history) + len(new_ids) < max_len:
@@ -755,7 +765,7 @@ def test_cached_decode_matches_full_forward_float64(n_prompt, channels,
 def test_kv_cache_misuse_raises():
     cfg = tiny_config(hidden=8, n_heads=2)
     params = params64(cfg)
-    cache = model.RowStore(cfg, 0, np.float64)
+    cache = model.RowStore(cfg, None, np.float64)
     with pytest.raises(GptLabError):  # grad recording on
         forward_batch([make_seq([1, 2, 3])], params, cfg, cache=cache)
     with ad.no_grad(), pytest.raises(GptLabError):  # two sequences

@@ -3,8 +3,8 @@ import pytest
 
 from gptlab import autodiff as ad
 from gptlab.errors import ConfigError
-from gptlab.model import (ModelConfig, forward, init_parameters,
-                          shifted_targets)
+from gptlab.model import (ModelConfig, _loss_rows, forward, forward_batch,
+                          init_parameters)
 from gptlab.training import init_prompts
 
 from .test_model import (make_seq, straight_line_blocks, straight_line_embed,
@@ -43,9 +43,14 @@ def test_prompt_rows_come_first_and_carry_no_loss():
     want = straight_line_blocks(full, params, cfg) @ params["tok_emb"].data.T
     assert got.shape == (3, cfg.vocab_size)
     assert np.max(np.abs(got - want)) < 1e-10
-    targets, mask = shifted_targets(seq, n_prompt=1)
-    assert mask.tolist() == [False, True, False]
-    assert targets[1] == 2
+    # token 0's row, the first behind the prompt row, predicts token 1
+    first, targets, live = _loss_rows([seq])
+    assert first == [0]
+    assert targets.tolist() == [2, 0] and live[0].tolist() == [True, False]
+    with ad.no_grad():
+        scored = forward_batch([seq], params, cfg, prompts=prompts.matrix,
+                               first=first).data
+    assert np.max(np.abs(scored - want[1:])) < 1e-10
 
 
 def test_forward_rejects_prompt_width_mismatch():

@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import importlib.util
-import inspect
 import math
 import threading
 from dataclasses import FrozenInstanceError, replace
@@ -22,11 +21,11 @@ from gptlab.errors import ConfigError, DataError, NumericError
 from gptlab.model import (PROMPT_PARAM_NAME, ModelConfig, batch_loss,
                           dropout_draws, init_parameters, load_checkpoint,
                           save_checkpoint, token_nll)
-from gptlab.training import (CLIP, METRICS_HEADER, MetricsLog, MetricsRow,
-                             OptimizerState, RunConfig, ScheduleConfig,
-                             adamw_step, clip_grad_norm, evaluate_ppl,
-                             init_prompts, lr_at, make_run_config,
-                             save_metrics, train)
+from gptlab.training import (ADAM_BETAS, ADAM_EPS, CLIP, METRICS_HEADER,
+                             MetricsLog, MetricsRow, OptimizerState,
+                             RunConfig, ScheduleConfig, adamw_step,
+                             clip_grad_norm, evaluate_ppl, init_prompts,
+                             lr_at, make_run_config, save_metrics, train)
 from gptlab.vocab import build_vocab, save_vocab
 
 from .test_model import make_seq
@@ -118,12 +117,14 @@ def test_clip_never_increases_norm_and_is_idempotent(values, threshold):
 
 
 def test_adamw_hand_trace():
-    # m_hat=0.5, v_hat=0.25 -> adam term 0.1; decay 0.1*0.1*1 = 0.01
+    # m_hat=0.5, v_hat=0.25 -> adam term 0.1*0.5/(0.5+eps); decay
+    # 0.1*0.1*1 = 0.01
     w = Tensor(np.array([1.0]), requires_grad=True)
     state = OptimizerState()
     adamw_step({"w": w}, {"w": np.array([0.5])}, state, lr=0.1,
-               beta1=0.9, beta2=0.95, eps=1e-15, weight_decay=0.1)
-    assert abs(w.data[0] - 0.89) < 1e-9
+               weight_decay=0.1)
+    want = 1.0 - 0.1 * 0.5 / (0.5 + ADAM_EPS) - 0.1 * 0.1 * 1.0
+    assert abs(w.data[0] - want) < 1e-9
     assert state.step == 1
 
 
@@ -729,9 +730,7 @@ def test_run_config_defaults_mirror_reference_regimen():
     pre = make_run_config("pretrain", corpus_path="c", vocab_path="v",
                           out_dir="o", model=model)
     assert (pre.batch_size, CLIP, pre.weight_decay) == (32, 0.5, 0.1)
-    adamw = inspect.signature(adamw_step).parameters
-    assert (adamw["beta1"].default, adamw["beta2"].default) == (0.9, 0.95)
-    assert adamw["eps"].default == 1e-8
+    assert (ADAM_BETAS, ADAM_EPS) == ((0.9, 0.95), 1e-8)
     assert (pre.sched.peak_lr, pre.sched.min_lr) == (1e-4, 5e-6)
     assert (pre.sched.warmup_steps, pre.sched.decay_end_step) == (2000, 100_000)
     assert (pre.epochs, pre.split_ratio, pre.loss_mask_policy) == \
