@@ -4,14 +4,15 @@ Every tensor wraps the numpy float array it is given. Every op returns
 through ``_op``, which gets the op's inputs once: with grad recording on
 and one of them requiring grad, the result requires grad and the calling
 thread's tape gains one ``(result, inputs, vjp)`` entry. ``backward``
-replays that tape once in reverse. The first gradient array a tensor
-receives becomes its ``.grad`` (cast if its dtype differs) and later ones
-are added into it. So for each input that needs one, a vjp returns an
-array no other input's gradient holds: a fresh array, its incoming
-gradient, or disjoint views of it (``backward`` never reads an incoming
-gradient again); ``add`` gives its second input a copy. After
-``backward`` only leaves have a defined ``.grad``: an intermediate
-tensor's is scratch.
+replays that tape once in reverse and returns the gradients of its
+leaves, the requires-grad tensors no entry produced; no tensor holds
+one, so graphs on several threads may share leaves. The first gradient
+array a tensor receives is kept (cast if its dtype differs), later ones
+are added into it, and an intermediate's is dropped once its vjp has
+run. So for each input that needs one, a vjp returns an array no other
+input's gradient holds: a fresh array, its incoming gradient, or disjoint
+views of it (``backward`` never reads an incoming gradient again);
+``add`` gives its second input a copy.
 
 Each thread has its own tape; grad mode is a context variable, so a task
 that ``spread`` runs inherits its caller's ``no_grad``.
@@ -55,12 +56,11 @@ _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 class Tensor:
     """A dense real tensor, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self):
@@ -138,8 +138,8 @@ def _op(data, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Populate the grads of the requires_grad leaves reachable from ``loss``.
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """``{leaf: gradient}`` for the requires_grad leaves ``loss`` reaches.
 
     Replays the active tape in reverse exactly once; a tensor consumed by
     k operations receives the sum of the k contributions. A second call
@@ -156,16 +156,17 @@ def backward(loss: Tensor) -> None:
     if not any(out is loss for out, _, _ in tape.entries):
         raise GptLabError("loss was not produced by the active tape")
     tape.consumed = True
-    loss.grad = np.ones_like(loss.data)
+    grads = {loss: np.ones_like(loss.data)}
     for out, inputs, vjp in reversed(tape.entries):
-        if out.grad is None:
+        if out not in grads:
             continue  # not on the path from loss
-        for t, g in zip(inputs, vjp(out.grad)):
+        for t, g in zip(inputs, vjp(grads.pop(out))):
             if g is not None and t.requires_grad:
-                if t.grad is None:  # g is t's own: see the module docstring
-                    t.grad = g.astype(t.data.dtype, copy=False)
-                else:
-                    t.grad += g
+                if t in grads:
+                    grads[t] += g
+                else:  # g is t's own: see the module docstring
+                    grads[t] = g.astype(t.data.dtype, copy=False)
+    return grads
 
 
 # --- tasks across CPUs ---

@@ -24,9 +24,10 @@ import numpy as np
 from .atomic import atomic_write
 from .config import (CHANNEL_KEYS, DECODE_KEYS, KV, load_run_config,
                      parse_counts, parse_ratio, write_kv)
-from .corpus import SyntheticSpec, generate_synthetic, load_corpus, save_corpus
+from .corpus import (SyntheticSpec, check_loss_mask_policy, generate_synthetic,
+                     load_corpus, save_corpus)
 from .errors import ConfigError, DataError, GptLabError, NumericError
-from .model import generate as model_generate
+from .model import check_decoding, generate as model_generate
 from .training import (build_tagger_from_files, evaluate_ppl, load_backbone,
                        prepare_sequences, read_lexicon, split_corpus, train,
                        train_variants)
@@ -145,6 +146,7 @@ def cmd_eval(kv: KV, out: Path, seed: int) -> None:
         raise ConfigError(f"eval.part must be train/test/all, got {part!r}")
     ratio = None if part == "all" else parse_ratio(kv.str_("data.split"))
     policy = kv.str_("loss_mask", "response")
+    check_loss_mask_policy(policy)
     splice = kv.bool_("splice", False)
     kv.refuse_unread("eval")
     config, backbone, prompts, vocab, tagger, corpus = load()
@@ -162,6 +164,7 @@ def cmd_generate(kv: KV, out: Path, seed: int) -> None:
     load = _read_eval_keys(kv, "generate.checkpoint")
     index = kv.int_("generate.index", 0)
     decoding = kv.present(DECODE_KEYS)
+    check_decoding(**decoding)
     kv.refuse_unread("generate")
     config, backbone, prompts, vocab, tagger, corpus = load()
     if not (0 <= index < len(corpus)):

@@ -31,6 +31,11 @@ MIN_SEQ_LEN = 8
 LOSS_MASK_POLICIES = ("all", "response")
 
 
+def check_loss_mask_policy(policy: str) -> None:
+    if policy not in LOSS_MASK_POLICIES:
+        raise ConfigError(f"unknown loss-mask policy {policy!r}")
+
+
 @dataclass(frozen=True)
 class EntitySpan:
     start: int  # character offset, inclusive
@@ -198,8 +203,7 @@ def linearize(dialogue: Dialogue, vocab: Vocab, max_len: int, policy: str,
     """
     if max_len < MIN_SEQ_LEN:
         raise ConfigError(f"max_len must be >= {MIN_SEQ_LEN}, got {max_len}")
-    if policy not in LOSS_MASK_POLICIES:
-        raise ConfigError(f"unknown loss-mask policy {policy!r}")
+    check_loss_mask_policy(policy)
 
     other = int(LexTag.OTHER)
     every = policy == "all"

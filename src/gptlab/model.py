@@ -357,6 +357,18 @@ def token_nll(seqs: list[TokenSequence], params: dict[str, Tensor],
     return ad.cross_entropy(logits, targets, np.concatenate(live))
 
 
+def check_decoding(strategy: str = "greedy", max_new: int = 0,
+                   top_k: int = 1) -> None:
+    """Refuse settings ``generate`` cannot decode with. Each default is a
+    valid value, so a caller may pass only the settings it has."""
+    if strategy not in ("greedy", "top_k"):
+        raise ConfigError(f"unknown decoding strategy {strategy!r}")
+    if max_new < 0:
+        raise ConfigError(f"need max_new >= 0, got {max_new}")
+    if top_k < 1:
+        raise ConfigError(f"need top_k >= 1, got {top_k}")
+
+
 def generate(history: TokenSequence, params: dict[str, Tensor],
              config: ModelConfig, strategy: str = "greedy",
              max_new: int = 32, seed: int = 0,
@@ -370,13 +382,9 @@ def generate(history: TokenSequence, params: dict[str, Tensor],
     one-token sequence that attends over the stored rows (see
     ``forward_batch``).
     """
-    if strategy not in ("greedy", "top_k"):
-        raise ConfigError(f"unknown decoding strategy {strategy!r}")
-    if top_k < 1 or max_new < 0:
-        raise ConfigError(f"need top_k >= 1 and max_new >= 0, got "
-                          f"top_k={top_k}, max_new={max_new}")
-    if len(history) >= config.max_len:
-        raise GptLabError("history must be shorter than max_len")
+    check_decoding(strategy, max_new, top_k)
+    if not 0 < len(history) < config.max_len:
+        raise GptLabError("history must hold 1 to max_len - 1 tokens")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     cache = RowStore(config, prompts, params["tok_emb"].dtype)

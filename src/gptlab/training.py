@@ -25,8 +25,8 @@ from . import autodiff as ad
 from .annotation import dictionary_tagger
 from .atomic import atomic_write, read_lines
 from .autodiff import Tensor
-from .corpus import (LOSS_MASK_POLICIES, Dialogue, TokenSequence, linearize,
-                     load_corpus, split)
+from .corpus import (Dialogue, TokenSequence, check_loss_mask_policy,
+                     linearize, load_corpus, split)
 from .errors import ConfigError, DataError, NumericError
 from .model import (INIT_STD, PROMPT_PARAM_NAME, ModelConfig, batch_loss,
                     dropout_draws, init_parameters, load_checkpoint,
@@ -174,8 +174,7 @@ class RunConfig:
             raise ConfigError(f"{self.mode} needs a backbone checkpoint")
         if self.mode == "ptune" and self.v_p < 1:
             raise ConfigError("ptune needs v_p >= 1")
-        if self.loss_mask_policy not in LOSS_MASK_POLICIES:
-            raise ConfigError(f"unknown loss-mask policy {self.loss_mask_policy!r}")
+        check_loss_mask_policy(self.loss_mask_policy)
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
         if not math.isfinite(self.weight_decay):
@@ -434,47 +433,42 @@ def _batch_grads(batch: list[TokenSequence], params: dict[str, Tensor],
                  ) -> tuple[float, dict[str, np.ndarray]]:
     """The loss of ``batch``, a ``batch_loss`` with dropout drawn from
     ``rng``, and the gradient of each ``trainable`` tensor it reaches, in
-    trainable order. ``params`` and ``trainable`` together hold the
-    backbone and, under PROMPT_PARAM_NAME, the prompt matrix if any.
+    trainable order. ``params`` holds the backbone; ``trainable`` holds
+    the tensors that train: backbone tensors, the prompt matrix under
+    PROMPT_PARAM_NAME, or both.
 
     The batch runs as ``_GROUPS`` runs of its sequences, through
-    ``autodiff.spread``. A group wraps the parameter arrays in leaves of
-    its own, without copying them, builds its part of the loss on its
-    thread's tape, with its block of one ``dropout_draws`` call, runs
-    ``backward`` there and drops that tape. Losses (in float64) and
-    gradients are then added in group order. A group whose loss is not
-    finite skips ``backward``; the summed loss shows it.
+    ``autodiff.spread``. Every group builds its part of the loss over the
+    same parameter tensors, which nothing writes during the step, on its
+    thread's tape, with its block of one ``dropout_draws`` call, takes
+    the gradients ``backward`` returns and drops that tape. Losses (in
+    float64) and gradients are then added in group order. A group whose
+    loss is not finite skips ``backward``; the summed loss shows it.
     """
     cuts = [len(batch) * g // _GROUPS for g in range(_GROUPS + 1)]
     groups = [batch[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    tensors = {**params, **trainable}
-    prompts = tensors.get(PROMPT_PARAM_NAME)
+    prompts = trainable.get(PROMPT_PARAM_NAME)
     drops = dropout_draws(groups, 0 if prompts is None else prompts.shape[0],
                           config, rng)
 
     def run(g):
-        leaves = {name: Tensor(t.data, t.requires_grad)
-                  for name, t in tensors.items()}
         ad.reset_tape()
+        grads = {}
         try:
-            loss = batch_loss(groups[g], leaves, config,
-                              prompts=leaves.get(PROMPT_PARAM_NAME),
+            loss = batch_loss(groups[g], params, config, prompts=prompts,
                               drop=drops[g], batch_size=len(batch))
             value = float(loss.data)
             if math.isfinite(value):
-                ad.backward(loss)
+                grads = ad.backward(loss)
         finally:
             ad.reset_tape()  # the group's graph goes with it
-        return value, [leaves[name].grad for name in trainable]
+        return value, grads
 
     parts = ad.spread(run, len(groups))
-    grads = {}
-    for i, name in enumerate(trainable):
-        for _, part in parts:
-            if part[i] is not None:
-                grads[name] = (part[i] if name not in grads
-                               else grads[name] + part[i])
-    return sum(value for value, _ in parts), grads
+    got = {name: [grads[t] for _, grads in parts if t in grads]
+           for name, t in trainable.items()}
+    return (sum(value for value, _ in parts),  # both in group order
+            {name: sum(g[1:], g[0]) for name, g in got.items() if g})
 
 
 def train(run: RunConfig) -> TrainResult:

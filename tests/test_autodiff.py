@@ -48,12 +48,12 @@ def test_matmul_grad_is_ones_times_bt():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     b = Tensor(np.arange(12.0).reshape(3, 4) / 7.0, requires_grad=True)
     loss = total(ad.matmul(a, b))
-    ad.backward(loss)
-    assert np.allclose(a.grad, np.ones((2, 4)) @ b.data.T)
-    assert np.allclose(b.grad, a.data.T @ np.ones((2, 4)))
+    grads = ad.backward(loss)
+    assert np.allclose(grads[a], np.ones((2, 4)) @ b.data.T)
+    assert np.allclose(grads[b], a.data.T @ np.ones((2, 4)))
 
     num = fd_grad(lambda: total(ad.matmul(a, b)), a)
-    assert max_rel_err(a.grad, num) < 1e-3
+    assert max_rel_err(grads[a], num) < 1e-3
 
 
 def softmax(rows, keep=None):
@@ -136,9 +136,9 @@ def test_layer_norm_grad_matches_fd():
     def loss_fn():
         return total(ad.mul(ad.layer_norm(x, gamma, beta, 1e-5), w))
 
-    ad.backward(loss_fn())
+    grads = ad.backward(loss_fn())
     for t in (x, gamma, beta):
-        assert max_rel_err(t.grad, fd_grad(loss_fn, t)) < 1e-3
+        assert max_rel_err(grads[t], fd_grad(loss_fn, t)) < 1e-3
 
 
 def test_gelu_zero_and_asymptote():
@@ -160,8 +160,8 @@ def test_gelu_grad_matches_fd():
     def loss_fn():
         return total(ad.gelu(x))
 
-    ad.backward(loss_fn())
-    assert max_rel_err(x.grad, fd_grad(loss_fn, x)) < 1e-3
+    grads = ad.backward(loss_fn())
+    assert max_rel_err(grads[x], fd_grad(loss_fn, x)) < 1e-3
 
 
 def test_cross_entropy_uniform_logits():
@@ -214,20 +214,20 @@ def test_cross_entropy_grad_matches_fd():
     def loss_fn():
         return ad.cross_entropy(x, targets, weights)
 
-    ad.backward(loss_fn())
-    assert max_rel_err(x.grad, fd_grad(loss_fn, x)) < 1e-3
+    grads = ad.backward(loss_fn())
+    assert max_rel_err(grads[x], fd_grad(loss_fn, x)) < 1e-3
 
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-    ad.backward(total(x))
-    assert np.array_equal(x.grad, np.ones((3, 4)))
+    grads = ad.backward(total(x))
+    assert np.array_equal(grads[x], np.ones((3, 4)))
 
 
 def test_backward_elementwise_square():
     x = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
-    ad.backward(total(ad.mul(x, x)))
-    assert np.allclose(x.grad, [[2.0, 4.0, 6.0]])
+    grads = ad.backward(total(ad.mul(x, x)))
+    assert np.allclose(grads[x], [[2.0, 4.0, 6.0]])
 
 
 def test_double_backward_raises_until_reset():
@@ -245,8 +245,8 @@ def test_fanout_accumulates_additively():
     x = Tensor([[2.0]], requires_grad=True)
     y = ad.add(x, x)           # consumed twice
     z = ad.add(y, ad.mul(x, Tensor([[3.0]])))  # and a third time
-    ad.backward(total(z))
-    assert np.allclose(x.grad, [[5.0]])
+    grads = ad.backward(total(z))
+    assert np.allclose(grads[x], [[5.0]])
 
 
 def test_add_gives_its_inputs_separate_gradients():
@@ -256,9 +256,9 @@ def test_add_gives_its_inputs_separate_gradients():
     b = Tensor(np.ones((2, 3)), requires_grad=True)
     m = ad.mul(a, Tensor(np.full((2, 3), 3.0)))
     y = ad.add(a, b)
-    ad.backward(total(ad.add(y, m)))
-    assert np.array_equal(a.grad, np.full((2, 3), 4.0))
-    assert np.array_equal(b.grad, np.ones((2, 3)))
+    grads = ad.backward(total(ad.add(y, m)))
+    assert np.array_equal(grads[a], np.full((2, 3), 4.0))
+    assert np.array_equal(grads[b], np.ones((2, 3)))
 
 
 def test_float32_leaves_keep_float32_grads_in_a_float64_graph():
@@ -273,10 +273,10 @@ def test_float32_leaves_keep_float32_grads_in_a_float64_graph():
         else:  # a's first gradient is float64, from m, and is cast
             y = ad.add(a, b)
             m = ad.mul(a, c)
-        ad.backward(total(ad.add(y, m)))
+        grads = ad.backward(total(ad.add(y, m)))
         for t, want in ((a, 4.0), (b, 1.0)):
-            assert t.grad.dtype == np.float32, m_first
-            assert np.array_equal(t.grad, np.full((2, 3), want)), m_first
+            assert grads[t].dtype == np.float32, m_first
+            assert np.array_equal(grads[t], np.full((2, 3), want)), m_first
 
 
 # for each two-operand op: may tensor t be its second operand next to a?
@@ -335,16 +335,18 @@ def _random_graph(steps, seed):
 
 def _copying_backward(loss):
     """The reverse pass that copies every first gradient a tensor
-    receives, so no two tensors ever share a gradient array."""
-    loss.grad = np.ones_like(loss.data)
+    receives, so no two tensors ever share a gradient array. Returns the
+    gradient of every tensor the loss reaches, intermediate ones too."""
+    grads = {loss: np.ones_like(loss.data)}
     for out, inputs, vjp in reversed(ad.active_tape().entries):
-        if out.grad is not None:
-            for t, g in zip(inputs, vjp(out.grad)):
+        if out in grads:
+            for t, g in zip(inputs, vjp(grads[out])):
                 if g is not None and t.requires_grad:
-                    if t.grad is None:
-                        t.grad = np.array(g, dtype=t.dtype, copy=True)
+                    if t in grads:
+                        grads[t] += g
                     else:
-                        t.grad += g
+                        grads[t] = np.array(g, dtype=t.dtype, copy=True)
+    return grads
 
 
 STEP = st.tuples(st.sampled_from(GRAPH_OPS), st.integers(0, 50),
@@ -361,15 +363,16 @@ STEP = st.tuples(st.sampled_from(GRAPH_OPS), st.integers(0, 50),
 def test_backward_equals_a_pass_that_copies_every_first_gradient(steps, seed):
     ad.reset_tape()
     leaves, loss = _random_graph(steps, seed)
-    ad.backward(loss)
+    got = ad.backward(loss)
     ad.reset_tape()  # a tape runs backward once: build the graph again
     ref_leaves, ref_loss = _random_graph(steps, seed)
-    _copying_backward(ref_loss)
-    for got, want in zip(leaves, ref_leaves):
-        assert (got.grad is None) == (want.grad is None)
-        if want.grad is not None:
-            assert got.grad.dtype == want.grad.dtype
-            assert np.array_equal(got.grad, want.grad)
+    want = _copying_backward(ref_loss)
+    assert len(got) == sum(t in want for t in ref_leaves)  # leaves only
+    for leaf, ref_leaf in zip(leaves, ref_leaves):
+        assert (leaf in got) == (ref_leaf in want)
+        if ref_leaf in want:
+            assert got[leaf].dtype == want[ref_leaf].dtype
+            assert np.array_equal(got[leaf], want[ref_leaf])
 
 
 def test_accumulation_order_independent():
@@ -384,8 +387,7 @@ def test_accumulation_order_independent():
         ta = total(ad.mul(x, Tensor(a_const)))
         tb = total(ad.mul(x, Tensor(b_const)))
         loss = ad.add(ta, tb) if first_a else ad.add(tb, ta)
-        ad.backward(loss)
-        return x.grad.copy()
+        return ad.backward(loss)[x]
 
     assert np.max(np.abs(run(True) - run(False))) < 1e-12
 
@@ -393,8 +395,8 @@ def test_accumulation_order_independent():
 def test_take_rows_scatter_adds_repeats():
     table = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
     out = ad.take_rows(table, [1, 1, 3])
-    ad.backward(total(out))
-    assert np.array_equal(table.grad,
+    grads = ad.backward(total(out))
+    assert np.array_equal(grads[table],
                           [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
@@ -409,18 +411,18 @@ def test_concat_grads_split_back():
     out = ad.concat_rows([a, b])
     assert out.shape == (6, 3)
     w = Tensor(np.arange(18.0).reshape(6, 3))
-    ad.backward(total(ad.mul(out, w)))
-    assert np.array_equal(a.grad, w.data[:2])
-    assert np.array_equal(b.grad, w.data[2:])
+    grads = ad.backward(total(ad.mul(out, w)))
+    assert np.array_equal(grads[a], w.data[:2])
+    assert np.array_equal(grads[b], w.data[2:])
 
     ad.reset_tape()
     c = Tensor(np.ones((2, 2)), requires_grad=True)
     d = Tensor(np.ones((5, 2)), requires_grad=True)
     out = ad.concat_rows([c, d])
     assert out.shape == (7, 2)
-    ad.backward(total(out))
-    assert np.array_equal(c.grad, np.ones((2, 2)))
-    assert np.array_equal(d.grad, np.ones((5, 2)))
+    grads = ad.backward(total(out))
+    assert np.array_equal(grads[c], np.ones((2, 2)))
+    assert np.array_equal(grads[d], np.ones((5, 2)))
 
 
 def test_concat_rejects_mismatched_column_counts():
@@ -431,8 +433,8 @@ def test_concat_rejects_mismatched_column_counts():
 def test_transpose_roundtrip_grad():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     w = Tensor(np.arange(6.0).reshape(3, 2))
-    ad.backward(total(ad.mul(ad.transpose(x), w)))
-    assert np.array_equal(x.grad, w.data.T)
+    grads = ad.backward(total(ad.mul(ad.transpose(x), w)))
+    assert np.array_equal(grads[x], w.data.T)
 
 
 @pytest.mark.parametrize("op", [ad.add, ad.mul])
@@ -478,9 +480,9 @@ def test_each_thread_records_and_replays_its_own_tape():
     def work(i):
         tape = ad.reset_tape()
         x = Tensor(np.full((1, 3), float(i + 1)), requires_grad=True)
-        ad.backward(total(ad.mul(x, x)))
+        grads = ad.backward(total(ad.mul(x, x)))
         assert ad.active_tape() is tape
-        return tape, x.grad
+        return tape, grads[x]
 
     task, ran = first_two_on_two_threads(2, work)
     with cpus(2):
@@ -489,6 +491,57 @@ def test_each_thread_records_and_replays_its_own_tape():
     assert len(tape0.entries) == len(tape1.entries) == 3  # mul, 2 matmuls
     assert np.array_equal(grad0, np.full((1, 3), 2.0))
     assert np.array_equal(grad1, np.full((1, 3), 4.0))
+
+
+def test_backward_returns_exactly_the_reached_leaves():
+    """One entry per requires_grad leaf the loss reaches: none for an
+    intermediate tensor, a frozen tensor or a tensor off the loss's path,
+    even one on the same tape."""
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.full((3, 2), 2.0), requires_grad=True)
+    frozen = Tensor(np.ones((2, 3)))
+    unreached = Tensor(np.ones((2, 3)), requires_grad=True)
+    ad.mul(unreached, a)
+    hidden = ad.add(a, frozen)
+    grads = ad.backward(total(ad.matmul(hidden, b)))
+    assert grads.keys() == {a, b}
+    assert np.array_equal(grads[a], np.full((2, 3), 4.0))
+    assert np.array_equal(grads[b], np.full((3, 2), 4.0))
+
+
+def test_graphs_on_two_threads_share_leaves():
+    """Two graphs over the same leaves, built and differentiated again and
+    again on two threads at once that switch every 1 us, each return bit
+    for bit the gradients a serial ``backward`` gives: a leaf holds no
+    gradient for another graph to write into."""
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.normal(size=(64, 16)), requires_grad=True)
+    w = Tensor(rng.normal(size=(16, 16)), requires_grad=True)
+    bias = Tensor(rng.normal(size=16), requires_grad=True)
+    targets = rng.integers(0, 16, size=(2, 64))
+
+    def grads_of(i):  # w is consumed twice
+        ad.reset_tape()
+        h = ad.gelu(ad.matmul(x, w, bias=bias))
+        grads = ad.backward(ad.cross_entropy(ad.matmul(h, w), targets[i],
+                                             np.full(64, 1 / 64)))
+        return [grads[t] for t in (x, w, bias)]
+
+    serial = [grads_of(i) for i in range(2)]
+    assert not np.array_equal(serial[0][0], serial[1][0])
+    task, ran = first_two_on_two_threads(
+        2, lambda i: [grads_of(i) for _ in range(100)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with cpus(2):
+            runs = ad.spread(task, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(ran.values())) == 2
+    for want, repeats in zip(serial, runs):
+        for got in repeats:
+            assert all(np.array_equal(g, ref) for g, ref in zip(got, want))
 
 
 # each op, the shapes of the inputs it records, and a call on those inputs
@@ -589,8 +642,8 @@ def test_attention_grad_matches_fd(lengths):
     def loss_fn():
         return total(ad.mul(ad.attention(qkv, 2, lengths), w))
 
-    ad.backward(loss_fn())
-    assert max_rel_err(qkv.grad, fd_grad(loss_fn, qkv)) < 1e-3
+    grads = ad.backward(loss_fn())
+    assert max_rel_err(grads[qkv], fd_grad(loss_fn, qkv)) < 1e-3
 
 
 @pytest.mark.parametrize("lengths,first",
@@ -608,11 +661,11 @@ def test_attention_with_first_grad_matches_fd(lengths, first):
         return total(ad.mul(ad.attention(qkv, 2, lengths,
                                                  first=first), w))
 
-    ad.backward(loss_fn())
-    assert max_rel_err(qkv.grad, fd_grad(loss_fn, qkv)) < 1e-3
+    grads = ad.backward(loss_fn())
+    assert max_rel_err(grads[qkv], fd_grad(loss_fn, qkv)) < 1e-3
     asked = np.zeros(sum(lengths), dtype=bool)
     asked[rows] = True
-    assert not qkv.grad[~asked, :4].any()
+    assert not grads[qkv][~asked, :4].any()
     with ad.no_grad():
         full = ad.attention(qkv, 2, lengths).data
         assert np.allclose(ad.attention(qkv, 2, lengths, first=first).data,
@@ -659,9 +712,9 @@ def test_matmul_weight_grad_over_many_rows():
     a = Tensor(rng.normal(size=(3 * ad.ROW_BLOCK + 37, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     w = rng.normal(size=(a.shape[0], 3))
-    ad.backward(total(ad.mul(ad.matmul(a, b), Tensor(w))))
-    assert np.allclose(b.grad, a.data.T @ w, rtol=1e-12, atol=1e-12)
-    assert np.allclose(a.grad, w @ b.data.T, rtol=1e-12, atol=1e-12)
+    grads = ad.backward(total(ad.mul(ad.matmul(a, b), Tensor(w))))
+    assert np.allclose(grads[b], a.data.T @ w, rtol=1e-12, atol=1e-12)
+    assert np.allclose(grads[a], w @ b.data.T, rtol=1e-12, atol=1e-12)
 
 
 def test_cross_entropy_row_weights():
@@ -676,8 +729,8 @@ def test_cross_entropy_row_weights():
     logp = x.data - np.log(np.exp(x.data).sum(axis=1, keepdims=True))
     want = -(0.5 * logp[0, 1] + 0.25 * logp[2, 3] + 0.25 * logp[3, 4])
     assert abs(float(loss.data) - want) < 1e-12
-    ad.backward(loss)
-    assert max_rel_err(x.grad, fd_grad(loss_fn, x)) < 1e-3
+    grads = ad.backward(loss)
+    assert max_rel_err(grads[x], fd_grad(loss_fn, x)) < 1e-3
 
 
 def _layer_norm_reference(x, gamma, beta, eps, g):
@@ -711,9 +764,10 @@ def test_layer_norm_bit_equal_to_mean_var_formula(n_rows, dtype, seed):
                          for a in (x, gamma, beta))
     out = ad.layer_norm(tx, tgamma, tbeta, 1e-5)
     assert out.dtype == dtype
-    ad.backward(total(ad.mul(out, Tensor(g))))
+    grads = ad.backward(total(ad.mul(out, Tensor(g))))
     want = _layer_norm_reference(x, gamma, beta, 1e-5, g)
-    for got, ref in zip((out.data, tx.grad, tgamma.grad, tbeta.grad), want):
+    for got, ref in zip((out.data, *(grads[t] for t in (tx, tgamma, tbeta))),
+                        want):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
 
@@ -758,8 +812,8 @@ def test_gelu_bit_equal_to_formula_with_kept_square(n_rows, dtype, seed):
     ad.reset_tape()
     tx = Tensor(x.copy(), requires_grad=True)
     out = ad.gelu(tx)
-    ad.backward(total(ad.mul(out, Tensor(g))))
-    for got, ref in zip((out.data, tx.grad), _gelu_reference(x, g)):
+    grads = ad.backward(total(ad.mul(out, Tensor(g))))
+    for got, ref in zip((out.data, grads[tx]), _gelu_reference(x, g)):
         assert got.dtype == ref.dtype == dtype
         assert np.array_equal(got, ref)
 
@@ -776,10 +830,10 @@ def test_matmul_bias_grad_matches_fd():
 
     out = ad.matmul(a, b, bias=bias)
     assert np.array_equal(out.data, a.data @ b.data + bias.data)
-    ad.backward(loss_fn())
+    grads = ad.backward(loss_fn())
     for t in (a, b, bias):
-        assert max_rel_err(t.grad, fd_grad(loss_fn, t)) < 1e-6
-    assert np.array_equal(bias.grad, w.data.sum(axis=0))
+        assert max_rel_err(grads[t], fd_grad(loss_fn, t)) < 1e-6
+    assert np.array_equal(grads[bias], w.data.sum(axis=0))
 
 
 @pytest.mark.parametrize("frozen", ["b", "bias"])

@@ -425,6 +425,41 @@ def test_non_positive_split_part_is_config_error(workspace, capsys, command):
     assert list((root / "runs" / f"x-ratio-{command}").iterdir()) == []
 
 
+# case: (command, a config of it whose checkpoint is missing, a bad value
+# of a key it reads, the error that value raises)
+BAD_VALUE_BESIDE_MISSING_CHECKPOINT = {
+    "generate-strategy": ("generate", "generate.strategy = beam",
+                          "unknown decoding strategy 'beam'"),
+    "generate-max_new": ("generate", "generate.max_new = -1",
+                         "need max_new >= 0, got -1"),
+    "generate-top_k": ("generate", "generate.top_k = 0",
+                       "need top_k >= 1, got 0"),
+    "eval-loss_mask": ("eval", "loss_mask = everything",
+                       "unknown loss-mask policy 'everything'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUE_BESIDE_MISSING_CHECKPOINT))
+def test_bad_value_beside_a_missing_checkpoint_is_config_error(
+        workspace, capsys, case):
+    """eval and generate check the values they read before they load the
+    checkpoint: with the checkpoint missing too, the one error is a config
+    error and a fresh output directory stays empty."""
+    root, run = workspace
+    command, line, message = BAD_VALUE_BESIDE_MISSING_CHECKPOINT[case]
+    config = GENERATE.replace("runs/pretrain/", "runs/no-such-run/")
+    if command == "eval":
+        config = config.replace("generate.", "eval.") + "eval.part = all\n"
+    (root / f"value-{case}.kv").write_text(config + line + "\n",
+                                           encoding="utf-8")
+    capsys.readouterr()
+    assert run(command, f"value-{case}.kv", f"x-value-{case}") == \
+        EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: config: {message}"], err
+    assert list((root / "runs" / f"x-value-{case}").iterdir()) == []
+
+
 def test_config_seed_is_checked_under_seed_override(workspace, capsys):
     root, run = workspace
     (root / "gen-bad-seed.kv").write_text(

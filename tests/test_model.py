@@ -330,11 +330,11 @@ def test_lm_loss_gradcheck_tiny_model():
     def loss_fn():
         return batch_loss([seq], params, cfg)
 
-    ad.backward(loss_fn())
+    grads = ad.backward(loss_fn())
     worst = 0.0
     for name, t in params.items():
-        assert t.grad is not None, name
-        worst = max(worst, max_rel_err(t.grad, fd_grad(loss_fn, t)))
+        assert t in grads, name
+        worst = max(worst, max_rel_err(grads[t], fd_grad(loss_fn, t)))
     assert worst < 1e-3
 
 
@@ -360,8 +360,8 @@ def test_float32_lm_loss_keeps_every_tape_output_float32():
     assert loss.dtype == np.float32
     dtypes = {out.dtype for out, _, _ in ad.active_tape().entries}
     assert dtypes == {np.dtype(np.float32)}
-    ad.backward(loss)
-    assert all(t.grad.dtype == np.float32 for t in params.values())
+    grads = ad.backward(loss)
+    assert all(grads[t].dtype == np.float32 for t in params.values())
 
 
 def unequal_batch():
@@ -390,22 +390,21 @@ def test_batched_step_equals_mean_of_per_sequence_steps(n_prompt):
         ad.reset_tape()
         loss = batch_loss([seq], params, cfg, prompts=prompts,
                           drop=drawn([seq], n_prompt, cfg, rng))
-        ad.backward(loss)
+        grads = ad.backward(loss)
         mean_loss += float(loss.data) / len(seqs)
         for n, t in tensors.items():
-            mean_grads[n] += t.grad / len(seqs)
-            t.grad = None
+            mean_grads[n] += grads[t] / len(seqs)
 
     batch_rng = np.random.default_rng(24)
     ad.reset_tape()
     loss = batch_loss(seqs, params, cfg, prompts=prompts,
                       drop=drawn(seqs, n_prompt, cfg, batch_rng))
-    ad.backward(loss)
+    grads = ad.backward(loss)
     assert batch_rng.bit_generator.state == rng.bit_generator.state
     assert abs(float(loss.data) - mean_loss) <= 1e-12 * abs(mean_loss)
     for n, t in tensors.items():
         scale = np.max(np.abs(mean_grads[n]))
-        assert np.max(np.abs(t.grad - mean_grads[n])) <= 1e-12 * scale, n
+        assert np.max(np.abs(grads[t] - mean_grads[n])) <= 1e-12 * scale, n
 
 
 def per_sequence_dropout_masks(seqs, n_prompt, config, rng, dtype):
@@ -507,11 +506,9 @@ def test_pruned_batch_loss_matches_full_rows_float64():
         ad.reset_tape()
         loss = loss_fn(seqs, params, cfg, prompts=prompts,
                        drop=drawn(seqs, 2, cfg, rng))
-        ad.backward(loss)
-        runs.append((float(loss.data), {n: t.grad for n, t in tensors.items()},
+        got = ad.backward(loss)
+        runs.append((float(loss.data), {n: got[t] for n, t in tensors.items()},
                      rng.bit_generator.state))
-        for t in tensors.values():
-            t.grad = None
     (loss, grads, state), (ref_loss, ref_grads, ref_state) = runs
     assert state == ref_state  # dropout drew the same masks
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -565,9 +562,8 @@ def test_pruned_prompt_grad_and_ppl_bit_equal_float32(monkeypatch):
             ad.reset_tape()
             loss = loss_fn(seqs, params, cfg, prompts=prompts.matrix,
                            drop=drawn(seqs, 8, cfg, rng))
-            ad.backward(loss)
-            runs.append((loss.data.copy(), prompts.matrix.grad))
-            prompts.matrix.grad = None
+            runs.append((loss.data.copy(),
+                         ad.backward(loss)[prompts.matrix]))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -645,12 +641,10 @@ def overfit_one_sequence(cfg, seq, steps=300, lr=3e-3, seed=0):
     for _ in range(steps):
         ad.reset_tape()
         loss = batch_loss([seq], params, cfg)
-        ad.backward(loss)
-        grads = {n: t.grad for n, t in params.items() if t.grad is not None}
+        got = ad.backward(loss)
+        grads = {n: got[t] for n, t in params.items() if t in got}
         clip_grad_norm(grads, 1.0)
         adamw_step(params, grads, state, lr, weight_decay=0.0)
-        for t in params.values():
-            t.grad = None
     return params, float(loss.data)
 
 
@@ -676,6 +670,22 @@ def test_generate_max_new_zero_and_topk_determinism():
     b = generate(seq, params, cfg, strategy="top_k", max_new=6, seed=42)
     assert a == b
     assert len(a) == 6
+
+
+@pytest.mark.parametrize("n_prompt", [0, 2])
+def test_generate_needs_a_history_of_1_to_max_len_minus_1_tokens(n_prompt):
+    """An empty history and one that fills max_len are refused; with
+    prompts, an empty one would otherwise decode from the last prompt
+    row."""
+    cfg = tiny_config(hidden=8, n_heads=2, max_len=6)
+    params = init_parameters(cfg, seed=16)
+    prompts = (init_prompts(n_prompt, cfg.hidden, seed=17).matrix
+               if n_prompt else None)
+    for history in (make_seq([1]).prefix(0), make_seq([1] * cfg.max_len)):
+        with pytest.raises(GptLabError, match="history must hold 1 to"):
+            generate(history, params, cfg, max_new=3, prompts=prompts)
+    assert len(generate(make_seq([1] * (cfg.max_len - 1)), params, cfg,
+                        max_new=3, prompts=prompts)) == 1
 
 
 def test_generate_stops_at_eos():
